@@ -11,17 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from . import linalg
 from .errors import ConsistencyError, DomainMismatchError, PreconditionError
-from .finmeas import RV, Subspace, norm2, span_on
+from .finmeas import RV, Subspace, indicator, norm2, span_on
 from .ntba import NTBA, NTBAElement
 from .sigma import SigmaField, cond_exp, discrete, join, meet, sigma_of_rvs, trivial
-
-FLOAT_TOL = 1e-9
 
 
 @dataclass
@@ -46,74 +40,29 @@ def _constraint_images(algebra: NTBA, k: int, vecs):
 def first_chaos(algebra: NTBA) -> ChaosResult:
     """Compute the first chaos by intersecting co-atom constraint kernels."""
     space = algebra.space
-    if space.mode == "rational":
-        basis = _kernel_intersection_exact(algebra)
-    else:
-        basis = _kernel_intersection_float(algebra)
-    h1 = span_on(space, basis)
+    h1 = span_on(space, _kernel_intersection(algebra))
     generated = sigma_of_rvs(space, h1.basis)
     classical = generated == discrete(space)
     black = h1.dim == 0 and space.size > 1
     return ChaosResult(algebra, h1, classical, black, generated)
 
 
-def _kernel_intersection_exact(algebra: NTBA):
+def _kernel_intersection(algebra: NTBA):
     space = algebra.space
-    from .finmeas import indicator
-
+    backend = space.backend
     vecs = [indicator(space, [i]) for i in range(space.size)]
     for k in range(algebra.n_atoms):
         if not vecs:
             break
         images = _constraint_images(algebra, k, vecs)
-        rows = [
-            [images[d].values[i] for d in range(len(vecs))]
-            for i in range(space.size)
-        ]
-        coeffs = linalg.exact_nullspace(rows)
+        rows = list(zip(*(im.values for im in images)))
+        coeffs = backend.nullspace(rows)
         if coeffs is None:  # no nonzero constraint rows: kernel is everything
             continue
-        new_vecs = []
-        for c in coeffs:
-            v = None
-            for cd, vec in zip(c, vecs):
-                if cd:
-                    term = cd * vec
-                    v = term if v is None else v + term
-            if v is not None:
-                new_vecs.append(v)
+        combos = backend.combine(coeffs, [v.values for v in vecs])
+        new_vecs = [RV(space, tuple(c)) for c in combos]
         vecs = span_on(space, new_vecs).basis if new_vecs else []
     return vecs
-
-
-def _kernel_intersection_float(algebra: NTBA):
-    space = algebra.space
-    vecs = [
-        RV(space, tuple(1.0 if i == j else 0.0 for j in range(space.size)))
-        for i in range(space.size)
-    ]
-    for k in range(algebra.n_atoms):
-        if not vecs:
-            break
-        images = _constraint_images(algebra, k, vecs)
-        rows = np.array([[im.values[i] for im in images] for i in range(space.size)])
-        coeffs = linalg.float_nullspace(rows)
-        if coeffs is None:
-            continue
-        new_vecs = []
-        for c in coeffs:
-            vals = np.zeros(space.size)
-            for cd, vec in zip(c, vecs):
-                vals += cd * np.asarray(vec.values)
-            new_vecs.append(RV(space, tuple(float(x) for x in vals)))
-        vecs = span_on(space, new_vecs).basis if new_vecs else []
-    return vecs
-
-
-def _rv_equal(space, f: RV, g: RV) -> bool:
-    if space.mode == "rational":
-        return f.values == g.values
-    return max(abs(a - b) for a, b in zip(f.values, g.values)) <= FLOAT_TOL
 
 
 @dataclass
@@ -147,10 +96,11 @@ def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
     top = discrete(space)
     bot = trivial(space)
 
+    equal = space.backend.equal
     cond_a = True
     for e, part in zip(elements, parts):
         comp = parts[elements.index(e.complement())]
-        if not _rv_equal(space, f, q(part) + q(comp)):
+        if not equal(f.values, (q(part) + q(comp)).values):
             cond_a = False
             break
 
@@ -158,16 +108,15 @@ def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
     for px, py in itertools.combinations_with_replacement(parts, 2):
         if meet(px, py) != bot:
             continue
-        if not _rv_equal(space, q(join(px, py)), q(px) + q(py)):
+        if not equal(q(join(px, py)).values, (q(px) + q(py)).values):
             cond_b = False
             break
 
-    q0 = q(bot)
-    cond_c = _rv_equal(space, q0, 0 * f)
+    cond_c = space.backend.is_zero(q(bot).values)
     if cond_c:
         for px, py in itertools.combinations_with_replacement(parts, 2):
             lhs = q(join(px, py)) + q(meet(px, py))
-            if not _rv_equal(space, lhs, q(px) + q(py)):
+            if not equal(lhs.values, (q(px) + q(py)).values):
                 cond_c = False
                 break
 
@@ -210,12 +159,8 @@ def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
     """
     space = algebra.space
     q0 = cond_exp(trivial(space), f)
-    if space.mode == "rational":
-        if any(v != 0 for v in q0.values):
-            raise PreconditionError("atomless_split needs a zero-mean input")
-    else:
-        if any(abs(v) > FLOAT_TOL for v in q0.values):
-            raise PreconditionError("atomless_split needs a zero-mean input")
+    if not space.backend.is_zero(q0.values):
+        raise PreconditionError("atomless_split needs a zero-mean input")
     n = algebra.n_atoms
     sq: dict = {}
 
@@ -238,10 +183,7 @@ def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
     else:
         best, best_parts = _anneal_split(algebra, group_sq, n)
 
-    eps_sq = (
-        Fraction(epsilon) ** 2 if space.mode == "rational" else float(epsilon) ** 2
-    )
-    ok = best <= eps_sq
+    ok = best <= space.backend.coerce(epsilon) ** 2
     elements = [algebra.element(g) for g in best_parts]
     return SplitResult(
         ok,

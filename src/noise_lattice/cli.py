@@ -19,13 +19,14 @@ from . import randsup as rs
 from .chaos import first_chaos
 from .errors import CapacityError, NoiseLatticeError
 from .finmeas import (
-    load_space,
     mk_dyadic,
     mk_space,
+    space_from_json,
     space_to_json,
 )
 from .kernels import BACKEND
 from .ntba import (
+    NTBA,
     mk_coordinate_ntba,
     mk_parity_ntba,
     ntba_from_json,
@@ -48,6 +49,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+
+
+class UsageError(Exception):
+    """Bad input from the command line or an input file (exit 2)."""
 
 
 def _mode(args) -> str:
@@ -108,14 +113,40 @@ def _print_tree(node, indent: str) -> None:
         print(f"{indent}{node}")
 
 
-def _load_ntba(path: str):
+def _load(path: str, parse):
+    """Read one JSON input file and parse it; malformed input is a usage error."""
     with open(path, encoding="utf-8") as fh:
-        return ntba_from_json(json.load(fh))
+        try:
+            return parse(json.load(fh))
+        except KeyError as exc:
+            raise UsageError(f"{path}: missing key {exc}") from None
+        except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise UsageError(f"{path}: {exc}") from None
+
+
+def _load_space(path: str):
+    return _load(path, space_from_json)
+
+
+def _load_ntba(path: str):
+    return _load(path, ntba_from_json)
 
 
 def _load_partition(space, path: str):
-    with open(path, encoding="utf-8") as fh:
-        return partition_from_json(space, json.load(fh))
+    return _load(path, lambda obj: partition_from_json(space, obj))
+
+
+def _atom_presentation(obj):
+    """(space, atoms) of an algebra file, before the atoms are validated."""
+    space = space_from_json(obj["space"])
+    return space, [partition_from_json(space, a) for a in obj["atoms"]]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +159,13 @@ def cmd_space(args) -> int:
         if _mode(args) == "float":
             space = _to_float_space(space)
     else:
-        space = load_space(args.file)
+        space = _load_space(args.file)
     print(json.dumps(space_to_json(space), sort_keys=True))
     return EXIT_OK
 
 
 def cmd_sigma(args) -> int:
-    space = load_space(args.space)
+    space = _load_space(args.space)
     x = _load_partition(space, args.x)
     y = _load_partition(space, args.y)
     if args.sigma_cmd == "meet":
@@ -164,14 +195,9 @@ def cmd_ntba(args) -> int:
         print(json.dumps(ntba_to_json(algebra), sort_keys=True))
         return EXIT_OK
     if args.ntba_cmd == "validate":
-        with open(args.file, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        from .finmeas import space_from_json
-
-        space = space_from_json(obj["space"])
-        elems = [partition_from_json(space, a) for a in obj["atoms"]]
+        space, atoms = _load(args.file, _atom_presentation)
         try:
-            algebra = ntba_from_json(obj)
+            algebra = NTBA(space, atoms)
             family = [e.realize() for e in algebra.elements()]
             verdict = validate_family(space, family)
         except ValueError as exc:
@@ -489,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = rusub.add_parser("run")
     run.add_argument("--ps", required=True, help="comma-separated inclusion probabilities")
     run.add_argument("--atoms", default=None, help="comma-separated atom counts")
-    run.add_argument("--trials", type=int, default=100_000)
+    run.add_argument("--trials", type=_positive_int, default=100_000)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=["text", "json"], default="text")
     ru.set_defaults(fn=cmd_randsup)
@@ -519,7 +545,7 @@ def main(argv=None) -> int:
     except NoiseLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

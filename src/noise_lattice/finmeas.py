@@ -1,25 +1,21 @@
 """Finite probability spaces, random variables, and spanned subspaces.
 
 A space carries either exact-rational probabilities (the default for
-dyadic constructions) or float probabilities; the mode propagates to every
-random variable and every rank/equality decision made downstream.
+dyadic constructions) or float probabilities.  It picks the matching
+``linalg`` backend once, when it is built, and every random variable and
+every rank/equality decision downstream goes through that backend.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import linalg
 from .errors import CapacityError, DomainMismatchError
 
 MAX_OUTCOMES = 1 << 20
-FLOAT_TOL = 1e-9
-PROB_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -27,11 +23,13 @@ class ProbSpace:
     """A finite outcome set with strictly positive probabilities.
 
     ``probs`` holds Fractions (rational mode) or floats (float mode);
-    the two are never mixed within one space.
+    a mix of the two is rejected.  ``backend`` is the ``linalg`` backend
+    that the probabilities select.
     """
 
     outcomes: tuple
     probs: tuple
+    backend: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.outcomes) != len(self.probs):
@@ -42,30 +40,21 @@ class ProbSpace:
             raise CapacityError(f"{len(self.outcomes)} outcomes exceed the guard")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("outcome identifiers must be unique")
-        if self.mode == "rational":
-            if any(p <= 0 for p in self.probs):
-                raise ValueError("probabilities must be strictly positive")
-            if sum(self.probs) != 1:
-                raise ValueError("probabilities must sum to exactly 1")
-        else:
-            if any(p <= 0.0 for p in self.probs):
-                raise ValueError("probabilities must be strictly positive")
-            if abs(sum(self.probs) - 1.0) > PROB_SUM_TOL:
-                raise ValueError("probabilities must sum to 1 within 1e-12")
+        backend = linalg.backend_of(self.probs)
+        object.__setattr__(self, "backend", backend)
+        if any(p <= 0 for p in self.probs):
+            raise ValueError("probabilities must be strictly positive")
+        total = sum(self.probs)
+        if not backend.sums_to_one(total):
+            raise ValueError(f"probabilities sum to {total}, not 1")
 
     @property
     def mode(self) -> str:
-        return "rational" if isinstance(self.probs[0], Fraction) else "float"
+        return self.backend.name
 
     @property
     def size(self) -> int:
         return len(self.outcomes)
-
-    def zero(self) -> Fraction | float:
-        return Fraction(0) if self.mode == "rational" else 0.0
-
-    def one(self) -> Fraction | float:
-        return Fraction(1) if self.mode == "rational" else 1.0
 
 
 def mk_space(outcomes, probs) -> ProbSpace:
@@ -132,14 +121,11 @@ def _same_space(f, g):
 
 
 def constant(space: ProbSpace, c) -> RV:
-    c = Fraction(c) if space.mode == "rational" and not isinstance(c, Fraction) else c
-    if space.mode == "float":
-        c = float(c)
-    return RV(space, (c,) * space.size)
+    return RV(space, (space.backend.coerce(c),) * space.size)
 
 
 def indicator(space: ProbSpace, idxs) -> RV:
-    one, zero = space.one(), space.zero()
+    one, zero = space.backend.one, space.backend.zero
     vals = [zero] * space.size
     for i in idxs:
         vals[i] = one
@@ -148,15 +134,14 @@ def indicator(space: ProbSpace, idxs) -> RV:
 
 def coordinate_sign(space: ProbSpace, k: int) -> RV:
     """The k-th sign coordinate (1-based) on a dyadic space."""
+    plus, minus = space.backend.coerce(1), space.backend.coerce(-1)
     vals = []
     for o in space.outcomes:
         ch = o[k - 1]
         if ch not in "+-":
             raise ValueError("coordinate_sign needs sign-string outcome ids")
-        vals.append(1 if ch == "+" else -1)
-    if space.mode == "rational":
-        return RV(space, tuple(Fraction(v) for v in vals))
-    return RV(space, tuple(float(v) for v in vals))
+        vals.append(plus if ch == "+" else minus)
+    return RV(space, tuple(vals))
 
 
 def walsh_character(space: ProbSpace, ks) -> RV:
@@ -170,10 +155,7 @@ def walsh_character(space: ProbSpace, ks) -> RV:
 def inner(f: RV, g: RV):
     """The probability-weighted inner product E[fg]."""
     _same_space(f, g)
-    if f.space.mode == "rational":
-        return sum(p * a * b for p, a, b in zip(f.space.probs, f.values, g.values))
-    p = np.asarray(f.space.probs)
-    return float(np.dot(p * np.asarray(f.values), np.asarray(g.values)))
+    return f.space.backend.dot(f.values, g.values, f.space.probs)
 
 
 def norm2(f: RV):
@@ -183,21 +165,17 @@ def norm2(f: RV):
 class Subspace:
     """A linear subspace of L2 of a space, held as an orthogonal basis.
 
-    In rational mode basis vectors are exactly pairwise orthogonal and
-    their exact squared norms are stored alongside (unit norms would need
-    square roots); in float mode the basis is orthonormal within tol.
+    The exact squared norms of the basis vectors are stored alongside
+    (unit norms would need square roots in rational mode); a float span
+    is orthonormal, so its norms are 1.0.
     """
 
-    def __init__(self, space: ProbSpace, basis, norms2=None, tol: float = FLOAT_TOL):
+    def __init__(self, space: ProbSpace, basis, norms2=None):
         self.space = space
         self.basis = tuple(basis)
-        self.tol = tol
-        if space.mode == "rational":
-            if norms2 is None:
-                norms2 = tuple(norm2(b) for b in self.basis)
-            self.norms2 = tuple(norms2)
-        else:
-            self.norms2 = tuple(1.0 for _ in self.basis)
+        if norms2 is None:
+            norms2 = (norm2(b) for b in self.basis)
+        self.norms2 = tuple(norms2)
         self._rref = None
 
     @property
@@ -210,41 +188,32 @@ class Subspace:
             raise DomainMismatchError("operands live on different spaces")
         out = constant(self.space, 0)
         for b, n2 in zip(self.basis, self.norms2):
-            coeff = inner(f, b) / n2 if self.space.mode == "rational" else inner(f, b)
-            out = out + coeff * b
+            out = out + (inner(f, b) / n2) * b
         return out
 
     def contains(self, f: RV) -> bool:
-        r = f - self.project(f)
-        if self.space.mode == "rational":
-            return all(v == 0 for v in r.values)
-        return float(np.sqrt(max(norm2(r), 0.0))) <= self.tol
+        return self.space.backend.is_zero((f - self.project(f)).values)
 
     def canonical_key(self):
-        """Canonical row-reduced form of the basis; equal iff same span."""
-        if self.space.mode != "rational":
-            raise ValueError("canonical keys exist only in rational mode")
+        """Canonical row-reduced form of the basis; equal iff same span.
+
+        Only the rational backend has one.
+        """
         if self._rref is None:
-            self._rref = linalg.exact_rref([b.values for b in self.basis])
+            self._rref = self.space.backend.rref([b.values for b in self.basis])
         return self._rref
 
     def equals(self, other: "Subspace") -> bool:
         if self.space != other.space:
             raise DomainMismatchError("subspaces on different spaces")
-        if self.dim != other.dim:
-            return False
-        if self.space.mode == "rational":
-            return self.canonical_key() == other.canonical_key()
-        return all(other.contains(b) for b in self.basis)
+        return self.dim == other.dim and self.contains_subspace(other)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if self.space.mode == "rational":
-            rows = [b.values for b in self.basis] + [b.values for b in other.basis]
-            return linalg.exact_rank(rows) == self.dim
-        return all(self.contains(b) for b in other.basis)
+        rows = [b.values for b in self.basis] + [b.values for b in other.basis]
+        return self.space.backend.rank(rows) == self.dim
 
 
-def span(vs, tol: float = FLOAT_TOL, space: ProbSpace | None = None) -> Subspace:
+def span(vs, space: ProbSpace | None = None) -> Subspace:
     """Orthogonal basis of the linear span; empty input gives dimension 0."""
     vs = list(vs)
     if not vs:
@@ -254,21 +223,14 @@ def span(vs, tol: float = FLOAT_TOL, space: ProbSpace | None = None) -> Subspace
     space = vs[0].space
     for v in vs[1:]:
         _same_space(vs[0], v)
-    return span_on(space, vs, tol)
+    return span_on(space, vs)
 
 
-def span_on(space: ProbSpace, vs, tol: float = FLOAT_TOL) -> Subspace:
-    vs = list(vs)
-    if space.mode == "rational":
-        basis, norms = linalg.exact_orthogonalize(
-            [v.values for v in vs], list(space.probs)
-        )
-        rvs = [RV(space, tuple(b)) for b in basis]
-        return Subspace(space, rvs, norms2=norms)
-    basis = linalg.float_orthonormalize(
-        [v.values for v in vs], list(space.probs), tol
+def span_on(space: ProbSpace, vs) -> Subspace:
+    basis, norms2 = space.backend.orthogonalize(
+        [v.values for v in vs], list(space.probs)
     )
-    return Subspace(space, [RV(space, tuple(float(x) for x in b)) for b in basis], tol=tol)
+    return Subspace(space, [RV(space, tuple(b)) for b in basis], norms2=norms2)
 
 
 @dataclass(frozen=True)
@@ -299,7 +261,7 @@ def product(a: ProbSpace, b: ProbSpace) -> SpaceProduct:
     """Cartesian product space; probabilities multiply, inner products factor."""
     if a.size * b.size > MAX_OUTCOMES:
         raise CapacityError("product space exceeds the outcome guard")
-    if (a.mode == "rational") != (b.mode == "rational"):
+    if a.backend is not b.backend:
         raise DomainMismatchError("cannot mix rational and float factors")
     outcomes = tuple(f"{oa},{ob}" for oa in a.outcomes for ob in b.outcomes)
     probs = tuple(pa * pb for pa in a.probs for pb in b.probs)
@@ -307,10 +269,7 @@ def product(a: ProbSpace, b: ProbSpace) -> SpaceProduct:
 
 
 def space_to_json(space: ProbSpace) -> dict:
-    if space.mode == "rational":
-        probs = [f"{p.numerator}/{p.denominator}" for p in space.probs]
-    else:
-        probs = [float(p) for p in space.probs]
+    probs = [space.backend.to_json(p) for p in space.probs]
     return {"outcomes": list(space.outcomes), "probs": probs}
 
 
@@ -323,7 +282,3 @@ def space_from_json(obj: dict) -> ProbSpace:
             probs.append(p)
     return mk_space(obj["outcomes"], probs)
 
-
-def load_space(path: str) -> ProbSpace:
-    with open(path, encoding="utf-8") as fh:
-        return space_from_json(json.load(fh))

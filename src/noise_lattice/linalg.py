@@ -2,7 +2,12 @@
 
 Rational vectors are scaled to integers and routed through the elimination
 kernels; float vectors go through numpy.  Every rank/equality decision is
-made inside one backend, never by mixing the two.
+made inside one backend, never by mixing the two: ``EXACT`` for spaces
+with Fraction probabilities, ``FLOAT`` for float ones.  A probability space
+picks its backend once (``backend_of``), and the modules above ask that
+backend for zero, one, constants, equality, rank, nullspace and
+orthogonalization instead of branching on the mode themselves.  The
+float tolerances live here and nowhere else.
 """
 
 from fractions import Fraction
@@ -12,7 +17,9 @@ import numpy as np
 
 from .kernels import orthogonalize_int, row_echelon_int
 
-FLOAT_TOL = 1e-9
+FLOAT_TOL = 1e-9  # entrywise equality, norm and singular-value cutoff
+GROUP_TOL = 1e-7  # float values closer than this share a level set
+PROB_SUM_TOL = 1e-12  # float probabilities must sum to 1 within this
 
 
 def _lcm(a: int, b: int) -> int:
@@ -113,7 +120,7 @@ def exact_orthogonalize(vectors, weights):
     return out_basis, out_norms
 
 
-def float_orthonormalize(vectors, weights, tol: float = FLOAT_TOL):
+def float_orthonormalize(vectors, weights):
     """Modified Gram-Schmidt with weighted inner product; drops near-zeros."""
     w = np.asarray(weights, dtype=float)
     basis = []
@@ -123,30 +130,170 @@ def float_orthonormalize(vectors, weights, tol: float = FLOAT_TOL):
             for b in basis:
                 v -= np.dot(w * b, v) * b
         n = np.sqrt(np.dot(w * v, v))
-        if n > tol:
+        if n > FLOAT_TOL:
             basis.append(v / n)
     return basis
 
 
-def _svd_cutoff(s, shape, tol: float) -> float:
+def _svd_cutoff(s, shape) -> float:
     # relative to the top singular value, but never below the absolute tol
     # (otherwise an all-but-zero matrix would keep full numerical rank)
     top = float(s[0]) if len(s) else 0.0
-    return max(tol, tol * max(shape) * top)
+    return max(FLOAT_TOL, FLOAT_TOL * max(shape) * top)
 
 
-def float_rank(rows, tol: float = FLOAT_TOL) -> int:
+def float_rank(rows) -> int:
     m = np.asarray(rows, dtype=float)
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > _svd_cutoff(s, m.shape, tol)))
+    return int(np.sum(s > _svd_cutoff(s, m.shape)))
 
 
-def float_nullspace(rows, tol: float = FLOAT_TOL):
+def float_nullspace(rows):
     m = np.asarray(rows, dtype=float)
     if m.size == 0:
         return None
     _, s, vt = np.linalg.svd(m)
-    rank = int(np.sum(s > _svd_cutoff(s, m.shape, tol)))
+    rank = int(np.sum(s > _svd_cutoff(s, m.shape)))
     return [vt[i] for i in range(rank, vt.shape[0])]
+
+
+class ExactBackend:
+    """Fractions: every decision is an exact comparison, with no tolerance.
+
+    Vectors are tuples or lists of the values of one random variable;
+    ``weights`` are the outcome probabilities.
+    """
+
+    name = "rational"
+    zero = Fraction(0)
+    one = Fraction(1)
+    tol = None
+
+    def coerce(self, c) -> Fraction:
+        return Fraction(c)
+
+    def to_json(self, p) -> str:
+        return f"{p.numerator}/{p.denominator}"
+
+    def sums_to_one(self, total) -> bool:
+        return total == 1
+
+    def equal(self, a, b) -> bool:
+        return a == b
+
+    def is_zero(self, values) -> bool:
+        return not any(values)
+
+    def levels(self, values):
+        """One hashable level label per entry: equal labels, same level set."""
+        return values
+
+    def dot(self, u, v, weights):
+        return sum(p * a * b for p, a, b in zip(weights, u, v))
+
+    def combine(self, coeffs, vectors) -> list:
+        """One linear combination of ``vectors`` per coefficient row."""
+        out = []
+        for c in coeffs:
+            vals = [self.zero] * len(vectors[0])
+            for cd, vec in zip(c, vectors):
+                if cd:
+                    vals = [a + cd * x for a, x in zip(vals, vec)]
+            out.append(vals)
+        return out
+
+    def orthogonalize(self, vectors, weights):
+        """(basis, norms2): an orthogonal basis of the span and its squared norms."""
+        return exact_orthogonalize(vectors, weights)
+
+    def rank(self, rows) -> int:
+        return exact_rank(rows)
+
+    def nullspace(self, rows):
+        """Basis of {v : M v = 0}; None when M has no nonzero row."""
+        return exact_nullspace(rows)
+
+    def rref(self, rows):
+        """Canonical form of the row space (see ``exact_rref``)."""
+        return exact_rref(rows)
+
+
+class FloatBackend:
+    """Floats: entrywise equality within FLOAT_TOL and numerical rank by SVD."""
+
+    name = "float"
+    zero = 0.0
+    one = 1.0
+    tol = FLOAT_TOL
+
+    def coerce(self, c) -> float:
+        return float(c)
+
+    def to_json(self, p) -> float:
+        return float(p)
+
+    def sums_to_one(self, total) -> bool:
+        return abs(total - 1.0) <= PROB_SUM_TOL
+
+    def equal(self, a, b) -> bool:
+        return all(abs(x - y) <= self.tol for x, y in zip(a, b))
+
+    def is_zero(self, values) -> bool:
+        return all(abs(v) <= self.tol for v in values)
+
+    def levels(self, values):
+        """Chain sorted values while neighbours are within GROUP_TOL.
+
+        Chaining (connected components of the links) keeps the relation
+        transitive, which plain thresholding would not.
+        """
+        order = sorted(range(len(values)), key=values.__getitem__)
+        labels = [0] * len(values)
+        level = 0
+        for prev, cur in zip(order, order[1:]):
+            if not abs(values[cur] - values[prev]) < GROUP_TOL:
+                level += 1
+            labels[cur] = level
+        return labels
+
+    def dot(self, u, v, weights):
+        return float(np.dot(np.asarray(weights) * np.asarray(u), np.asarray(v)))
+
+    def combine(self, coeffs, vectors) -> list:
+        # summed term by term, not by a matrix product, which rounds differently
+        rows = np.asarray(vectors, dtype=float)
+        out = []
+        for c in coeffs:
+            vals = np.zeros(rows.shape[1])
+            for cd, row in zip(c, rows):
+                vals += cd * row
+            out.append(vals.tolist())
+        return out
+
+    def orthogonalize(self, vectors, weights):
+        basis = float_orthonormalize(vectors, weights)
+        return [b.tolist() for b in basis], [1.0] * len(basis)
+
+    def rank(self, rows) -> int:
+        return float_rank(rows)
+
+    def nullspace(self, rows):
+        return float_nullspace(rows)
+
+    def rref(self, rows):
+        raise ValueError("canonical keys exist only in rational mode")
+
+
+EXACT = ExactBackend()
+FLOAT = FloatBackend()
+
+
+def backend_of(probs):
+    """The backend of a probability vector: all Fractions or all floats."""
+    if all(isinstance(p, Fraction) for p in probs):
+        return EXACT
+    if all(isinstance(p, float) for p in probs):
+        return FLOAT
+    raise ValueError("probabilities must be all Fractions or all floats")

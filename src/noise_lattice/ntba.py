@@ -58,25 +58,21 @@ class NTBA:
         if cells > JOINT_CELL_GUARD:
             raise CapacityError("joint independence check exceeds the guard")
         space = self.space
+        backend = space.backend
         lookups = [a.block_of() for a in self.atoms]
         joint = {}
         for i in range(space.size):
             key = tuple(lk[i] for lk in lookups)
-            joint[key] = joint.get(key, space.zero()) + space.probs[i]
+            joint[key] = joint.get(key, backend.zero) + space.probs[i]
         block_probs = [
             [a.block_prob(bi) for bi in range(a.n_blocks)] for a in self.atoms
         ]
-        exact = space.mode == "rational"
         for key in itertools.product(*(range(a.n_blocks) for a in self.atoms)):
-            expected = space.one()
+            expected = backend.one
             for k, bi in enumerate(key):
                 expected *= block_probs[k][bi]
-            got = joint.get(key, space.zero())
-            if exact:
-                bad = got != expected
-            else:
-                bad = abs(got - expected) > 1e-9
-            if bad:
+            got = joint.get(key, backend.zero)
+            if not backend.equal((got,), (expected,)):
                 return f"atoms are not mutually independent at block tuple {key}"
         if len(joint) != space.size:
             return "the join of the atoms is not the discrete sigma-field"

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from .errors import DomainMismatchError, PreconditionError
 from .finmeas import RV, ProbSpace, Subspace, indicator
 
-FLOAT_TOL = 1e-9
-GROUP_TOL = 1e-7
-
 
 def _canonical(blocks) -> tuple:
     bs = [tuple(sorted(b)) for b in blocks]
@@ -82,36 +79,17 @@ def discrete(space: ProbSpace) -> SigmaField:
 
 
 def sigma_of_rvs(space: ProbSpace, rvs) -> SigmaField:
-    """Sigma-field generated by a family of RVs: joint level sets."""
-    if space.mode == "rational":
-        keys = {}
-        for i in range(space.size):
-            keys.setdefault(tuple(f.values[i] for f in rvs), []).append(i)
-        return partition(space, keys.values())
-    parts = [_float_level_sets(space, f) for f in rvs]
-    out = trivial(space)
-    for p in parts:
-        out = join(out, p)
-    return out
+    """Sigma-field generated by a family of RVs: joint level sets.
 
-
-def _float_level_sets(space: ProbSpace, f: RV) -> SigmaField:
-    """Group outcomes whose values chain within GROUP_TOL of each other.
-
-    Chained grouping (connected components of |v_i - v_j| < tol links)
-    keeps the relation transitive, which plain thresholding would not.
+    The backend labels the level sets of each RV (exact values, or float
+    values chained within a tolerance); outcomes sharing every label form
+    one block.
     """
-    order = sorted(range(space.size), key=lambda i: f.values[i])
-    blocks = []
-    current = [order[0]]
-    for prev, cur in zip(order, order[1:]):
-        if abs(f.values[cur] - f.values[prev]) < GROUP_TOL:
-            current.append(cur)
-        else:
-            blocks.append(current)
-            current = [cur]
-    blocks.append(current)
-    return partition(space, blocks)
+    labels = [space.backend.levels(f.values) for f in rvs]
+    keys = {}
+    for i in range(space.size):
+        keys.setdefault(tuple(lab[i] for lab in labels), []).append(i)
+    return partition(space, keys.values())
 
 
 def sigma_from_rv(f: RV) -> SigmaField:
@@ -181,7 +159,7 @@ def cond_exp(x: SigmaField, f: RV) -> RV:
         raise DomainMismatchError("sigma-field and RV on different spaces")
     space = x.space
     vals = list(f.values)
-    out = [space.zero()] * space.size
+    out = [None] * space.size  # the blocks cover every outcome
     for b in x.blocks:
         mass = sum(space.probs[i] for i in b)
         avg = sum(space.probs[i] * vals[i] for i in b) / mass
@@ -193,8 +171,8 @@ def cond_exp(x: SigmaField, f: RV) -> RV:
 def commutes(x: SigmaField, y: SigmaField) -> bool:
     """Whether the two conditional-expectation projections commute.
 
-    Checked on the standard basis of indicator vectors, which spans;
-    exact comparison in rational mode, entrywise 1e-9 in float mode.
+    Checked on the standard basis of indicator vectors, which spans,
+    with the backend's equality.
     """
     _chk(x, y)
     space = x.space
@@ -202,12 +180,8 @@ def commutes(x: SigmaField, y: SigmaField) -> bool:
         e = indicator(space, [j])
         a = cond_exp(x, cond_exp(y, e))
         b = cond_exp(y, cond_exp(x, e))
-        if space.mode == "rational":
-            if a.values != b.values:
-                return False
-        else:
-            if any(abs(u - v) > FLOAT_TOL for u, v in zip(a.values, b.values)):
-                return False
+        if not space.backend.equal(a.values, b.values):
+            return False
     return True
 
 
@@ -221,12 +195,8 @@ def independent(x: SigmaField, y: SigmaField) -> bool:
         for by in y.blocks:
             py = sum(space.probs[i] for i in by)
             pxy = sum(space.probs[i] for i in by if i in sx)
-            if space.mode == "rational":
-                if pxy != px * py:
-                    return False
-            else:
-                if abs(pxy - px * py) > FLOAT_TOL:
-                    return False
+            if not space.backend.equal((pxy,), (px * py,)):
+                return False
     return True
 
 
@@ -234,18 +204,12 @@ def subspace_of(x: SigmaField) -> Subspace:
     """L2(x): the span of block indicators, one basis vector per block.
 
     Indicators of distinct blocks are already orthogonal under the
-    weighted inner product, so no elimination is needed.
+    weighted inner product, so no elimination is needed; the squared norm
+    of an indicator is its block's probability.
     """
-    space = x.space
-    basis = [indicator(space, b) for b in x.blocks]
-    if space.mode == "rational":
-        norms = [x.block_prob(bi) for bi in range(x.n_blocks)]
-        return Subspace(space, basis, norms2=norms)
-    normed = []
-    for rv, b in zip(basis, x.blocks):
-        mass = sum(space.probs[i] for i in b)
-        normed.append(rv * (1.0 / mass**0.5))
-    return Subspace(space, normed)
+    basis = [indicator(x.space, b) for b in x.blocks]
+    norms = [x.block_prob(bi) for bi in range(x.n_blocks)]
+    return Subspace(x.space, basis, norms2=norms)
 
 
 def sigma_of(v: Subspace) -> SigmaField:

@@ -17,8 +17,6 @@ from .finmeas import RV, Subspace, indicator, span_on
 from .ntba import NTBA, NTBAElement, restrict
 from .sigma import SigmaField, cond_exp, sigma_of_rvs, subspace_of
 
-FLOAT_TOL = 1e-9
-
 
 @dataclass
 class SpectralPoint:
@@ -61,13 +59,7 @@ def spectral_decompose(algebra: NTBA) -> SpectralDecomp:
     """Recursive splitting of the whole space by the co-atom projections."""
     space = algebra.space
     n = algebra.n_atoms
-    if space.mode == "rational":
-        start = [indicator(space, [i]) for i in range(space.size)]
-    else:
-        start = [
-            RV(space, tuple(1.0 if i == j else 0.0 for j in range(space.size)))
-            for i in range(space.size)
-        ]
+    start = [indicator(space, [i]) for i in range(space.size)]
     leaves = [((), start)]
     for k in range(n):
         part = algebra.coatom(k).realize()
@@ -178,24 +170,18 @@ def chaos_grading(decomp: SpectralDecomp) -> GradingReport:
 
 def _pattern_of(algebra: NTBA, v: RV) -> frozenset | None:
     """Generator atomset of the joint eigenspace containing v, if any."""
-    space = algebra.space
+    backend = algebra.space.backend
     gen = set()
     for k in range(algebra.n_atoms):
         part = algebra.coatom(k).realize()
         img = cond_exp(part, v)
-        if _rv_eq(space, img, v):
+        if backend.equal(img.values, v.values):
             continue
-        if _rv_eq(space, img, 0 * v):
+        if backend.is_zero(img.values):
             gen.add(k)
             continue
         return None
     return frozenset(gen)
-
-
-def _rv_eq(space, f, g):
-    if space.mode == "rational":
-        return f.values == g.values
-    return max(abs(a - b) for a, b in zip(f.values, g.values)) <= FLOAT_TOL
 
 
 def k_restriction_additivity(algebra: NTBA, e: NTBAElement) -> bool:

@@ -183,6 +183,38 @@ def test_exit_codes_via_subprocess():
     assert r.returncode == 2
 
 
+def test_malformed_input_files_are_usage_errors(tmp_path, capsys):
+    files = {
+        "space.json": {"outcomes": ["a", "b"], "probs": ["1/2", "1/2"]},
+        "good.json": {"blocks": [[0], [1]]},
+        "outside.json": {"blocks": [[0], [5]]},
+        "nokey.json": {"parts": [[0, 1]]},
+        "badsum.json": {"outcomes": ["a", "b"], "probs": ["1/2", "1/3"]},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    (tmp_path / "broken.json").write_text("{not json")
+    f = {name: str(tmp_path / name) for name in [*files, "broken.json"]}
+    for argv in (
+        ["sigma", "meet", f["space.json"], f["good.json"], f["outside.json"]],
+        ["sigma", "meet", f["space.json"], f["good.json"], f["nokey.json"]],
+        ["sigma", "meet", f["badsum.json"], f["good.json"], f["good.json"]],
+        ["sigma", "meet", f["broken.json"], f["good.json"], f["good.json"]],
+        ["chaos", "report", f["broken.json"]],
+        ["ntba", "validate", f["nokey.json"]],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_randsup_rejects_zero_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["randsup", "run", "--ps", "0.1", "--trials", "0"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_report_json_roundtrip(capsys):
     main(["check", "all", "--seed", "1", "--cases", "1"])
     blob = capsys.readouterr().out

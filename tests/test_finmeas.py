@@ -8,6 +8,7 @@ import pytest
 from noise_lattice.errors import CapacityError, DomainMismatchError
 from noise_lattice.finmeas import (
     RV,
+    ProbSpace,
     coordinate_sign,
     constant,
     inner,
@@ -76,6 +77,7 @@ def test_span_examples():
     x1, x2 = coordinate_sign(s2, 1), coordinate_sign(s2, 2)
     assert span([x1, x2, x1 + x2]).dim == 2
     assert span([], space=s2).dim == 0
+    assert span([x1, x2]).canonical_key() == span([x1 + x2, x1 - x2]).canonical_key()
 
 
 def test_span_dimension_matches_rank_oracle():
@@ -145,3 +147,11 @@ def test_float_mode_space():
     f = RV(space, (1.0, -1.0))
     assert abs(inner(f, f) - 1.0) < 1e-12
     assert span([f]).dim == 1
+    with pytest.raises(ValueError):
+        span([f]).canonical_key()
+
+
+def test_mixed_probabilities_rejected():
+    for probs in ((Fraction(1, 2), 0.5), (0.5, Fraction(1, 2))):
+        with pytest.raises(ValueError):
+            ProbSpace(("a", "b"), probs)
