@@ -1,10 +1,12 @@
 """First chaos space, classicality verdicts, and related operations.
 
 The first chaos of an algebra B is the set of f with f = Q_x f + Q_x' f
-for every x in B.  It suffices to intersect the constraint kernels over
-the co-atoms (one per atom); agreement with the full-element intersection
-is asserted by the membership report and in the test suite rather than
-assumed silently.
+for every x in B.  The atoms of B are independent and join to the
+discrete field, so L2 of the space is the tensor product of the atoms'
+L2 spaces (the Hoeffding/Efron-Stein decomposition), and the first chaos
+is the direct sum over the atoms of their mean-zero parts.  ``atom_bases``
+builds that basis from centred block indicators; ``first_chaos`` and
+``spectrum.spectral_decompose`` both read it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainMismatchError, PreconditionError
-from .finmeas import RV, Subspace, indicator, norm2, span_on
+from .finmeas import RV, Subspace, direct_sum, norm2, span_on
 from .ntba import NTBA, NTBAElement
 from .sigma import SigmaField, cond_exp, discrete, join, meet, sigma_of_rvs, trivial
 
@@ -27,42 +29,37 @@ class ChaosResult:
     generated: SigmaField
 
 
-def _constraint_images(algebra: NTBA, k: int, vecs):
-    """Images (I - Q_x - Q_x')v for the k-th co-atom x' = atom k."""
-    x = algebra.coatom(k).realize()
-    xc = algebra.atoms[k]
+def atom_bases(algebra: NTBA) -> list:
+    """Per atom, the span of its mean-zero part, as one Subspace each.
+
+    Atom k gives the centred indicators 1_B - P(B) of all its blocks but
+    the last (the last is minus the sum of the others), orthogonalized by
+    ``span_on``: b_k - 1 vectors.  Vectors of different atoms are already
+    orthogonal, because the atoms are independent.
+    """
+    space = algebra.space
+    one = space.backend.one
     out = []
-    for v in vecs:
-        out.append(v - cond_exp(x, v) - cond_exp(xc, v))
+    for atom in algebra.atoms:
+        rows = []
+        for bi, block in enumerate(atom.blocks[:-1]):
+            p = atom.block_prob(bi)
+            vals = [-p] * space.size
+            for i in block:
+                vals[i] = one - p
+            rows.append(RV(space, tuple(vals)))
+        out.append(span_on(space, rows))
     return out
 
 
 def first_chaos(algebra: NTBA) -> ChaosResult:
-    """Compute the first chaos by intersecting co-atom constraint kernels."""
+    """The first chaos: every atom's centred block indicators together."""
     space = algebra.space
-    h1 = span_on(space, _kernel_intersection(algebra))
+    h1 = direct_sum(space, atom_bases(algebra))
     generated = sigma_of_rvs(space, h1.basis)
     classical = generated == discrete(space)
     black = h1.dim == 0 and space.size > 1
     return ChaosResult(algebra, h1, classical, black, generated)
-
-
-def _kernel_intersection(algebra: NTBA):
-    space = algebra.space
-    backend = space.backend
-    vecs = [indicator(space, [i]) for i in range(space.size)]
-    for k in range(algebra.n_atoms):
-        if not vecs:
-            break
-        images = _constraint_images(algebra, k, vecs)
-        rows = list(zip(*(im.values for im in images)))
-        coeffs = backend.nullspace(rows)
-        if coeffs is None:  # no nonzero constraint rows: kernel is everything
-            continue
-        combos = backend.combine(coeffs, [v.values for v in vecs])
-        new_vecs = [RV(space, tuple(c)) for c in combos]
-        vecs = span_on(space, new_vecs).basis if new_vecs else []
-    return vecs
 
 
 @dataclass

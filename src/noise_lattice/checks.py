@@ -503,7 +503,7 @@ def suite_presentation_invariance(rng: random.Random, cases: int) -> SuiteResult
         B = inst.rand_ntba(rng, 32)
         order = list(range(B.n_atoms))
         rng.shuffle(order)
-        B2 = NTBA(B.space, [B.atoms[i] for i in order], validate=False)
+        B2 = NTBA(B.space, [B.atoms[i] for i in order])
         a, b = first_chaos(B).h1, first_chaos(B2).h1
         if not (a.dim == b.dim and a.contains_subspace(b)):
             res.failures.append({"case": case, "space": _space_witness(B.space)})
@@ -598,20 +598,38 @@ def suite_k_monotone(rng: random.Random, cases: int) -> SuiteResult:
 
 
 def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
-    """Level 1 of the spectral grading equals the first chaos space."""
+    """Level 1 of the spectral grading equals the first chaos space.
+
+    The first chaos is taken from its definition: the common kernel of
+    I - Q_x - Q_x' over the co-atoms x.  Level 1's basis must be linearly
+    independent and as long as the kernel's dimension, N minus the rank of
+    the stacked dense operators, and each of its basis vectors must split,
+    f = Q_x f + Q_x' f, for every co-atom.
+    """
     res = SuiteResult("first-level-equals-first-chaos", cases)
     for case in range(cases):
         B = inst.rand_ntba(rng, 64)
+        space = B.space
         D = spectral_decompose(B)
-        h1 = first_chaos(B).h1
-        lvl = D.levels.get(1)
-        lvl_dim = lvl.dim if lvl else 0
-        ok = lvl_dim == h1.dim
-        if ok and lvl:
-            ok = h1.contains_subspace(lvl)
+        basis = D.levels[1].basis
+        splits = [(B.coatom(k).realize(), B.atoms[k]) for k in range(B.n_atoms)]
+        stacked = []
+        for x, xc in splits:
+            qx, qxc = _projection_matrix(x), _projection_matrix(xc)
+            for i in range(space.size):
+                row = [-a - b for a, b in zip(qx[i], qxc[i])]
+                row[i] += 1
+                stacked.append(row)
+        rank = space.backend.rank([f.values for f in basis])
+        ok = rank == len(basis) == space.size - space.backend.rank(stacked)
+        ok = ok and all(
+            space.backend.equal(f.values, (cond_exp(x, f) + cond_exp(xc, f)).values)
+            for f in basis
+            for x, xc in splits
+        )
         if not ok:
             res.failures.append(
-                {"case": case, "space": _space_witness(B.space),
+                {"case": case, "space": _space_witness(space),
                  "atoms": [_partition_witness(a) for a in B.atoms]}
             )
     return res

@@ -114,14 +114,16 @@ def _print_tree(node, indent: str) -> None:
 
 
 def _load(path: str, parse):
-    """Read one JSON input file and parse it; malformed input is a usage error."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Read and parse one JSON input file; unreadable or bad input is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
-        except KeyError as exc:
-            raise UsageError(f"{path}: missing key {exc}") from None
-        except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-            raise UsageError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _load_space(path: str):
@@ -147,6 +149,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _list_of(convert):
+    """An argparse type for comma-separated values, each read by ``convert``."""
+
+    def parse(text: str) -> tuple:
+        return tuple(convert(t) for t in text.split(","))
+
+    parse.__name__ = f"comma-separated {convert.__name__}"  # named in argparse errors
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +219,11 @@ def cmd_ntba(args) -> int:
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK if verdict.valid else EXIT_FAIL
     algebra = _load_ntba(args.file)
-    atomset = [int(t) for t in args.atomset.split(",") if t != ""]
-    r = restrict(algebra, algebra.element(atomset))
+    try:
+        e = algebra.element(int(t) for t in args.atomset.split(",") if t != "")
+    except ValueError as exc:
+        raise UsageError(f"atom set {args.atomset!r}: {exc}") from None
+    r = restrict(algebra, e)
     print(json.dumps(ntba_to_json(r.algebra), sort_keys=True))
     return EXIT_OK
 
@@ -347,13 +362,12 @@ def _cofinite_dossier(args) -> int:
 
 
 def cmd_randsup(args) -> int:
-    ps = tuple(float(t) for t in args.ps.split(","))
-    counts = (
-        tuple(int(t) for t in args.atoms.split(","))
-        if args.atoms
-        else tuple(4 for _ in ps)
-    )
-    cfg = rs.SampleConfig(counts, ps, seed=args.seed, trials=args.trials)
+    ps = args.ps
+    counts = args.atoms or tuple(4 for _ in ps)
+    try:
+        cfg = rs.SampleConfig(counts, ps, seed=args.seed, trials=args.trials)
+    except ValueError as exc:
+        raise UsageError(f"--ps/--atoms: {exc}") from None
     rep = rs.union_bound_report(cfg, atom=0)
     results = {
         "estimate": rep.estimate,
@@ -513,8 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
     ru = sub.add_parser("randsup", help="random supremum experiments")
     rusub = ru.add_subparsers(dest="randsup_cmd", required=True)
     run = rusub.add_parser("run")
-    run.add_argument("--ps", required=True, help="comma-separated inclusion probabilities")
-    run.add_argument("--atoms", default=None, help="comma-separated atom counts")
+    run.add_argument("--ps", type=_list_of(float), required=True,
+                     help="comma-separated inclusion probabilities")
+    run.add_argument("--atoms", type=_list_of(int), default=None,
+                     help="comma-separated atom counts")
     run.add_argument("--trials", type=_positive_int, default=100_000)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=["text", "json"], default="text")
@@ -545,7 +561,7 @@ def main(argv=None) -> int:
     except NoiseLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (UsageError, FileNotFoundError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -233,6 +233,15 @@ def span_on(space: ProbSpace, vs) -> Subspace:
     return Subspace(space, [RV(space, tuple(b)) for b in basis], norms2=norms2)
 
 
+def direct_sum(space: ProbSpace, parts) -> Subspace:
+    """Sum of mutually orthogonal subspaces: their bases side by side."""
+    return Subspace(
+        space,
+        [b for p in parts for b in p.basis],
+        [n2 for p in parts for n2 in p.norms2],
+    )
+
+
 @dataclass(frozen=True)
 class SpaceProduct:
     """Product of two spaces together with the factor embeddings."""

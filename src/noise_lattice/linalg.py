@@ -5,9 +5,9 @@ kernels; float vectors go through numpy.  Every rank/equality decision is
 made inside one backend, never by mixing the two: ``EXACT`` for spaces
 with Fraction probabilities, ``FLOAT`` for float ones.  A probability space
 picks its backend once (``backend_of``), and the modules above ask that
-backend for zero, one, constants, equality, rank, nullspace and
-orthogonalization instead of branching on the mode themselves.  The
-float tolerances live here and nowhere else.
+backend for zero, one, constants, equality, rank and orthogonalization
+instead of branching on the mode themselves.  The float tolerances live
+here and nowhere else.
 """
 
 from fractions import Fraction
@@ -193,27 +193,12 @@ class ExactBackend:
     def dot(self, u, v, weights):
         return sum(p * a * b for p, a, b in zip(weights, u, v))
 
-    def combine(self, coeffs, vectors) -> list:
-        """One linear combination of ``vectors`` per coefficient row."""
-        out = []
-        for c in coeffs:
-            vals = [self.zero] * len(vectors[0])
-            for cd, vec in zip(c, vectors):
-                if cd:
-                    vals = [a + cd * x for a, x in zip(vals, vec)]
-            out.append(vals)
-        return out
-
     def orthogonalize(self, vectors, weights):
         """(basis, norms2): an orthogonal basis of the span and its squared norms."""
         return exact_orthogonalize(vectors, weights)
 
     def rank(self, rows) -> int:
         return exact_rank(rows)
-
-    def nullspace(self, rows):
-        """Basis of {v : M v = 0}; None when M has no nonzero row."""
-        return exact_nullspace(rows)
 
     def rref(self, rows):
         """Canonical form of the row space (see ``exact_rref``)."""
@@ -261,26 +246,12 @@ class FloatBackend:
     def dot(self, u, v, weights):
         return float(np.dot(np.asarray(weights) * np.asarray(u), np.asarray(v)))
 
-    def combine(self, coeffs, vectors) -> list:
-        # summed term by term, not by a matrix product, which rounds differently
-        rows = np.asarray(vectors, dtype=float)
-        out = []
-        for c in coeffs:
-            vals = np.zeros(rows.shape[1])
-            for cd, row in zip(c, rows):
-                vals += cd * row
-            out.append(vals.tolist())
-        return out
-
     def orthogonalize(self, vectors, weights):
         basis = float_orthonormalize(vectors, weights)
         return [b.tolist() for b in basis], [1.0] * len(basis)
 
     def rank(self, rows) -> int:
         return float_rank(rows)
-
-    def nullspace(self, rows):
-        return float_nullspace(rows)
 
     def rref(self, rows):
         raise ValueError("canonical keys exist only in rational mode")

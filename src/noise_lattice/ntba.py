@@ -31,16 +31,15 @@ JOINT_CELL_GUARD = 1 << 20
 class NTBA:
     """A noise-type Boolean algebra given by its ordered list of atoms."""
 
-    def __init__(self, space: ProbSpace, atoms, validate: bool = True):
+    def __init__(self, space: ProbSpace, atoms):
         self.space = space
         self.atoms = tuple(atoms)
         for a in self.atoms:
             if a.space != space:
                 raise DomainMismatchError("atom on a different space")
-        if validate:
-            problem = self._independence_problem()
-            if problem is not None:
-                raise ValueError(problem)
+        problem = self._independence_problem()
+        if problem is not None:
+            raise ValueError(problem)
 
     @property
     def n_atoms(self) -> int:
@@ -133,14 +132,18 @@ class NTBAElement:
         return hash((id(self.algebra), self.atomset))
 
 
+def _two_blocks(space: ProbSpace, test) -> SigmaField:
+    """The partition into the outcomes whose id passes ``test`` and the rest."""
+    blocks = ([], [])
+    for i, o in enumerate(space.outcomes):
+        blocks[0 if test(o) else 1].append(i)
+    return partition(space, blocks)
+
+
 def mk_coordinate_ntba(space: ProbSpace) -> NTBA:
     """Atoms sigma(xi_1), ..., sigma(xi_n) on a dyadic space."""
     n = len(space.outcomes[0])
-    atoms = []
-    for k in range(1, n + 1):
-        plus = [i for i, o in enumerate(space.outcomes) if o[k - 1] == "+"]
-        minus = [i for i in range(space.size) if i not in set(plus)]
-        atoms.append(partition(space, [plus, minus]))
+    atoms = [_two_blocks(space, lambda o, k=k: o[k] == "+") for k in range(n)]
     return NTBA(space, atoms)
 
 
@@ -157,14 +160,8 @@ def mk_parity_ntba(n: int, space: ProbSpace | None = None) -> NTBA:
         raise ValueError("n must be >= 1")
     if space is None:
         space = mk_dyadic(n + 1)
-    atoms = []
-    for k in range(1, n + 1):
-        same = [i for i, o in enumerate(space.outcomes) if o[k - 1] == o[k]]
-        diff = [i for i in range(space.size) if i not in set(same)]
-        atoms.append(partition(space, [same, diff]))
-    plus = [i for i, o in enumerate(space.outcomes) if o[n] == "+"]
-    minus = [i for i in range(space.size) if i not in set(plus)]
-    atoms.append(partition(space, [plus, minus]))
+    atoms = [_two_blocks(space, lambda o, k=k: o[k] == o[k + 1]) for k in range(n)]
+    atoms.append(_two_blocks(space, lambda o: o[n] == "+"))
     return NTBA(space, atoms)
 
 

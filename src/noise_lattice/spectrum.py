@@ -1,10 +1,13 @@
 """Joint diagonalization of the commuting projections of a finite algebra.
 
 All conditional expectations Q_x for x in the algebra commute, so the
-whole space splits into joint eigenspaces.  Splitting recursively by the
-n co-atom projections produces at most 2^n leaves; each leaf carries the
-filter {x : the leaf sits inside H_x}, whose generator is recorded as an
-atom subset, and the atom count of that generator grades the space.
+whole space splits into joint eigenspaces.  With independent atoms that
+join to the discrete field these are the Hoeffding/Efron-Stein
+components: the point with generator G (an atom subset) is spanned by the
+products, over k in G, of one mean-zero vector of atom k
+(``chaos.atom_bases``), so its dimension is the product of b_k - 1.  The
+point lies in H_x exactly when G is inside x's atoms, and the atom count
+of G grades the space.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .chaos import atom_bases
 from .errors import ConsistencyError, PreconditionError
-from .finmeas import RV, Subspace, indicator, span_on
+from .finmeas import RV, Subspace, constant, direct_sum, span_on
 from .ntba import NTBA, NTBAElement, restrict
-from .sigma import SigmaField, cond_exp, sigma_of_rvs, subspace_of
+from .sigma import cond_exp, sigma_of_rvs, subspace_of
 
 
 @dataclass
@@ -46,44 +50,37 @@ class SpectralDecomp:
         return {k: v.dim for k, v in sorted(self.levels.items())}
 
 
-def _split_by(space, part: SigmaField, vecs):
-    """Split span(vecs) into the Q_part-invariant and -annihilated parts."""
-    imgs = [cond_exp(part, v) for v in vecs]
-    rest = [v - w for v, w in zip(vecs, imgs)]
-    plus = span_on(space, imgs).basis
-    minus = span_on(space, rest).basis
-    return plus, minus
-
-
 def spectral_decompose(algebra: NTBA) -> SpectralDecomp:
-    """Recursive splitting of the whole space by the co-atom projections."""
+    """Every joint eigenspace, built from products of the atoms' bases.
+
+    Points are ordered by their membership bits, atom 0 first.  A point's
+    basis is that of the point without its last atom times the last
+    atom's vectors; the squared norms multiply because the atoms are
+    independent.
+    """
     space = algebra.space
     n = algebra.n_atoms
-    start = [indicator(space, [i]) for i in range(space.size)]
-    leaves = [((), start)]
-    for k in range(n):
-        part = algebra.coatom(k).realize()
-        next_leaves = []
-        for bits, vecs in leaves:
-            plus, minus = _split_by(space, part, vecs)
-            if len(plus) + len(minus) != len(vecs):
-                raise ConsistencyError("projection split lost dimensions")
-            if plus:
-                next_leaves.append((bits + (1,), plus))
-            if minus:
-                next_leaves.append((bits + (0,), minus))
-        leaves = next_leaves
+    bases = atom_bases(algebra)
+    built = {}
     points = []
-    for bits, vecs in leaves:
-        gen = frozenset(k for k in range(n) if bits[k] == 0)
-        points.append(
-            SpectralPoint(span_on(space, vecs), gen, len(gen))
-        )
-    points.sort(key=lambda p: tuple(1 if i in p.generator else 0 for i in range(n)))
-    levels: dict = {}
-    for k in sorted({p.k for p in points}):
-        vecs = [b for p in points if p.k == k for b in p.eigenspace.basis]
-        levels[k] = span_on(space, vecs)
+    for bits in itertools.product((0, 1), repeat=n):
+        gen = [k for k in range(n) if bits[k]]
+        if gen:
+            last = gen[-1]
+            rest, atom = built[bits[:last] + (0,) + bits[last + 1 :]], bases[last]
+            eigenspace = Subspace(
+                space,
+                [u * v for u in rest.basis for v in atom.basis],
+                [a * b for a in rest.norms2 for b in atom.norms2],
+            )
+        else:
+            eigenspace = Subspace(space, [constant(space, 1)], [space.backend.one])
+        built[bits] = eigenspace
+        points.append(SpectralPoint(eigenspace, frozenset(gen), len(gen)))
+    levels = {
+        k: direct_sum(space, [p.eigenspace for p in points if p.k == k])
+        for k in sorted({p.k for p in points})
+    }
     return SpectralDecomp(algebra, points, levels)
 
 
@@ -145,27 +142,19 @@ def _subsets(items):
 class GradingReport:
     levels: dict  # k -> dimension
     classical: bool
-    chaos_agrees: bool
 
 
 def chaos_grading(decomp: SpectralDecomp) -> GradingReport:
     """Level dimensions and the finiteness-of-K classicality verdict.
 
     At finite scale K is finite everywhere, so the verdict is always
-    classical; it is cross-checked against the first-chaos route, and a
-    disagreement raises.
+    classical.
     """
-    from .chaos import first_chaos
-
     dims = decomp.level_dims()
     total = sum(dims.values())
     if total != decomp.algebra.space.size:
         raise ConsistencyError("levels do not fill the space")
-    classical = True  # K takes finitely many finite values here
-    other = first_chaos(decomp.algebra).classical
-    if classical != other:
-        raise ConsistencyError("grading and first-chaos verdicts disagree")
-    return GradingReport(dims, classical, True)
+    return GradingReport(dims, True)
 
 
 def _pattern_of(algebra: NTBA, v: RV) -> frozenset | None:

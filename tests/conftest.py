@@ -1,16 +1,17 @@
 """Shared oracles for the test suite.
 
 These deliberately recompute library results by other routes: sigma-fields
-as explicit set systems, projections as dense matrices, kernels by float
-SVD.  Tests compare the production path against these.
+as explicit set systems, projections as dense matrices, the first chaos by
+elimination.  Tests compare the production path against these.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from noise_lattice.finmeas import ProbSpace, mk_space
-from noise_lattice.sigma import SigmaField, partition
+from noise_lattice.finmeas import RV, ProbSpace, Subspace, indicator, mk_space, span_on
+from noise_lattice.linalg import exact_nullspace, float_nullspace
+from noise_lattice.sigma import SigmaField, cond_exp, partition
 
 
 def measurable_sets(x: SigmaField) -> set:
@@ -75,6 +76,41 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
+
+
+def kernel_intersection_oracle(B) -> Subspace:
+    """The first chaos of B by elimination, without its product basis.
+
+    Starts from all of L2 and, atom by atom, keeps the combinations v of
+    the current vectors with v = Q_x v + Q_x' v, where x is the co-atom and
+    x' the atom: an exact nullspace in rational mode, an SVD one in float
+    mode.
+    """
+    space = B.space
+    nullspace = exact_nullspace if space.mode == "rational" else float_nullspace
+    vecs = [indicator(space, [i]) for i in range(space.size)]
+    for k in range(B.n_atoms):
+        if not vecs:
+            break
+        x, xc = B.coatom(k).realize(), B.atoms[k]
+        images = [v - cond_exp(x, v) - cond_exp(xc, v) for v in vecs]
+        coeffs = nullspace(list(zip(*(im.values for im in images))))
+        if coeffs is None:  # no nonzero constraint: the kernel is everything
+            continue
+        combos = []
+        for c in coeffs:
+            vals = [space.backend.zero] * space.size
+            for cd, v in zip(c, vecs):
+                if cd:
+                    vals = [a + cd * b for a, b in zip(vals, v.values)]
+            combos.append(RV(space, tuple(vals)))
+        vecs = span_on(space, combos).basis if combos else []
+    return span_on(space, vecs)
+
+
+def is_basis(sub: Subspace) -> bool:
+    """Whether a subspace's basis vectors are linearly independent."""
+    return sub.space.backend.rank([b.values for b in sub.basis]) == sub.dim
 
 
 @pytest.fixture

@@ -233,7 +233,7 @@ def test_presentation_order_does_not_change_h1():
     B = rand_ntba(rng, 32)
     order = list(range(B.n_atoms))
     rng.shuffle(order)
-    B2 = NTBA(B.space, [B.atoms[i] for i in order], validate=False)
+    B2 = NTBA(B.space, [B.atoms[i] for i in order])
     a, b = first_chaos(B).h1, first_chaos(B2).h1
     assert a.dim == b.dim
     assert a.contains_subspace(b)

@@ -202,10 +202,35 @@ def test_malformed_input_files_are_usage_errors(tmp_path, capsys):
         ["sigma", "meet", f["broken.json"], f["good.json"], f["good.json"]],
         ["chaos", "report", f["broken.json"]],
         ["ntba", "validate", f["nokey.json"]],
+        ["chaos", "report", str(tmp_path)],
+        ["sigma", "meet", str(tmp_path), f["good.json"], f["good.json"]],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_bad_command_line_values_are_usage_errors(tmp_path, capsys):
+    main(["ntba", "coords", "2"])
+    f = tmp_path / "b.json"
+    f.write_text(capsys.readouterr().out)
+    for argv in (
+        ["randsup", "run", "--ps", "0.1", "--atoms", "4,3"],
+        ["randsup", "run", "--ps", "0.1,0.2", "--atoms", "4,3"],
+        ["ntba", "restrict", str(f), "7"],
+        ["ntba", "restrict", str(f), "x"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    for argv in (
+        ["randsup", "run", "--ps", "abc"],
+        ["randsup", "run", "--ps", "0.1", "--atoms", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
 
 
 def test_randsup_rejects_zero_trials(capsys):

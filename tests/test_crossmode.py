@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from conftest import is_basis, kernel_intersection_oracle
+
 from noise_lattice.chaos import first_chaos
 from noise_lattice.finmeas import RV, ProbSpace, inner, span
 from noise_lattice.instances import rand_ntba, rand_partition, rand_rv, rand_space
@@ -74,6 +76,8 @@ def test_chaos_and_grading_agree_across_backends():
         FB = NTBA(fspace, [to_float_partition(fspace, a) for a in B.atoms])
         cr, fcr = first_chaos(B), first_chaos(FB)
         assert cr.h1.dim == fcr.h1.dim
+        assert is_basis(cr.h1) and kernel_intersection_oracle(B).equals(cr.h1)
+        assert is_basis(fcr.h1) and kernel_intersection_oracle(FB).equals(fcr.h1)
         assert cr.classical == fcr.classical
         assert cr.generated.blocks == fcr.generated.blocks
         assert spectral_decompose(B).level_dims() == spectral_decompose(FB).level_dims()

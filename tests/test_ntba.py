@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,26 @@ def test_parity_recodes_to_coordinates():
                 space, [[perm[i] for i in b] for b in par.atoms[k].blocks]
             )
             assert mapped == coord.atoms[k]
+
+
+def test_sign_constructors_match_explicit_atoms():
+    for n in (1, 2, 3, 4):
+        space = mk_dyadic(n)
+        xi = [coordinate_sign(space, k) for k in range(1, n + 1)]
+        assert list(mk_coordinate_ntba(space).atoms) == [sigma_from_rv(f) for f in xi]
+        P = mk_parity_ntba(n)
+        xi = [coordinate_sign(P.space, k) for k in range(1, n + 2)]
+        want = [sigma_from_rv(xi[k] * xi[k + 1]) for k in range(n)]
+        assert list(P.atoms) == want + [sigma_from_rv(xi[n])]
+
+
+def test_coordinate_ntba_builds_in_near_linear_time():
+    # 2^14 outcomes take about 1.4 s on a 2-core Xeon; a build quadratic in
+    # the outcome count takes close to a minute there
+    t0 = time.perf_counter()
+    B = mk_coordinate_ntba(mk_dyadic(14))
+    assert time.perf_counter() - t0 < 10
+    assert B.n_atoms == 14
 
 
 def test_ntba_json_roundtrip():

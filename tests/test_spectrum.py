@@ -4,14 +4,15 @@ import random
 from math import comb
 
 import pytest
+from conftest import is_basis, kernel_intersection_oracle
 
-from noise_lattice.chaos import first_chaos
 from noise_lattice.errors import PreconditionError
-from noise_lattice.finmeas import inner, mk_dyadic, walsh_character
+from noise_lattice.finmeas import inner, mk_dyadic, mk_space, walsh_character
 from noise_lattice.instances import rand_ntba
 from noise_lattice.ntba import NTBA, coarsen, mk_coordinate_ntba, mk_parity_ntba
 from noise_lattice.sigma import discrete, sigma_of_rvs, subspace_of, trivial
 from noise_lattice.spectrum import (
+    _pattern_of,
     chaos_grading,
     k_restriction_additivity,
     sigma_tower_check,
@@ -52,6 +53,14 @@ def test_binomial_level_dims_up_to_five():
         assert D.level_dims() == {k: comb(n, k) for k in range(n + 1)}
 
 
+def test_binomial_level_dims_float_mode():
+    n = 8
+    space = mk_dyadic(n)
+    fspace = mk_space(space.outcomes, [float(p) for p in space.probs])
+    D = spectral_decompose(mk_coordinate_ntba(fspace))
+    assert D.level_dims() == {k: comb(n, k) for k in range(n + 1)}
+
+
 def test_parity_profile_matches_coordinates():
     for n in range(1, 5):
         D = spectral_decompose(mk_parity_ntba(n))
@@ -60,16 +69,26 @@ def test_parity_profile_matches_coordinates():
 
 
 def test_eigenspaces_orthogonal_and_complete():
+    """Orthogonal points that fill the space, each vector in its eigenspace.
+
+    ``_pattern_of`` reads a vector's eigenspace off the co-atom projections
+    directly, so together with orthogonality and the dimension count this
+    pins every point without a second decomposition.
+    """
     rng = random.Random(50)
-    for _ in range(10):
-        B = rand_ntba(rng, 32)
+    algebras = [rand_ntba(rng, 32) for _ in range(10)]
+    algebras += [rand_ntba(rng, 32, mode="float") for _ in range(3)]
+    for B in algebras:
         D = spectral_decompose(B)
         assert sum(p.eigenspace.dim for p in D.points) == B.space.size
-        for i, p in enumerate(D.points):
-            for q in D.points[i + 1 :]:
-                for a in p.eigenspace.basis:
-                    for b in q.eigenspace.basis:
-                        assert inner(a, b) == 0
+        for p in D.points:
+            for a in p.eigenspace.basis:
+                assert _pattern_of(B, a) == p.generator
+        # every pair of basis vectors, within one point or across two
+        vecs = [a for p in D.points for a in p.eigenspace.basis]
+        for i, a in enumerate(vecs):
+            for b in vecs[i + 1 :]:
+                assert B.space.backend.is_zero((inner(a, b),))
 
 
 def test_identities_report():
@@ -97,7 +116,7 @@ def test_grading_report_and_consistency():
     D = spectral_decompose(mk_coordinate_ntba(mk_dyadic(4)))
     g = chaos_grading(D)
     assert g.levels == {k: comb(4, k) for k in range(5)}
-    assert g.classical and g.chaos_agrees
+    assert g.classical
 
 
 def test_level_one_equals_first_chaos():
@@ -105,11 +124,12 @@ def test_level_one_equals_first_chaos():
     for _ in range(10):
         B = rand_ntba(rng, 32)
         D = spectral_decompose(B)
-        h1 = first_chaos(B).h1
+        h1 = kernel_intersection_oracle(B)
         lvl = D.levels.get(1)
         dim = lvl.dim if lvl else 0
         assert dim == h1.dim
         if lvl:
+            assert is_basis(lvl)
             assert h1.contains_subspace(lvl)
 
 
