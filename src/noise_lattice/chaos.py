@@ -42,8 +42,7 @@ def atom_bases(algebra: NTBA) -> list:
     out = []
     for atom in algebra.atoms:
         rows = []
-        for bi, block in enumerate(atom.blocks[:-1]):
-            p = atom.block_prob(bi)
+        for block, p in zip(atom.blocks[:-1], atom.masses):
             vals = [-p] * space.size
             for i in block:
                 vals[i] = one - p
@@ -133,53 +132,25 @@ class SplitResult:
     epsilon: float
 
 
-def _set_partitions(items):
-    """All partitions of a list into nonempty groups."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-        yield [[first]] + sub
-
-
 def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
     """Look for elements x_1,...,x_m covering 1 with all ||Q_{x_i} f|| <= eps.
 
     A finite algebra is never atomless, so failure for small eps is the
     expected outcome and is reported (with the best achievable max-norm)
-    rather than raised.  Groups of atoms suffice: shrinking an element
-    never increases the projection norm, so an optimal cover may be taken
-    to be a partition of the atom set.
+    rather than raised.  Shrinking an element never increases the
+    projection norm, so the cover by single atoms is optimal and the best
+    max-norm is the largest ||Q_{atom} f||.  Of the tied optimal covers
+    the whole algebra as one group is preferred, then the single atoms.
     """
     space = algebra.space
     q0 = cond_exp(trivial(space), f)
     if not space.backend.is_zero(q0.values):
         raise PreconditionError("atomless_split needs a zero-mean input")
-    n = algebra.n_atoms
-    sq: dict = {}
-
-    def group_sq(group):
-        key = frozenset(group)
-        got = sq.get(key)
-        if got is None:
-            part = algebra.element(key).realize()
-            got = norm2(cond_exp(part, f))
-            sq[key] = got
-        return got
-
-    if n <= 12:
-        best = None
-        best_parts = None
-        for candidate in _set_partitions(list(range(n))):
-            worst = max(group_sq(g) for g in candidate)
-            if best is None or worst < best:
-                best, best_parts = worst, candidate
-    else:
-        best, best_parts = _anneal_split(algebra, group_sq, n)
-
+    best = max(norm2(cond_exp(atom, f)) for atom in algebra.atoms)
+    best_parts = [[k] for k in range(algebra.n_atoms)]
+    whole = norm2(f)  # the atoms join to the discrete field: Q_1 f = f
+    if whole <= best:
+        best, best_parts = whole, [list(range(algebra.n_atoms))]
     ok = best <= space.backend.coerce(epsilon) ** 2
     elements = [algebra.element(g) for g in best_parts]
     return SplitResult(
@@ -189,38 +160,6 @@ def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
         elements,
         float(epsilon),
     )
-
-
-def _anneal_split(algebra: NTBA, group_sq, n, seed: int = 0, steps: int = 2000):
-    import random
-
-    rng = random.Random(seed)
-    assign = [rng.randrange(n) for _ in range(n)]
-
-    def parts_of(a):
-        groups: dict = {}
-        for i, g in enumerate(a):
-            groups.setdefault(g, []).append(i)
-        return list(groups.values())
-
-    def cost(a):
-        return max(group_sq(g) for g in parts_of(a))
-
-    cur = cost(assign)
-    best, best_assign = cur, list(assign)
-    for step in range(steps):
-        i = rng.randrange(n)
-        old = assign[i]
-        assign[i] = rng.randrange(n)
-        new = cost(assign)
-        accept = new <= cur or rng.random() < 0.5 * (1 - step / steps)
-        if accept:
-            cur = new
-            if new < best:
-                best, best_assign = new, list(assign)
-        else:
-            assign[i] = old
-    return best, parts_of(best_assign)
 
 
 def up_down_roundtrip(

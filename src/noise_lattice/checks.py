@@ -150,6 +150,17 @@ def _projection_matrix(part: SigmaField):
     return rows
 
 
+def _projections_commute(x: SigmaField, y: SigmaField) -> bool:
+    """Q_x Q_y = Q_y Q_x as dense matrix products, by the backend's equality."""
+    qx, qy = _projection_matrix(x), _projection_matrix(y)
+
+    def product(a, b):
+        cols = list(zip(*b))
+        return [sum(u * v for u, v in zip(row, col) if u and v) for row in a for col in cols]
+
+    return x.space.backend.equal(product(qx, qy), product(qy, qx))
+
+
 def suite_inf_subspaces(rng: random.Random, cases: int) -> SuiteResult:
     """L2 of a meet equals the intersection of the L2 spaces.
 
@@ -185,12 +196,19 @@ def suite_inf_subspaces(rng: random.Random, cases: int) -> SuiteResult:
 
 
 def suite_independence_criterion(rng: random.Random, cases: int) -> SuiteResult:
-    """independent(x, y) iff commutes(x, y) and meet(x, y) is trivial."""
+    """independent(x, y) iff commutes(x, y) and meet(x, y) is trivial.
+
+    ``commutes`` is also held against the dense projection products.
+    """
     res = SuiteResult("independence-criterion", cases)
     three = mk_space(["a", "b", "c"], [Fraction(1, 3)] * 3)
     witness_x = partition(three, [[0], [1, 2]])
     witness_y = partition(three, [[0, 1], [2]])
-    if independent(witness_x, witness_y) or commutes(witness_x, witness_y):
+    if (
+        independent(witness_x, witness_y)
+        or commutes(witness_x, witness_y)
+        or _projections_commute(witness_x, witness_y)
+    ):
         res.failures.append({"case": "three-point-witness"})
     for case in range(cases):
         if case % 3 == 0:
@@ -201,8 +219,9 @@ def suite_independence_criterion(rng: random.Random, cases: int) -> SuiteResult:
             xx = inst.rand_partition(rng, space)
             yy = inst.rand_partition(rng, space)
         lhs = independent(xx, yy)
-        rhs = commutes(xx, yy) and meet(xx, yy) == trivial(space)
-        if lhs != rhs:
+        commuting = commutes(xx, yy)
+        rhs = commuting and meet(xx, yy) == trivial(space)
+        if lhs != rhs or commuting != _projections_commute(xx, yy):
             res.failures.append(
                 {
                     "case": case,

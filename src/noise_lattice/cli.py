@@ -17,7 +17,7 @@ from . import __version__, checks
 from . import cofinite as cf
 from . import randsup as rs
 from .chaos import first_chaos
-from .errors import CapacityError, NoiseLatticeError
+from .errors import CapacityError, NoiseLatticeError, PreconditionError
 from .finmeas import (
     mk_dyadic,
     mk_space,
@@ -223,6 +223,8 @@ def cmd_ntba(args) -> int:
         e = algebra.element(int(t) for t in args.atomset.split(",") if t != "")
     except ValueError as exc:
         raise UsageError(f"atom set {args.atomset!r}: {exc}") from None
+    if not e.atomset:
+        raise UsageError(f"atom set {args.atomset!r}: restrict needs at least one atom")
     r = restrict(algebra, e)
     print(json.dumps(ntba_to_json(r.algebra), sort_keys=True))
     return EXIT_OK
@@ -277,46 +279,38 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _cofinite_row(e) -> dict:
+    """An element of the closure with its membership and its complement, if any."""
+    comp = cf.has_complement(e)
+    return {
+        "element": cf.format_elem(e),
+        "membership": cf.closure_membership(e),
+        "complement": None if comp is None else cf.format_elem(comp),
+    }
+
+
+def _completion_is_algebra() -> bool:
+    """Whether the complemented elements of the closure are exactly B, on a probe."""
+    probe = cf.bounded_elements(6, 7)
+    return all(
+        (cf.has_complement(e) is not None) == cf.in_algebra(e) for e in probe
+    ) and cf.has_complement(cf.ys_elem(cf.progression(2))) is None
+
+
 def cmd_cofinite(args) -> int:
     if args.cofinite_cmd == "eval":
-        e = cf.parse_elem(args.expr)
-        payload = {
-            "element": cf.format_elem(e),
-            "membership": cf.closure_membership(e),
-            "complement": (
-                cf.format_elem(cf.has_complement(e))
-                if cf.has_complement(e) is not None
-                else None
-            ),
-        }
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(_cofinite_row(cf.parse_elem(args.expr)), sort_keys=True))
         return EXIT_OK
     return _cofinite_dossier(args)
 
 
 def _cofinite_dossier(args) -> int:
     evens = cf.progression(2)
-    rows = []
-    for text in ["x4", "y1|y2|y5", "Y(2k)", "Y(3k)"]:
-        e = cf.parse_elem(text)
-        rows.append(
-            {
-                "element": cf.format_elem(e),
-                "membership": cf.closure_membership(e),
-                "complement": (
-                    cf.format_elem(cf.has_complement(e))
-                    if cf.has_complement(e)
-                    else None
-                ),
-            }
-        )
+    rows = [_cofinite_row(cf.parse_elem(t)) for t in ["x4", "y1|y2|y5", "Y(2k)", "Y(3k)"]]
     crit_all = cf.completion_criterion_check(cf.PrefixJoins(cf.FULL_SET))
     crit_even = cf.completion_criterion_check(cf.PrefixJoins(evens))
     dbl = cf.double_limit_check(cf.PrefixJoins(cf.FULL_SET))
-    probe = cf.bounded_elements(6, 7)
-    completion_is_algebra = all(
-        (cf.has_complement(e) is not None) == cf.in_algebra(e) for e in probe
-    ) and cf.has_complement(cf.ys_elem(evens)) is None
+    completion_is_algebra = _completion_is_algebra()
     atomless, witness = cf.is_atomless()
     ultras = [
         {
@@ -366,7 +360,7 @@ def cmd_randsup(args) -> int:
     counts = args.atoms or tuple(4 for _ in ps)
     try:
         cfg = rs.SampleConfig(counts, ps, seed=args.seed, trials=args.trials)
-    except ValueError as exc:
+    except (ValueError, PreconditionError) as exc:
         raise UsageError(f"--ps/--atoms: {exc}") from None
     rep = rs.union_bound_report(cfg, atom=0)
     results = {
@@ -434,11 +428,7 @@ def cmd_demo(args) -> int:
     pairing = sigma_of_rvs(space3, pairs)
     block_sizes = sorted(len(b) for b in pairing.blocks)
     crit = cf.completion_criterion_check(cf.PrefixJoins(cf.FULL_SET))
-    evens = cf.progression(2)
-    probe = cf.bounded_elements(6, 7)
-    completion_is_algebra = all(
-        (cf.has_complement(e) is not None) == cf.in_algebra(e) for e in probe
-    ) and cf.has_complement(cf.ys_elem(evens)) is None
+    completion_is_algebra = _completion_is_algebra()
     results = {
         "parity_h1_dims": h1_dims,
         "pair_signs_span_h1": pair_generators_present,

@@ -36,31 +36,15 @@ def rand_partition(rng, space: ProbSpace) -> SigmaField:
     return partition(space, groups.values())
 
 
-def rand_coarsening(rng, part: SigmaField) -> SigmaField:
-    """A partition coarser than the given one (merge blocks at random)."""
-    n = part.n_blocks
-    n_groups = rng.randint(1, n)
-    labels = list(range(n_groups)) + [rng.randrange(n_groups) for _ in range(n - n_groups)]
-    rng.shuffle(labels)
-    merged: dict = {}
-    for bi, lab in enumerate(labels):
-        merged.setdefault(lab, []).extend(part.blocks[bi])
-    return partition(part.space, merged.values())
-
-
 def rand_rv(rng, space: ProbSpace, zero_mean: bool = False) -> RV:
     if space.mode == "rational":
         vals = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(space.size)]
-        f = RV(space, tuple(vals))
-        if zero_mean:
-            m = f.mean()
-            f = RV(space, tuple(v - m for v in f.values))
     else:
         vals = [rng.uniform(-3.0, 3.0) for _ in range(space.size)]
-        f = RV(space, tuple(vals))
-        if zero_mean:
-            m = f.mean()
-            f = RV(space, tuple(v - m for v in f.values))
+    f = RV(space, tuple(vals))
+    if zero_mean:
+        m = f.mean()
+        f = RV(space, tuple(v - m for v in f.values))
     return f
 
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapacityError, DomainMismatchError, PreconditionError
+from .errors import DomainMismatchError, PreconditionError
 from .finmeas import RV, ProbSpace, mk_space
 from .sigma import (
     SigmaField,
+    _group,
+    _table,
     discrete,
     independent,
     join,
@@ -24,8 +26,6 @@ from .sigma import (
     partition,
     trivial,
 )
-
-JOINT_CELL_GUARD = 1 << 20
 
 
 class NTBA:
@@ -51,29 +51,18 @@ class NTBA:
         for a in self.atoms:
             if a.n_blocks == 1:
                 return "atoms must differ from the trivial sigma-field"
-        cells = 1
-        for a in self.atoms:
-            cells *= a.n_blocks
-        if cells > JOINT_CELL_GUARD:
-            raise CapacityError("joint independence check exceeds the guard")
-        space = self.space
-        backend = space.backend
-        lookups = [a.block_of() for a in self.atoms]
-        joint = {}
-        for i in range(space.size):
-            key = tuple(lk[i] for lk in lookups)
-            joint[key] = joint.get(key, backend.zero) + space.probs[i]
-        block_probs = [
-            [a.block_prob(bi) for bi in range(a.n_blocks)] for a in self.atoms
-        ]
+        joint = _table(self.space, [a.labels for a in self.atoms])
+        backend = self.space.backend
+        # an absent cell is a structural zero against a positive product, so
+        # the lexicographic walk stops within the present cells plus one
         for key in itertools.product(*(range(a.n_blocks) for a in self.atoms)):
+            got = joint.get(key)
             expected = backend.one
-            for k, bi in enumerate(key):
-                expected *= block_probs[k][bi]
-            got = joint.get(key, backend.zero)
-            if not backend.equal((got,), (expected,)):
+            for a, bi in zip(self.atoms, key):
+                expected *= a.masses[bi]
+            if got is None or not backend.equal((got,), (expected,)):
                 return f"atoms are not mutually independent at block tuple {key}"
-        if len(joint) != space.size:
+        if len(joint) != self.space.size:
             return "the join of the atoms is not the discrete sigma-field"
         return None
 
@@ -106,10 +95,8 @@ class NTBAElement:
 
     def realize(self) -> SigmaField:
         """The sigma-field this element stands for: the join of its atoms."""
-        out = trivial(self.algebra.space)
-        for i in sorted(self.atomset):
-            out = join(out, self.algebra.atoms[i])
-        return out
+        atoms = self.algebra.atoms
+        return _group(self.algebra.space, [atoms[i].labels for i in sorted(self.atomset)])
 
     def complement(self) -> "NTBAElement":
         full = set(range(self.algebra.n_atoms))
@@ -261,18 +248,12 @@ def restrict(algebra: NTBA, e: NTBAElement) -> Restriction:
     space = algebra.space
     x = e.realize()
     out_ids = tuple("|".join(space.outcomes[i] for i in b) for b in x.blocks)
-    probs = tuple(
-        sum(space.probs[i] for i in b) for b in x.blocks
-    )
-    qspace = mk_space(out_ids, probs)
+    qspace = mk_space(out_ids, x.masses)
     atom_indices = tuple(sorted(e.atomset))
-    new_atoms = []
-    for ai in atom_indices:
-        lookup = algebra.atoms[ai].block_of()
-        groups = {}
-        for qi, block in enumerate(x.blocks):
-            groups.setdefault(lookup[block[0]], []).append(qi)
-        new_atoms.append(partition(qspace, groups.values()))
+    new_atoms = [
+        _group(qspace, [[algebra.atoms[ai].labels[b[0]] for b in x.blocks]])
+        for ai in atom_indices
+    ]
     return Restriction(NTBA(qspace, new_atoms), space, x.blocks, atom_indices)
 
 

@@ -2,7 +2,8 @@
 
 These deliberately recompute library results by other routes: sigma-fields
 as explicit set systems, projections as dense matrices, the first chaos by
-elimination.  Tests compare the production path against these.
+elimination, the best atomless cover by enumerating every cover.  Tests
+compare the production path against these.
 """
 
 from fractions import Fraction
@@ -72,6 +73,25 @@ def mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def projections_commute(x: SigmaField, y: SigmaField) -> bool:
+    """Q_x Q_y = Q_y Q_x as dense matrices, by the space's backend equality."""
+    qx, qy = projection_matrix(x), projection_matrix(y)
+    left, right = mat_mul(qx, qy), mat_mul(qy, qx)
+    return x.space.backend.equal(sum(left, []), sum(right, []))
+
+
+def set_partitions(items):
+    """All partitions of a list into nonempty groups."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+        yield [[first]] + sub
 
 
 def mat_vec(a, v):

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from conftest import is_basis, kernel_intersection_oracle
+from conftest import is_basis, kernel_intersection_oracle, projections_commute
 
 from noise_lattice import cofinite as cf
 from noise_lattice.chaos import chaos_membership, first_chaos, up_down_roundtrip
@@ -101,8 +101,9 @@ def test_criterion_03_independence_criterion():
             space = rand_space(rng, 6)
             x, y = rand_partition(rng, space), rand_partition(rng, space)
         lhs = independent(x, y)
-        rhs = commutes(x, y) and meet(x, y) == trivial(space)
-        ok = ok and lhs == rhs
+        commuting = commutes(x, y)
+        rhs = commuting and meet(x, y) == trivial(space)
+        ok = ok and lhs == rhs and commuting == projections_commute(x, y)
     three = mk_space(["a", "b", "c"], [Fraction(1, 3)] * 3)
     wx = partition(three, [[0], [1, 2]])
     wy = partition(three, [[0, 1], [2]])

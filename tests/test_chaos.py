@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import set_partitions
 
 from noise_lattice.chaos import (
     atomless_split,
@@ -195,6 +196,28 @@ def test_atomless_split_examples():
     assert res_zero.parts[0].atomset == B.one().atomset
 
 
+def test_atomless_split_against_cover_enumeration():
+    rng = random.Random(48)
+    algebras = [mk_coordinate_ntba(mk_dyadic(n)) for n in range(1, 6)]
+    algebras += [rand_ntba(rng, 64) for _ in range(20)]
+    for B in algebras:
+        f = rand_rv(rng, B.space, zero_mean=True)
+
+        def group_sq(group):
+            return norm2(cond_exp(B.element(group).realize(), f))
+
+        best = min(
+            max(group_sq(g) for g in cover)
+            for cover in set_partitions(list(range(B.n_atoms)))
+        )
+        for eps in (Fraction(1, 4), Fraction(1), Fraction(3)):
+            res = atomless_split(B, f, eps)
+            assert res.max_norm == float(best) ** 0.5
+            assert res.ok == (best <= eps**2)
+            assert max(group_sq(e.atomset) for e in res.best_parts) == best
+            assert sorted(i for e in res.best_parts for i in e.atomset) == list(range(B.n_atoms))
+
+
 def test_atomless_split_rejects_nonzero_mean():
     s2 = mk_dyadic(2)
     B = mk_coordinate_ntba(s2)
@@ -252,21 +275,3 @@ def test_float_mode_first_chaos():
     cr = first_chaos(B)
     assert cr.h1.dim == 2
     assert cr.classical
-
-
-def test_anneal_split_search_machinery():
-    """Direct check of the annealing path used above twelve atoms."""
-    from noise_lattice.chaos import _anneal_split
-
-    n = 14
-    costs = {frozenset(g): max(g) for g in map(tuple, [[i] for i in range(n)])}
-
-    def group_sq(group):
-        key = frozenset(group)
-        # max over members: singletons are cheapest, merged groups cost more
-        return max(key) + 10 * (len(key) - 1)
-
-    best, parts = _anneal_split(None, group_sq, n, seed=1, steps=3000)
-    assert sorted(i for g in parts for i in g) == list(range(n))
-    assert best == max(group_sq(g) for g in parts)
-    assert best >= n - 1  # the singleton-only lower bound

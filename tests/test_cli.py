@@ -219,6 +219,8 @@ def test_bad_command_line_values_are_usage_errors(tmp_path, capsys):
         ["randsup", "run", "--ps", "0.1,0.2", "--atoms", "4,3"],
         ["ntba", "restrict", str(f), "7"],
         ["ntba", "restrict", str(f), "x"],
+        ["randsup", "run", "--ps", "0.5,1.5"],
+        ["ntba", "restrict", str(f), ""],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from conftest import is_basis, kernel_intersection_oracle
 
 from noise_lattice.chaos import first_chaos
-from noise_lattice.finmeas import RV, ProbSpace, inner, span
+from noise_lattice.finmeas import RV, ProbSpace, inner, mk_space, span
 from noise_lattice.instances import rand_ntba, rand_partition, rand_rv, rand_space
 from noise_lattice.ntba import NTBA
 from noise_lattice.sigma import (
@@ -91,3 +92,18 @@ def test_inner_products_agree_across_backends():
     ff = RV(fspace, tuple(float(v) for v in f.values))
     fg = RV(fspace, tuple(float(v) for v in g.values))
     assert abs(float(inner(f, g)) - inner(ff, fg)) < 1e-9
+
+
+def test_absent_cell_is_dependence_in_both_backends():
+    # b & c is empty, yet its expected mass 1e-10 is below the float tolerance
+    for probs, tuple_text in (
+        ([1 - 2e-5, 1e-5, 1e-5], r"\(1, 1\)"),
+        ([1 - Fraction(2, 10**5), Fraction(1, 10**5), Fraction(1, 10**5)], r"\(0, 0\)"),
+    ):
+        space = mk_space(["a", "b", "c"], probs)
+        x = partition(space, [[0, 1], [2]])
+        y = partition(space, [[0, 2], [1]])
+        assert not independent(x, y)
+        assert not commutes(x, y)
+        with pytest.raises(ValueError, match=f"not mutually independent at block tuple {tuple_text}"):
+            NTBA(space, [x, y])

@@ -230,7 +230,7 @@ def test_random_ntbas_fully_independent():
     rng = random.Random(33)
     for _ in range(20):
         B = rand_ntba(rng, 64)
-        lookups = [a.block_of() for a in B.atoms]
+        lookups = [a.labels for a in B.atoms]
         seen = set()
         for i in range(B.space.size):
             key = tuple(lk[i] for lk in lookups)
@@ -245,5 +245,5 @@ def test_random_ntbas_fully_independent():
             got = sum((B.space.probs[i] for i in inter), Fraction(0))
             want = Fraction(1)
             for a, bi in zip(B.atoms, combo):
-                want *= a.block_prob(bi)
+                want *= a.masses[bi]
             assert got == want

@@ -1,10 +1,11 @@
 """Partition lattice, projections, independence, generated sigma-fields."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from conftest import join_oracle, mat_mul, meet_oracle, projection_matrix
+from conftest import join_oracle, mat_mul, meet_oracle, projection_matrix, projections_commute
 
 from noise_lattice.errors import DomainMismatchError, PreconditionError
 from noise_lattice.finmeas import (
@@ -16,7 +17,9 @@ from noise_lattice.finmeas import (
     span,
 )
 from noise_lattice.instances import rand_partition, rand_rv, rand_space
+from noise_lattice.ntba import mk_coordinate_ntba
 from noise_lattice.sigma import (
+    SigmaField,
     cond_exp,
     commutes,
     discrete,
@@ -106,6 +109,50 @@ def test_commutes_against_dense_matrix_oracle(uniform3):
         x, y = rand_partition(rng, space), rand_partition(rng, space)
         qx, qy = projection_matrix(x), projection_matrix(y)
         assert commutes(x, y) == (mat_mul(qx, qy) == mat_mul(qy, qx))
+    for _ in range(40):
+        space = rand_space(rng, 5, "float")
+        x, y = rand_partition(rng, space), rand_partition(rng, space)
+        assert commutes(x, y) == projections_commute(x, y)
+
+
+def test_commutes_on_small_meet_blocks_in_both_backends():
+    # x and y split the meet block {0..5} in two each; the four cells have
+    # conditional masses 1/6, 1/3, 1/3, 1/6, not 1/4, so Q_x Q_y and Q_y Q_x
+    # differ by 1/9 in some entries.  Yet P(a & b) P(c) and P(a) P(b) differ
+    # by under the float tolerance, because P(c) is small.
+    x_blocks = [[0, 1, 2], [3, 4, 5]]
+    y_blocks = [[0, 3, 4], [1, 2, 5]]
+    tiny = [1e-5] * 6 + [1 - 6e-5]
+    spaces = [
+        mk_space(range(7), tiny),
+        mk_space(range(7), [Fraction(1, 10**5)] * 6 + [1 - Fraction(6, 10**5)]),
+    ]
+    for space in spaces:
+        x = partition(space, x_blocks + [[6]])
+        y = partition(space, y_blocks + [[6]])
+        assert not projections_commute(x, y)
+        assert not commutes(x, y)
+    n = 2**16  # uniform, so P(c) = 6 / n
+    for probs in ([1.0 / n] * n, [Fraction(1, n)] * n):
+        space = mk_space(range(n), probs)
+        rest = list(range(6, n))
+        x = partition(space, x_blocks + [rest])
+        y = partition(space, y_blocks + [rest])
+        assert not commutes(x, y)
+        assert commutes(x, partition(space, [[0, 3], [1, 4], [2, 5], rest]))
+
+
+def test_commutes_and_independent_are_linear_time():
+    # four block averages per indicator vector, the quadratic route, take
+    # tens of seconds at this size
+    B = mk_coordinate_ntba(mk_dyadic(10))
+    x = B.element(range(5)).realize()
+    y = B.element(range(3, 10)).realize()
+    xc = B.element(range(5, 10)).realize()
+    t0 = time.perf_counter()
+    assert commutes(x, y) and not independent(x, y)
+    assert commutes(x, xc) and independent(x, xc)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_independent_examples(uniform3):
@@ -198,3 +245,30 @@ def test_float_mode_sigma_of_groups_with_tolerance():
     f = RV(space, (1.0, 1.0 + 1e-9, 2.0))
     got = sigma_of_rvs(space, [f])
     assert got == partition(space, [[0, 1], [2]])
+
+
+def test_labels_and_masses():
+    probs = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)]
+    space = mk_space(["a", "b", "c", "d"], probs)
+    x = partition(space, [[3, 1], [0, 2]])
+    assert x.blocks == ((0, 2), (1, 3))
+    assert x.labels == (0, 1, 0, 1)
+    assert x.masses == (Fraction(1, 4), Fraction(3, 4))
+    assert x == SigmaField(space, ((0, 2), (1, 3)))
+
+
+def test_blocks_must_cover_each_outcome_once(uniform3):
+    for blocks in (
+        ((0, 1), (1, 2)),
+        ((0, 1), (1,)),
+        ((0, 0, 1), (2,)),
+        ((-1, 0, 1),),
+        ((0, 1),),
+        ((0, 1, 2, 3),),
+    ):
+        with pytest.raises(ValueError, match="partition the outcome indices"):
+            SigmaField(uniform3, blocks)
+    with pytest.raises(ValueError, match="nonempty"):
+        SigmaField(uniform3, ((), (0, 1, 2)))
+    with pytest.raises(ValueError, match="canonical"):
+        SigmaField(uniform3, ((1, 2), (0,)))
