@@ -360,6 +360,7 @@ def cmd_randsup(args) -> int:
     counts = args.atoms or tuple(4 for _ in ps)
     try:
         cfg = rs.SampleConfig(counts, ps, seed=args.seed, trials=args.trials)
+        rs.check_union_bound(cfg, atom=0)
     except (ValueError, PreconditionError) as exc:
         raise UsageError(f"--ps/--atoms: {exc}") from None
     rep = rs.union_bound_report(cfg, atom=0)

@@ -6,15 +6,26 @@ combinatorially: level k has atoms 1..n_k and the inclusions are identity
 on indices).  Monte-Carlo estimates are compared against the exact closed
 forms, and the probability that a fixed atom has been swallowed is checked
 against its union bound.
+
+Random numbers are counter-based (Salmon et al. 2011, "Parallel random
+numbers: as easy as 1, 2, 3"): trials come in blocks of ``BLOCK`` = 4096,
+and block b draws from one Philox stream keyed by (seed, b).  Every block
+is drawn in full, one ``(BLOCK, n_k)`` uniform array per level in level
+order, and trial t is row t mod 4096 of block t div 4096.  So trial t
+depends only on the seed, t and the levels, never on the trial count;
+rows past the trial count are dropped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
+
+BLOCK = 4096  # trials per Philox stream
 
 
 @dataclass(frozen=True)
@@ -38,38 +49,47 @@ class SampleConfig:
             raise ValueError("at least one trial is required")
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """A counter-based per-trial stream: Philox keyed by (seed, trial)."""
+def trial_rng(seed: int, block: int) -> np.random.Generator:
+    """The counter-based stream of one block of trials: Philox keyed by (seed, block)."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     )
 
 
-def sample_element(n_atoms: int, p: float, rng: np.random.Generator) -> frozenset:
-    """Include each atom independently with probability p."""
+def sample_element(n_atoms: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """One element per trial of a block: row r holds the atoms of trial r.
+
+    A boolean ``(BLOCK, n_atoms)`` matrix; each atom is included
+    independently with probability p.
+    """
     if not 0.0 < p < 1.0:
         raise PreconditionError("p must lie strictly between 0 and 1")
-    draws = rng.random(n_atoms)
-    return frozenset(int(i) for i in np.nonzero(draws < p)[0])
+    return rng.random((BLOCK, n_atoms)) < p
+
+
+def _blocks(seed: int, trials: int):
+    """(stream, rows) per block: rows is how many of its BLOCK trials are kept."""
+    for block in range(-(-trials // BLOCK)):
+        yield trial_rng(seed, block), min(BLOCK, trials - block * BLOCK)
 
 
 def run_join_process(cfg: SampleConfig, sampler=None) -> list:
     """Per trial, the increasing chain of cumulative joins Y_1 <= Y_2 <= ...
 
     Returned as a list of tuples of frozensets of atom indices.  ``sampler``
-    replaces the per-level draw (same signature as sample_element); the
-    test hook for forcing degenerate draws.
+    replaces the per-level block draw (same signature as sample_element);
+    the test hook for forcing degenerate draws.
     """
     draw = sampler or sample_element
     out = []
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        acc: frozenset = frozenset()
-        traj = []
+    for rng, rows in _blocks(cfg.seed, cfg.trials):
+        acc = np.zeros((BLOCK, cfg.atom_counts[-1]), dtype=bool)
+        levels = []
         for n_atoms, p in zip(cfg.atom_counts, cfg.ps):
-            acc = acc | draw(n_atoms, p, rng)
-            traj.append(acc)
-        out.append(tuple(traj))
+            acc[:, :n_atoms] |= draw(n_atoms, p, rng)
+            levels.append(acc[:rows].copy())
+        for chain in zip(*levels):
+            out.append(tuple(frozenset(np.flatnonzero(y).tolist()) for y in chain))
     return out
 
 
@@ -87,19 +107,23 @@ class UnionBoundReport:
         return self.within_three_sigma and self.below_bound
 
 
-def union_bound_report(cfg: SampleConfig, atom: int) -> UnionBoundReport:
-    """Estimate Pr[atom <= Y_n] and compare with 1 - prod(1-p_k) <= sum p_k."""
+def check_union_bound(cfg: SampleConfig, atom: int) -> None:
+    """Raise PreconditionError unless the union-bound experiment applies."""
     if sum(cfg.ps) >= 1.0:
         raise PreconditionError("the union-bound experiment needs sum(p) < 1")
     if not 0 <= atom < min(cfg.atom_counts):
         raise PreconditionError("the atom must exist at every level")
+
+
+def union_bound_report(cfg: SampleConfig, atom: int) -> UnionBoundReport:
+    """Estimate Pr[atom <= Y_n] and compare with 1 - prod(1-p_k) <= sum p_k."""
+    check_union_bound(cfg, atom)
     hits = 0
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
+    for rng, rows in _blocks(cfg.seed, cfg.trials):
+        hit = np.zeros(BLOCK, dtype=bool)
         for n_atoms, p in zip(cfg.atom_counts, cfg.ps):
-            if atom in sample_element(n_atoms, p, rng):
-                hits += 1
-                break
+            hit |= sample_element(n_atoms, p, rng)[:, atom]
+        hits += int(np.count_nonzero(hit[:rows]))
     estimate = hits / cfg.trials
     exact = 1.0
     for p in cfg.ps:
@@ -120,19 +144,37 @@ def union_bound_report(cfg: SampleConfig, atom: int) -> UnionBoundReport:
 def element_counts(n_atoms: int, p: float, seed: int, trials: int) -> np.ndarray:
     """Histogram of sampled elements over all 2^n atom subsets (bitmask order)."""
     counts = np.zeros(1 << n_atoms, dtype=np.int64)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        mask = 0
-        for i in sample_element(n_atoms, p, rng):
-            mask |= 1 << i
-        counts[mask] += 1
+    weights = 1 << np.arange(n_atoms, dtype=np.int64)
+    for rng, rows in _blocks(seed, trials):
+        masks = sample_element(n_atoms, p, rng)[:rows] @ weights
+        counts += np.bincount(masks, minlength=1 << n_atoms)
     return counts
+
+
+def _chi2_sf(x: float, k: int) -> float:
+    """Pr[chi^2_k > x] for an integer k >= 1, in closed form.
+
+    Even k: the Poisson tail e^(-x/2) sum_{j < k/2} (x/2)^j / j!.  Odd k:
+    erfc(sqrt(x/2)) plus the half-integer terms, each sqrt(2x/pi) e^(-x/2)
+    times x^(j-1) / (3 * 5 * ... * (2j - 1)) for j = 1 .. (k-1)/2.
+    """
+    half = x / 2.0
+    if k % 2 == 0:
+        term = total = math.exp(-half)
+        for j in range(1, k // 2):
+            term *= half / j
+            total += term
+        return total
+    total = math.erfc(math.sqrt(half))
+    term = math.sqrt(2.0 * x / math.pi) * math.exp(-half)
+    for j in range(1, (k + 1) // 2):
+        total += term
+        term *= x / (2 * j + 1)
+    return total
 
 
 def element_distribution_pvalue(n_atoms: int, p: float, seed: int, trials: int):
     """Chi-square p-value of the sampled histogram against p^k (1-p)^(n-k)."""
-    from scipy import stats
-
     counts = element_counts(n_atoms, p, seed, trials)
     expected = np.array(
         [
@@ -140,8 +182,8 @@ def element_distribution_pvalue(n_atoms: int, p: float, seed: int, trials: int):
             for m in range(1 << n_atoms)
         ]
     )
-    result = stats.chisquare(counts, expected)
-    return float(result.pvalue), counts, expected
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    return _chi2_sf(stat, len(counts) - 1), counts, expected
 
 
 def inclusion_decay(cfg: SampleConfig) -> list:

@@ -221,6 +221,8 @@ def test_bad_command_line_values_are_usage_errors(tmp_path, capsys):
         ["ntba", "restrict", str(f), "x"],
         ["randsup", "run", "--ps", "0.5,1.5"],
         ["ntba", "restrict", str(f), ""],
+        ["randsup", "run", "--ps", "0.6,0.6"],
+        ["randsup", "run", "--ps", "0.1", "--atoms", "0"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -1,11 +1,17 @@
 """Sampling law, join process, union bound, reproducibility."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy import stats
 
+from noise_lattice import randsup
 from noise_lattice.errors import PreconditionError
 from noise_lattice.randsup import (
+    BLOCK,
     SampleConfig,
+    _chi2_sf,
     element_counts,
     element_distribution_pvalue,
     inclusion_decay,
@@ -18,8 +24,8 @@ from noise_lattice.randsup import (
 
 def test_sample_element_bounds():
     rng = trial_rng(0, 0)
-    s = sample_element(5, 0.5, rng)
-    assert s <= set(range(5))
+    rows = sample_element(5, 0.5, rng)
+    assert rows.shape == (BLOCK, 5) and rows.dtype == bool
     with pytest.raises(PreconditionError):
         sample_element(3, 0.0, rng)
     with pytest.raises(PreconditionError):
@@ -114,14 +120,16 @@ def test_inclusion_decay_default_exponents():
 
 
 def test_trial_streams_are_independent_of_order():
-    a = [sample_element(3, 0.5, trial_rng(9, t)) for t in range(10)]
-    b = [sample_element(3, 0.5, trial_rng(9, t)) for t in reversed(range(10))]
-    assert a == list(reversed(b))
+    a = [sample_element(3, 0.5, trial_rng(9, b)) for b in range(4)]
+    c = [sample_element(3, 0.5, trial_rng(9, b)) for b in reversed(range(4))]
+    assert all(np.array_equal(x, y) for x, y in zip(a, reversed(c)))
+    assert not np.array_equal(a[0], a[1])
 
 
 def test_forced_empty_samples_keep_join_at_bottom():
     cfg = SampleConfig((3, 3, 3), (0.5, 0.5, 0.5), seed=2, trials=20)
-    trajs = run_join_process(cfg, sampler=lambda n, p, rng: frozenset())
+    trajs = run_join_process(cfg, sampler=lambda n, p, rng: np.zeros((BLOCK, n), dtype=bool))
+    assert len(trajs) == 20
     assert all(all(y == frozenset() for y in t) for t in trajs)
 
 
@@ -133,3 +141,48 @@ def test_single_level_full_join_probability():
     hits = sum(t[-1] == frozenset({0}) for t in run_join_process(cfg))
     sigma = (p * (1 - p) / trials) ** 0.5
     assert abs(hits / trials - p) <= 3 * sigma
+
+
+@pytest.mark.parametrize("k", [1, 4095, 4096, 4097])
+def test_trials_are_a_prefix_of_longer_runs(k):
+    levels = ((3, 4, 5), (0.2, 0.3, 0.1))
+    long = run_join_process(SampleConfig(*levels, seed=4, trials=9000))
+    assert run_join_process(SampleConfig(*levels, seed=4, trials=k)) == long[:k]
+    first = run_join_process(SampleConfig((3,), (0.3,), seed=4, trials=9000))[:k]
+    masks = [sum(1 << i for i in t[0]) for t in first]
+    assert np.array_equal(element_counts(3, 0.3, seed=4, trials=k), np.bincount(masks, minlength=8))
+
+
+@pytest.mark.parametrize("n, p, trials", [(1, 0.25, 5000), (3, 0.1, 9000), (4, 0.6, 4096)])
+def test_entry_points_agree_on_one_level(n, p, trials):
+    cfg = SampleConfig((n,), (p,), seed=17, trials=trials)
+    hits = round(union_bound_report(cfg, 0).estimate * trials)
+    assert hits == sum(0 in t[0] for t in run_join_process(cfg))
+    counts = element_counts(n, p, seed=17, trials=trials)
+    assert hits == counts[1::2].sum()
+
+
+def test_one_stream_per_block(monkeypatch):
+    calls = []
+
+    def counted(seed, block):
+        calls.append(block)
+        return trial_rng(seed, block)
+
+    monkeypatch.setattr(randsup, "trial_rng", counted)
+    union_bound_report(SampleConfig((4, 4, 4), (0.1, 0.1, 0.1), seed=3, trials=10_000), 0)
+    assert calls == [0, 1, 2]
+
+
+def test_large_trial_counts_are_fast():
+    cfg = SampleConfig((4, 4, 4), (0.1, 0.1, 0.1), seed=8, trials=2_000_000)
+    t0 = time.perf_counter()
+    rep = union_bound_report(cfg, 0)
+    assert time.perf_counter() - t0 < 2.0
+    assert rep.ok
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 15, 31])
+def test_chi2_tail_matches_scipy(k):
+    for x in np.concatenate([[0.0, 1e-6, 1e-3], np.linspace(0.05, 120.0, 300)]):
+        assert _chi2_sf(float(x), k) == pytest.approx(stats.chi2.sf(x, k), rel=1e-12, abs=1e-300)
