@@ -951,15 +951,14 @@ def run_all(seed: int, cases: int | None = None, inject_fault: bool = False) -> 
         rng = random.Random(f"{seed}:{fn.__name__}")
         results.append(fn(rng, n))
     if inject_fault:
-        bad = mk_space(["a", "b", "c", "d"], [Fraction(1, 4)] * 4)
-        x = partition(bad, [[0, 1], [2, 3]])
         skew = mk_space(
             ["a", "b", "c", "d"],
             [Fraction(1, 3), Fraction(1, 6), Fraction(1, 4), Fraction(1, 4)],
         )
+        x = partition(skew, [[0, 1], [2, 3]])
         y = partition(skew, [[0, 2], [1, 3]])
         fault = SuiteResult("injected-fault", 1)
-        if not independent(partition(skew, [[0, 1], [2, 3]]), y):
+        if not independent(x, y):
             fault.failures.append(
                 {
                     "case": 0,

@@ -55,12 +55,6 @@ class UsageError(Exception):
     """Bad input from the command line or an input file (exit 2)."""
 
 
-def _mode(args) -> str:
-    import os
-
-    return args.mode or os.environ.get("NOISE_LATTICE_MODE", "rational")
-
-
 def _to_float_space(space):
     return mk_space(space.outcomes, [float(p) for p in space.probs])
 
@@ -144,11 +138,17 @@ def _atom_presentation(obj):
     return space, [partition_from_json(space, a) for a in obj["atoms"]]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # named in argparse errors
+    return parse
 
 
 def _list_of(convert):
@@ -168,7 +168,7 @@ def _list_of(convert):
 def cmd_space(args) -> int:
     if args.space_cmd == "dyadic":
         space = mk_dyadic(args.n)
-        if _mode(args) == "float":
+        if args.mode == "float":
             space = _to_float_space(space)
     else:
         space = _load_space(args.file)
@@ -194,14 +194,14 @@ def cmd_sigma(args) -> int:
 def cmd_ntba(args) -> int:
     if args.ntba_cmd == "coords":
         space = mk_dyadic(args.n)
-        if _mode(args) == "float":
+        if args.mode == "float":
             space = _to_float_space(space)
         algebra = mk_coordinate_ntba(space)
         print(json.dumps(ntba_to_json(algebra), sort_keys=True))
         return EXIT_OK
     if args.ntba_cmd == "parity":
         space = mk_dyadic(args.n + 1)
-        if _mode(args) == "float":
+        if args.mode == "float":
             space = _to_float_space(space)
         algebra = mk_parity_ntba(args.n, space)
         print(json.dumps(ntba_to_json(algebra), sort_keys=True))
@@ -462,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="noise-lattice",
         description="lattice-of-sigma-fields computations at desk scale",
     )
-    p.add_argument("--mode", choices=["rational", "float"], default=None,
-                   help="numeric backend (default: NOISE_LATTICE_MODE or rational)")
+    p.add_argument("--mode", choices=["rational", "float"], default="rational",
+                   help="numeric backend (default: rational)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("space", help="construct or load probability spaces")
@@ -522,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated inclusion probabilities")
     run.add_argument("--atoms", type=_list_of(int), default=None,
                      help="comma-separated atom counts")
-    run.add_argument("--trials", type=_positive_int, default=100_000)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--trials", type=_int_at_least(1), default=100_000)
+    run.add_argument("--seed", type=_int_at_least(0), default=0)
     run.add_argument("--format", choices=["text", "json"], default="text")
     ru.set_defaults(fn=cmd_randsup)
 

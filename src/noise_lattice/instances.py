@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .finmeas import ProbSpace, RV, mk_space, product
 from .ntba import NTBA
-from .sigma import SigmaField, lift_partition, partition
+from .sigma import SigmaField, _group, discrete, lift_partition
 
 
 def rand_space(rng, max_size: int = 5, mode: str = "rational") -> ProbSpace:
@@ -30,10 +30,7 @@ def rand_partition(rng, space: ProbSpace) -> SigmaField:
     n_blocks = rng.randint(1, n)
     labels = list(range(n_blocks)) + [rng.randrange(n_blocks) for _ in range(n - n_blocks)]
     rng.shuffle(labels)
-    groups: dict = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(i)
-    return partition(space, groups.values())
+    return _group(space, [labels])
 
 
 def rand_rv(rng, space: ProbSpace, zero_mean: bool = False) -> RV:
@@ -79,15 +76,11 @@ def rand_ntba(rng, max_outcomes: int = 64, mode: str = "rational") -> NTBA:
             probs = [w / tw for w in weights]
         factors.append(mk_space([f"f{i}" for i in range(s)], probs))
     space = factors[0]
-    lifted = [partition(space, [[i] for i in range(space.size)])]
+    lifted = [discrete(space)]
     for nxt in factors[1:]:
         prod = product(space, nxt)
         lifted = [lift_partition(prod, p, "left") for p in lifted]
-        lifted.append(
-            lift_partition(
-                prod, partition(nxt, [[i] for i in range(nxt.size)]), "right"
-            )
-        )
+        lifted.append(lift_partition(prod, discrete(nxt), "right"))
         space = prod.space
     return NTBA(space, lifted)
 

@@ -23,7 +23,6 @@ from .sigma import (
     independent,
     join,
     meet,
-    partition,
     trivial,
 )
 
@@ -119,18 +118,10 @@ class NTBAElement:
         return hash((id(self.algebra), self.atomset))
 
 
-def _two_blocks(space: ProbSpace, test) -> SigmaField:
-    """The partition into the outcomes whose id passes ``test`` and the rest."""
-    blocks = ([], [])
-    for i, o in enumerate(space.outcomes):
-        blocks[0 if test(o) else 1].append(i)
-    return partition(space, blocks)
-
-
 def mk_coordinate_ntba(space: ProbSpace) -> NTBA:
     """Atoms sigma(xi_1), ..., sigma(xi_n) on a dyadic space."""
     n = len(space.outcomes[0])
-    atoms = [_two_blocks(space, lambda o, k=k: o[k] == "+") for k in range(n)]
+    atoms = [_group(space, [[o[k] == "+" for o in space.outcomes]]) for k in range(n)]
     return NTBA(space, atoms)
 
 
@@ -147,8 +138,9 @@ def mk_parity_ntba(n: int, space: ProbSpace | None = None) -> NTBA:
         raise ValueError("n must be >= 1")
     if space is None:
         space = mk_dyadic(n + 1)
-    atoms = [_two_blocks(space, lambda o, k=k: o[k] == o[k + 1]) for k in range(n)]
-    atoms.append(_two_blocks(space, lambda o: o[n] == "+"))
+    outcomes = space.outcomes
+    atoms = [_group(space, [[o[k] == o[k + 1] for o in outcomes]]) for k in range(n)]
+    atoms.append(_group(space, [[o[n] == "+" for o in outcomes]]))
     return NTBA(space, atoms)
 
 
@@ -220,19 +212,14 @@ class Restriction:
     """restrict() result: the quotient algebra plus the lifting maps."""
 
     algebra: NTBA
-    base_space: ProbSpace
-    blocks: tuple  # quotient outcome -> original outcome indices
+    quotient: SigmaField  # on the base space; block k is quotient outcome k
     atom_indices: tuple  # result atom -> original atom index
 
     def lift_rv(self, f: RV) -> RV:
         """Extend an RV on the quotient to the base space, constant on blocks."""
         if f.space != self.algebra.space:
             raise DomainMismatchError("lift_rv expects an RV on the quotient")
-        vals = [None] * self.base_space.size
-        for qi, block in enumerate(self.blocks):
-            for i in block:
-                vals[i] = f.values[qi]
-        return RV(self.base_space, tuple(vals))
+        return RV(self.quotient.space, tuple(map(f.values.__getitem__, self.quotient.labels)))
 
 
 def restrict(algebra: NTBA, e: NTBAElement) -> Restriction:
@@ -254,7 +241,7 @@ def restrict(algebra: NTBA, e: NTBAElement) -> Restriction:
         _group(qspace, [[algebra.atoms[ai].labels[b[0]] for b in x.blocks]])
         for ai in atom_indices
     ]
-    return Restriction(NTBA(qspace, new_atoms), space, x.blocks, atom_indices)
+    return Restriction(NTBA(qspace, new_atoms), x, atom_indices)
 
 
 def ntba_to_json(algebra: NTBA) -> dict:

@@ -1,13 +1,18 @@
-"""Sub-sigma-fields of a finite space as canonical partitions.
+"""Sub-sigma-fields of a finite space as canonical label vectors.
 
 With strictly positive probabilities a sub-sigma-field is exactly a
 partition of the outcomes.  The lattice order is refinement: finer
 partitions sit higher, the discrete partition is the top, the one-block
 partition the bottom.  Conditional expectation is block averaging.
 
-A ``SigmaField`` holds its canonical blocks, and beside them the label
-vector (outcome -> block index) and the block masses, each computed once.
-Every join is one grouping of the outcomes by their tuple of labels.
+A ``SigmaField`` is its label vector: ``labels[i]`` numbers the block of
+outcome i, blocks numbered 0, 1, ... in the order of their least outcome.
+That numbering is canonical, so the labels alone give equality and
+hashing; the blocks and the block masses are derived from them on first
+read.  One first-seen numbering builds every field: ``partition`` (the one
+check of blocks from outside), ``trivial``, ``discrete``, every join (one
+grouping of the outcomes by their tuple of labels) and the meet (one
+union-find over the blocks of both fields).
 Independence and commuting are one test: x and y are conditionally
 independent given a z below both iff, within every z-block c, every
 x-block a and y-block b in c satisfy P(a & b | c) = P(a | c) P(b | c).
@@ -28,56 +33,46 @@ from .errors import DomainMismatchError, PreconditionError
 from .finmeas import RV, ProbSpace, Subspace, indicator
 
 
-def _canonical(blocks) -> tuple:
-    bs = [tuple(sorted(b)) for b in blocks]
-    bs.sort(key=lambda b: b[0])
-    return tuple(bs)
-
-
 @dataclass(frozen=True)
 class SigmaField:
-    """A canonical partition: blocks sorted internally and by least element.
+    """A partition as its canonical label vector.
 
-    ``labels[i]`` is the index of the block holding outcome i, and
-    ``masses[k]`` the probability of block k; neither takes part in
-    equality or hashing.
+    ``labels[i]`` is the index of the block holding outcome i, the blocks
+    numbered in the order of their least outcome.  Only the labels are
+    hashed; ``n_blocks``, ``blocks`` and ``masses`` (block probabilities)
+    are derived from them on first read.
     """
 
-    space: ProbSpace
-    blocks: tuple
-    labels: tuple = field(init=False, repr=False, compare=False)
+    space: ProbSpace = field(hash=False)
+    labels: tuple
 
     def __post_init__(self):
-        if not all(self.blocks):
-            raise ValueError("blocks must be nonempty")
-        size = self.space.size
-        labels = [-1] * size
-        try:
-            for bi, b in enumerate(self.blocks):
-                for i in b:
-                    labels[i] = bi
-        except (IndexError, TypeError):
-            labels = None
-        # size indices in range, none negative and none missing: a partition
-        if (
-            labels is None
-            or sum(map(len, self.blocks)) != size
-            or min(map(min, self.blocks)) < 0
-            or -1 in labels
-        ):
-            raise ValueError("blocks must partition the outcome indices")
-        if self.blocks != _canonical(self.blocks):
-            raise ValueError("blocks are not in canonical order")
-        object.__setattr__(self, "labels", tuple(labels))
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        first_seen = tuple(dict.fromkeys(labels))
+        if len(labels) != self.space.size or first_seen != tuple(range(len(first_seen))):
+            raise ValueError(
+                "labels must number the blocks 0, 1, ... in the order of their least outcome"
+            )
 
-    @property
+    @cached_property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return max(self.labels) + 1
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The blocks, each increasing, in the order of their least outcome."""
+        blocks = [[] for _ in range(self.n_blocks)]
+        for i, k in enumerate(self.labels):
+            blocks[k].append(i)
+        return tuple(map(tuple, blocks))
 
     @cached_property
     def masses(self) -> tuple:
-        mass_of = self.space.probs.__getitem__
-        return tuple(sum(map(mass_of, b)) for b in self.blocks)
+        masses = [0] * self.n_blocks
+        for k, p in zip(self.labels, self.space.probs):
+            masses[k] += p
+        return tuple(masses)
 
     def is_coarser_eq(self, other: "SigmaField") -> bool:
         """True iff self <= other in the lattice (other refines self)."""
@@ -90,41 +85,57 @@ def _chk(x, y):
         raise DomainMismatchError("sigma-fields live on different spaces")
 
 
+def _number(space: ProbSpace, keys) -> SigmaField:
+    """The field whose blocks are the outcomes sharing a key (one per outcome).
+
+    Keys are numbered in the order they are first seen, so the labels come
+    out canonical; each key is hashed once.
+    """
+    index: dict = {}
+    return SigmaField(space, tuple([index.setdefault(k, len(index)) for k in keys]))
+
+
 def partition(space: ProbSpace, blocks) -> SigmaField:
-    return SigmaField(space, _canonical(blocks))
+    """The field with the given blocks, listed in any order.
+
+    The one check of blocks from outside (input files and callers): every
+    block is nonempty, and together they hold each outcome index once.
+    """
+    labels = [None] * space.size
+    for k, block in enumerate(blocks):
+        if not block:
+            raise ValueError("blocks must be nonempty")
+        for i in block:
+            if type(i) is not int or not 0 <= i < space.size or labels[i] is not None:
+                raise ValueError("blocks must partition the outcome indices")
+            labels[i] = k
+    if None in labels:
+        raise ValueError("blocks must partition the outcome indices")
+    return _number(space, labels)
 
 
 def trivial(space: ProbSpace) -> SigmaField:
-    return SigmaField(space, (tuple(range(space.size)),))
+    return _number(space, itertools.repeat(0, space.size))
 
 
 def discrete(space: ProbSpace) -> SigmaField:
-    return SigmaField(space, tuple((i,) for i in range(space.size)))
-
-
-def _cells(space: ProbSpace, labelings) -> dict:
-    """The outcomes grouped by their tuple of labels, one label per labeling.
-
-    Outcomes are visited in order, so every cell is increasing and the
-    cells come by least element: canonical blocks.  No labeling at all
-    gives the one cell of the trivial field.
-    """
-    keys = zip(*labelings) if labelings else itertools.repeat((), space.size)
-    cells: dict = {}
-    for i, key in enumerate(keys):
-        cells.setdefault(key, []).append(i)
-    return cells
+    return _number(space, range(space.size))
 
 
 def _group(space: ProbSpace, labelings) -> SigmaField:
-    """The sigma-field generated by the labelings: one block per cell."""
-    return SigmaField(space, tuple(map(tuple, _cells(space, labelings).values())))
+    """The sigma-field generated by the labelings: one block per label tuple.
+
+    No labeling at all gives the trivial field.
+    """
+    return _number(space, zip(*labelings) if labelings else itertools.repeat((), space.size))
 
 
 def _table(space: ProbSpace, labelings) -> dict:
     """The contingency table: label tuple -> mass, for the present cells only."""
-    mass_of = space.probs.__getitem__
-    return {key: sum(map(mass_of, c)) for key, c in _cells(space, labelings).items()}
+    table: dict = {}
+    for key, p in zip(zip(*labelings), space.probs):
+        table[key] = table.get(key, 0) + p
+    return table
 
 
 def sigma_of_rvs(space: ProbSpace, rvs) -> SigmaField:
@@ -142,9 +153,14 @@ def sigma_from_rv(f: RV) -> SigmaField:
 
 
 def meet(x: SigmaField, y: SigmaField) -> SigmaField:
-    """Intersection sigma-field: components of the shared-block graph."""
+    """Intersection sigma-field: components of the shared-outcome graph.
+
+    Its nodes are the x-blocks and the y-blocks; an x-block and a y-block
+    are linked when they share an outcome, that is, per distinct label pair.
+    """
     _chk(x, y)
-    parent = list(range(x.space.size))
+    nx = x.n_blocks
+    parent = list(range(nx + y.n_blocks))  # x-block a is node a, y-block b is nx + b
 
     def find(i):
         while parent[i] != i:
@@ -152,19 +168,12 @@ def meet(x: SigmaField, y: SigmaField) -> SigmaField:
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for part in (x, y):
-        for b in part.blocks:
-            for i in b[1:]:
-                union(b[0], i)
-    groups = {}
-    for i in range(x.space.size):
-        groups.setdefault(find(i), []).append(i)
-    return partition(x.space, groups.values())
+    for a, b in set(zip(x.labels, y.labels)):
+        ra, rb = find(a), find(nx + b)
+        if ra != rb:
+            parent[rb] = ra
+    root = [find(a) for a in range(nx)]
+    return _number(x.space, map(root.__getitem__, x.labels))
 
 
 def join(x: SigmaField, y: SigmaField) -> SigmaField:
@@ -196,11 +205,10 @@ def cond_exp(x: SigmaField, f: RV) -> RV:
     """Conditional expectation given x: the block average of f."""
     if x.space != f.space:
         raise DomainMismatchError("sigma-field and RV on different spaces")
-    probs, vals = x.space.probs, f.values
-    avgs = [
-        sum(probs[i] * vals[i] for i in b) / mass
-        for b, mass in zip(x.blocks, x.masses)
-    ]
+    sums = [0] * x.n_blocks
+    for k, p, v in zip(x.labels, x.space.probs, f.values):
+        sums[k] += p * v
+    avgs = [s / mass for s, mass in zip(sums, x.masses)]
     return RV(x.space, tuple(map(avgs.__getitem__, x.labels)))
 
 
@@ -218,11 +226,13 @@ def _cond_independent(x: SigmaField, y: SigmaField, z: SigmaField) -> bool:
     """
     _chk(x, y)
     table = _table(x.space, [x.labels, y.labels])
-    xs_in = [[] for _ in z.blocks]
-    ys_in = [[] for _ in z.blocks]
+    xs_in = [[] for _ in range(z.n_blocks)]
+    ys_in = [[] for _ in range(z.n_blocks)]
     for part, inside in ((x, xs_in), (y, ys_in)):
-        for k, (block, mass) in enumerate(zip(part.blocks, part.masses)):
-            inside[z.labels[block[0]]].append((k, mass))
+        # z <= part, so each part-block lies in one z-block; the dict keeps
+        # the part-blocks in label order
+        for k, c in dict(zip(part.labels, z.labels)).items():
+            inside[c].append((k, part.masses[k]))
     equal = x.space.backend.equal
     for c, pc in enumerate(z.masses):
         ys_given_c = [(b, pb / pc) for b, pb in ys_in[c]]

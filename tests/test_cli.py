@@ -187,10 +187,12 @@ def test_malformed_input_files_are_usage_errors(tmp_path, capsys):
     files = {
         "space.json": {"outcomes": ["a", "b"], "probs": ["1/2", "1/2"]},
         "good.json": {"blocks": [[0], [1]]},
+        "empty.json": {"blocks": [[], [0, 1]]},
         "outside.json": {"blocks": [[0], [5]]},
         "nokey.json": {"parts": [[0, 1]]},
         "badsum.json": {"outcomes": ["a", "b"], "probs": ["1/2", "1/3"]},
     }
+    files["emptyatom.json"] = {"space": files["space.json"], "atoms": [files["empty.json"]]}
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
     (tmp_path / "broken.json").write_text("{not json")
@@ -202,6 +204,8 @@ def test_malformed_input_files_are_usage_errors(tmp_path, capsys):
         ["sigma", "meet", f["broken.json"], f["good.json"], f["good.json"]],
         ["chaos", "report", f["broken.json"]],
         ["ntba", "validate", f["nokey.json"]],
+        ["sigma", "meet", f["space.json"], f["good.json"], f["empty.json"]],
+        ["ntba", "validate", f["emptyatom.json"]],
         ["chaos", "report", str(tmp_path)],
         ["sigma", "meet", str(tmp_path), f["good.json"], f["good.json"]],
     ):
@@ -230,6 +234,7 @@ def test_bad_command_line_values_are_usage_errors(tmp_path, capsys):
     for argv in (
         ["randsup", "run", "--ps", "abc"],
         ["randsup", "run", "--ps", "0.1", "--atoms", "x"],
+        ["randsup", "run", "--ps", "0.1", "--trials", "5", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

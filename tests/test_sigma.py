@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import join_oracle, mat_mul, meet_oracle, projection_matrix, projections_commute
 
 from noise_lattice.errors import DomainMismatchError, PreconditionError
@@ -28,6 +30,7 @@ from noise_lattice.sigma import (
     join,
     meet,
     partition,
+    partition_from_json,
     sigma_from_rv,
     sigma_of,
     sigma_of_rvs,
@@ -251,10 +254,12 @@ def test_labels_and_masses():
     probs = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)]
     space = mk_space(["a", "b", "c", "d"], probs)
     x = partition(space, [[3, 1], [0, 2]])
-    assert x.blocks == ((0, 2), (1, 3))
     assert x.labels == (0, 1, 0, 1)
+    assert x.n_blocks == 2
+    assert x.blocks == ((0, 2), (1, 3))
     assert x.masses == (Fraction(1, 4), Fraction(3, 4))
-    assert x == SigmaField(space, ((0, 2), (1, 3)))
+    assert x == SigmaField(space, (0, 1, 0, 1))
+    assert hash(x) == hash(SigmaField(space, [0, 1, 0, 1]))
 
 
 def test_blocks_must_cover_each_outcome_once(uniform3):
@@ -265,10 +270,60 @@ def test_blocks_must_cover_each_outcome_once(uniform3):
         ((-1, 0, 1),),
         ((0, 1),),
         ((0, 1, 2, 3),),
+        ((0, True), (2,)),
+        ((0.0, 1, 2),),
     ):
         with pytest.raises(ValueError, match="partition the outcome indices"):
-            SigmaField(uniform3, blocks)
+            partition(uniform3, blocks)
     with pytest.raises(ValueError, match="nonempty"):
-        SigmaField(uniform3, ((), (0, 1, 2)))
-    with pytest.raises(ValueError, match="canonical"):
-        SigmaField(uniform3, ((1, 2), (0,)))
+        partition(uniform3, ((), (0, 1, 2)))
+
+
+def test_labels_must_be_canonical(uniform3):
+    for labels in ((1, 0, 0), (0, 2, 1), (0, 0, 2), (-1, 0, 0), (0, 1), (0, 1, 1, 0), ()):
+        with pytest.raises(ValueError, match="labels must number the blocks"):
+            SigmaField(uniform3, labels)
+    assert SigmaField(uniform3, (0, 1, 0)) == partition(uniform3, [[1], [2, 0]])
+
+
+@st.composite
+def shuffled_partitions(draw, size):
+    """A partition of range(size): its outcomes shuffled, then cut into runs."""
+    order = draw(st.permutations(range(size)))
+    cuts = draw(st.lists(st.booleans(), min_size=size - 1, max_size=size - 1))
+    blocks = [[order[0]]]
+    for i, cut in zip(order[1:], cuts):
+        if cut:
+            blocks.append([])
+        blocks[-1].append(i)
+    return blocks
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+SMALL = st.integers(-2, 5)
+BLOCKS = st.one_of(
+    shuffled_partitions(4),
+    st.lists(st.lists(SMALL, max_size=5), max_size=5),
+    st.lists(st.one_of(st.lists(st.one_of(SMALL, JUNK), max_size=4), SMALL, JUNK), max_size=4),
+    JUNK,
+    SMALL,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BLOCKS)
+def test_partition_loader_parses_or_rejects(v):
+    space = mk_space(["a", "b", "c", "d"], [Fraction(1, 4)] * 4)
+    try:
+        f = partition_from_json(space, {"blocks": v})
+    except (ValueError, TypeError, KeyError):  # the CLI's exit-2 errors
+        return
+    assert f.blocks == tuple(sorted((tuple(sorted(b)) for b in v), key=lambda b: b[0]))
+    assert partition(space, f.blocks) == f
+    assert SigmaField(space, f.labels) == f
