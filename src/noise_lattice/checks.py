@@ -747,14 +747,13 @@ def suite_cofinite_truncation(rng: random.Random, cases: int) -> SuiteResult:
     n = 6
     P = mk_parity_ntba(n)
     space = P.space
+    signs = {j: coordinate_sign(space, j) for j in range(1, n + 2)}
+    pairs = {k: signs[k] * signs[k + 1] for k in range(1, n + 1)}
 
     def realize(e: cf.CofElem) -> SigmaField:
-        gens = [
-            coordinate_sign(space, k) * coordinate_sign(space, k + 1)
-            for k in e.ys.indices_up_to(n)
-        ]
+        gens = [pairs[k] for k in e.ys.indices_up_to(n)]
         if e.tail is not None:
-            gens.extend(coordinate_sign(space, j) for j in range(e.tail, n + 2))
+            gens.extend(signs[j] for j in range(e.tail, n + 2))
         return sigma_of_rvs(space, gens)
 
     def rand_elem() -> cf.CofElem:

@@ -299,7 +299,11 @@ def _completion_is_algebra() -> bool:
 
 def cmd_cofinite(args) -> int:
     if args.cofinite_cmd == "eval":
-        print(json.dumps(_cofinite_row(cf.parse_elem(args.expr)), sort_keys=True))
+        try:
+            e = cf.parse_elem(args.expr)
+        except ValueError as exc:
+            raise UsageError(f"element {args.expr!r}: {exc}") from None
+        print(json.dumps(_cofinite_row(e), sort_keys=True))
         return EXIT_OK
     return _cofinite_dossier(args)
 

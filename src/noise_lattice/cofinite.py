@@ -12,147 +12,271 @@ positive integers.  Its monotone-limit closure adds exactly the joins of
 y(k) over infinite index sets, which have no tail and, famously, fall
 short of the corresponding tails:  sup_k y(k) is a proper sub-sigma-field
 of t(1) (a measurable function of all pair signs cannot recover the signs
-themselves).  Elements are kept in a canonical (tail, index set) form,
-index sets being eventually periodic bit sequences, so equality is
-syntactic and all lattice operations are exact.
+themselves).  Elements are kept in a canonical (tail, index set) form, so
+equality is syntactic and all lattice operations are exact.
+
+An index set is an eventually periodic bit string, held as two integer
+masks: a preperiod and one period, bit i-1 of a mask standing for its
+i-th position.  Union, intersection, difference and complement are a few
+shifts, rotations and repetitions of those integers and one bitwise
+operation, never a loop over positions.  No set may need more than
+``MAX_BITS`` mask bits in its preperiod and period together (a finite
+set up to k, or a tail t(k), takes k); a larger position, step or period
+raises ``CapacityError``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
+from operator import and_, or_
 
-from .errors import PreconditionError, UnsupportedSequenceError
+from .errors import CapacityError, PreconditionError, UnsupportedSequenceError
+
+MAX_BITS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
 # Eventually periodic subsets of {1, 2, 3, ...}
 
 
+def _guard(nbits: int) -> None:
+    if nbits > MAX_BITS:
+        raise CapacityError(f"{nbits} mask bits exceed the guard of {MAX_BITS}")
+
+
+def _ones(n: int) -> int:
+    return (1 << n) - 1
+
+
+def _rotate(block: int, width: int, k: int) -> int:
+    """The cyclic block read from its k-th bit on: bit j is old bit (j + k) mod width."""
+    k %= width
+    return (block >> k) | ((block & _ones(k)) << (width - k))
+
+
+def _repeat(block: int, width: int, times: int) -> int:
+    """``times`` copies of a ``width``-bit block, built by doubling."""
+    if width == 1:
+        return _ones(times) if block else 0
+    out = shift = 0
+    while True:
+        if times & 1:
+            out |= block << shift
+            shift += width
+        times >>= 1
+        if not times:
+            return out
+        block |= block << width
+        width *= 2
+
+
+def _prime_factors(n: int) -> list:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _primitive(per: int, nper: int) -> int:
+    """Length of the primitive period of a cyclic block.
+
+    The rotations that fix the block are the multiples of its primitive
+    period, so dividing ``nper`` by each prime while the rotation by the
+    quotient still fixes the block ends exactly there.
+    """
+    d = nper
+    for p in _prime_factors(nper):
+        while d % p == 0 and _rotate(per, nper, d // p) == per:
+            d //= p
+    return d
+
+
+def _and_not(a: int, b: int) -> int:
+    return a & ~b
+
+
+def _members(mask: int) -> tuple:
+    """The positions (bit i-1 is position i) set in a mask."""
+    return tuple(i for i, c in enumerate(bin(mask)[:1:-1], 1) if c == "1")
+
+
+def _text(mask: int, n: int) -> str:
+    """The n bits of a mask in position order, as '0'/'1' text."""
+    return bin(mask | 1 << n)[3:][::-1]
+
+
 @dataclass(frozen=True)
 class NatSet:
-    """An eventually periodic set of positive integers.
+    """An eventually periodic set of positive integers, as two bit masks.
 
-    ``pre`` lists the membership bits of positions 1..len(pre); after that
-    the bits of ``per`` repeat forever.  The canonical form (primitive
-    period, shortest preperiod) is unique, so dataclass equality decides
-    set equality.  Construct through ``natset``.
+    Bit i-1 of ``pre`` holds position i for i = 1..npre; after that the
+    ``nper`` bits of ``per`` repeat forever, bit j holding the positions
+    npre + 1 + j + c*nper.  The canonical form (primitive period, shortest
+    preperiod) is unique, so dataclass equality decides set equality.
+    Construct through ``natset`` or the set builders below.
     """
 
-    pre: tuple
-    per: tuple
+    pre: int
+    npre: int
+    per: int
+    nper: int
 
     def bit(self, p: int) -> int:
         if p <= 0:
             raise ValueError("positions start at 1")
-        if p <= len(self.pre):
-            return self.pre[p - 1]
-        return self.per[(p - len(self.pre) - 1) % len(self.per)]
+        if p <= self.npre:
+            return self.pre >> (p - 1) & 1
+        return self.per >> ((p - self.npre - 1) % self.nper) & 1
 
     def __contains__(self, p: int) -> bool:
         return self.bit(p) == 1
 
     @property
     def is_finite(self) -> bool:
-        return self.per == (0,)
+        return self.per == 0
 
     @property
     def is_cofinite(self) -> bool:
-        return self.per == (1,)
+        return self.per == 1 and self.nper == 1
 
     @property
     def is_empty(self) -> bool:
-        return self.per == (0,) and not any(self.pre)
+        return self.per == 0 and self.pre == 0
+
+    def _prefix(self, n: int) -> int:
+        """The mask of positions 1..n."""
+        if n <= self.npre:
+            return self.pre & _ones(n)
+        _guard(n)
+        k = n - self.npre
+        periodic = _repeat(self.per, self.nper, -(-k // self.nper)) & _ones(k)
+        return self.pre | periodic << self.npre
 
     def indices_up_to(self, n: int) -> list:
-        return [p for p in range(1, n + 1) if self.bit(p)]
+        return list(_members(self._prefix(n)))
 
     def finite_indices(self) -> tuple:
         if not self.is_finite:
             raise ValueError("the set is infinite")
-        return tuple(p for p in range(1, len(self.pre) + 1) if self.pre[p - 1])
+        return _members(self.pre)
 
     def max_or_zero(self) -> int:
         """Largest member of a finite set, 0 when empty."""
-        return max(self.finite_indices(), default=0)
+        if not self.is_finite:
+            raise ValueError("the set is infinite")
+        return self.pre.bit_length()
+
+    def _extend(self, npre: int, nper: int) -> tuple:
+        """(pre, per) masks of this set for a longer preperiod and a multiple period."""
+        if npre == self.npre and nper == self.nper:
+            return self.pre, self.per
+        per = _rotate(self.per, self.nper, npre - self.npre)
+        return self._prefix(npre), _repeat(per, self.nper, nper // self.nper)
+
+    def _combine(self, other: "NatSet", op) -> "NatSet":
+        """Apply a bitwise op to both sets over max(npre) and lcm(nper) bits."""
+        npre, nper = max(self.npre, other.npre), lcm(self.nper, other.nper)
+        _guard(npre + nper)
+        (a, p), (b, q) = self._extend(npre, nper), other._extend(npre, nper)
+        return _canon(op(a, b), npre, op(p, q), nper)
 
     def union(self, other: "NatSet") -> "NatSet":
-        return _binop(self, other, lambda a, b: a | b)
+        return self._combine(other, or_)
 
     def intersect(self, other: "NatSet") -> "NatSet":
-        return _binop(self, other, lambda a, b: a & b)
+        return self._combine(other, and_)
 
     def minus(self, other: "NatSet") -> "NatSet":
-        return _binop(self, other, lambda a, b: a & (1 - b))
+        return self._combine(other, _and_not)
 
     def complement(self) -> "NatSet":
-        return natset([1 - b for b in self.pre], [1 - b for b in self.per])
+        # flipping every bit keeps the period primitive and the preperiod shortest
+        return NatSet(
+            self.pre ^ _ones(self.npre), self.npre, self.per ^ _ones(self.nper), self.nper
+        )
 
     def __str__(self) -> str:
-        pre = "".join(map(str, self.pre))
-        per = "".join(map(str, self.per))
-        return f"{{{pre};{per}}}"
+        return f"{{{_text(self.pre, self.npre)};{_text(self.per, self.nper)}}}"
 
 
-def _primitive(per: tuple) -> tuple:
-    n = len(per)
-    for d in range(1, n + 1):
-        if n % d == 0 and per == per[:d] * (n // d):
-            return per[:d]
-    return per
+def _canon(pre: int, npre: int, per: int, nper: int) -> NatSet:
+    """Primitive period, then the shortest preperiod."""
+    nper = _primitive(per, nper)
+    per &= _ones(nper)
+    if npre:
+        # the period run backwards from the last preperiod position; the
+        # preperiod bits above the highest mismatch join the periodic part
+        reps = -(-npre // nper)
+        back = _repeat(per, nper, reps) >> (reps * nper - npre)
+        keep = (pre ^ back).bit_length()
+        per = _rotate(per, nper, keep - npre)
+        pre &= _ones(keep)
+        npre = keep
+    return NatSet(pre, npre, per, nper)
+
+
+def _finite(mask: int) -> NatSet:
+    return NatSet(mask, mask.bit_length(), 0, 1)
+
+
+def _mask(bits) -> int:
+    return int("".join(str(int(b)) for b in reversed(bits)) or "0", 2)
 
 
 def natset(pre, per) -> NatSet:
-    """Canonicalize and build: primitive period, then shortest preperiod."""
-    per = _primitive(tuple(int(b) for b in per)) if per else (0,)
-    pre = [int(b) for b in pre]
-    while pre and pre[-1] == per[-1]:
-        pre.pop()
-        per = per[-1:] + per[:-1]
-    return NatSet(tuple(pre), per)
+    """Canonicalize and build from bit sequences (0/1 or '0'/'1')."""
+    pre, per = list(pre), list(per) or [0]
+    _guard(len(pre) + len(per))
+    return _canon(_mask(pre), len(pre), _mask(per), len(per))
 
 
-def _binop(a: NatSet, b: NatSet, op) -> NatSet:
-    pre_len = max(len(a.pre), len(b.pre))
-    per_len = len(a.per) * len(b.per) // gcd(len(a.per), len(b.per))
-    bits = [op(a.bit(p), b.bit(p)) for p in range(1, pre_len + per_len + 1)]
-    return natset(bits[:pre_len], bits[pre_len:])
-
-
-EMPTY_SET = natset((), (0,))
-FULL_SET = natset((), (1,))
+EMPTY_SET = _finite(0)
+FULL_SET = NatSet(0, 0, 1, 1)
 
 
 def finite_set(indices) -> NatSet:
-    indices = sorted(set(indices))
+    indices = set(indices)
     if not indices:
         return EMPTY_SET
-    bits = [0] * indices[-1]
+    if min(indices) < 1:
+        raise ValueError("positions start at 1")
+    _guard(max(indices) + 1)
+    mask = 0
     for p in indices:
-        if p < 1:
-            raise ValueError("positions start at 1")
-        bits[p - 1] = 1
-    return natset(bits, (0,))
+        mask |= 1 << (p - 1)
+    return _finite(mask)
 
 
 def range_set(lo: int, hi: int) -> NatSet:
     """The finite set {lo, ..., hi-1}."""
-    return finite_set(range(max(lo, 1), hi))
+    lo = max(lo, 1)
+    if hi <= lo:
+        return EMPTY_SET
+    _guard(hi)
+    return _finite(_ones(hi - 1) ^ _ones(lo - 1))
 
 
 def tail_set(m: int) -> NatSet:
     """The cofinite set {m, m+1, ...}."""
-    return natset([0] * (m - 1), (1,))
+    m = max(m, 1)
+    _guard(m)
+    return NatSet(0, m - 1, 1, 1)
 
 
 def progression(step: int, offset: int = 0) -> NatSet:
     """Arithmetic progression {p >= 1 : p = offset mod step}."""
     if step < 1:
         raise ValueError("step must be positive")
-    r = offset % step
-    bits = [1 if (p % step) == r else 0 for p in range(1, step + 1)]
-    return natset((), bits)
+    _guard(step)
+    return NatSet(0, 0, 1 << (offset - 1) % step, step)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +302,11 @@ def cof_elem(tail: int | None, ys: NatSet) -> CofElem:
     if tail is not None:
         if tail < 1:
             raise ValueError("tail starts at 1")
-        ys = ys.intersect(range_set(1, tail))
-        while tail > 1 and ys.bit(tail - 1):
-            ys = ys.minus(finite_set([tail - 1]))
-            tail -= 1
+        _guard(tail)
+        below = ys._prefix(tail - 1)
+        # the run of pair indices just below the tail joins it
+        tail = (below ^ _ones(tail - 1)).bit_length() + 1
+        ys = _finite(below & _ones(tail - 1))
     return CofElem(tail, ys)
 
 
@@ -332,11 +457,14 @@ def monotone_limit(seq) -> CofElem:
     raise UnsupportedSequenceError(f"no limit rule for {type(seq).__name__}")
 
 
-def _require_monotone(elems) -> None:
-    up = all(cof_leq(a, b) for a, b in zip(elems, elems[1:]))
-    down = all(cof_leq(b, a) for a, b in zip(elems, elems[1:]))
-    if not (up or down):
-        raise UnsupportedSequenceError("explicit sequence is not monotone")
+def _require_monotone(elems) -> bool:
+    """Whether an explicit sequence increases (else it decreases)."""
+    pairs = list(zip(elems, elems[1:]))
+    if all(cof_leq(a, b) for a, b in pairs):
+        return True
+    if all(cof_leq(b, a) for a, b in pairs):
+        return False
+    raise UnsupportedSequenceError("explicit sequence is not monotone")
 
 
 def _increasing_in_algebra(seq):
@@ -344,10 +472,7 @@ def _increasing_in_algebra(seq):
     if isinstance(seq, PrefixJoins):
         return True
     if isinstance(seq, EventuallyConstant):
-        _require_monotone(seq.elems)
-        return all(in_algebra(e) for e in seq.elems) and all(
-            cof_leq(a, b) for a, b in zip(seq.elems, seq.elems[1:])
-        )
+        return _require_monotone(seq.elems) and all(in_algebra(e) for e in seq.elems)
     return False
 
 
@@ -505,7 +630,7 @@ def bounded_elements(max_support: int, max_tail: int):
     lattice-law and completion tests."""
     out = set()
     for mask in range(1 << max_support):
-        s = finite_set([k + 1 for k in range(max_support) if mask >> k & 1])
+        s = _finite(mask)
         out.add(cof_elem(None, s))
         for m in range(1, max_tail + 1):
             out.add(cof_elem(m, s))

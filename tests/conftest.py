@@ -2,11 +2,13 @@
 
 These deliberately recompute library results by other routes: sigma-fields
 as explicit set systems, projections as dense matrices, the first chaos by
-elimination, the best atomless cover by enumerating every cover.  Tests
-compare the production path against these.
+elimination, the best atomless cover by enumerating every cover,
+eventually periodic sets one position at a time.  Tests compare the
+production path against these.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -131,6 +133,48 @@ def kernel_intersection_oracle(B) -> Subspace:
 def is_basis(sub: Subspace) -> bool:
     """Whether a subspace's basis vectors are linearly independent."""
     return sub.space.backend.rank([b.values for b in sub.basis]) == sub.dim
+
+
+def canonical_bits(pre, per) -> str:
+    """The ``{pre;per}`` text of an eventually periodic bit sequence.
+
+    The tuple route: cut the period to its primitive root, then move the
+    last preperiod bit into the period while it equals the period's last.
+    """
+    per = tuple(per) or (0,)
+    n = len(per)
+    per = next(per[:d] for d in range(1, n + 1) if per == per[:d] * (n // d))
+    pre = list(pre)
+    while pre and pre[-1] == per[-1]:
+        pre.pop()
+        per = per[-1:] + per[:-1]
+    return "{%s;%s}" % ("".join(map(str, pre)), "".join(map(str, per)))
+
+
+def pointwise_binop(a, b, op) -> str:
+    """``{pre;per}`` of ``op`` applied bit by bit to two eventually periodic sets.
+
+    Reads max(npre) + lcm(nper) positions through ``NatSet.bit``: past
+    max(npre) both sets repeat with period lcm(nper).
+    """
+    pre_len, per_len = max(a.npre, b.npre), lcm(a.nper, b.nper)
+    bits = [op(a.bit(p), b.bit(p)) for p in range(1, pre_len + per_len + 1)]
+    return canonical_bits(bits[:pre_len], bits[pre_len:])
+
+
+def cof_elem_oracle(tail, ys) -> tuple:
+    """(tail, ``{pre;per}`` of the pair indices) of the canonical element.
+
+    With a tail m only the pair indices below m remain, and while y(m-1)
+    is among them it is dropped and the tail moves down to m-1.
+    """
+    if tail is None:
+        return None, str(ys)
+    bits = [ys.bit(p) for p in range(1, tail)]
+    while bits and bits[-1]:
+        bits.pop()
+        tail -= 1
+    return tail, canonical_bits(bits, ())
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from noise_lattice.cli import main
+from noise_lattice.cofinite import MAX_BITS
 
 RUN = [sys.executable, "-m", "noise_lattice.cli"]
 
@@ -111,6 +112,18 @@ def test_cofinite_eval(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["membership"] == "Cl(B)\\B"
     assert out["complement"] is None
+
+
+def test_cofinite_eval_bad_elements(capsys):
+    for text in ("Y(0k)", "x0", "y0", "", "y1||y2"):
+        assert main(["cofinite", "eval", text]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    over = MAX_BITS + 1
+    for text in (f"x{over}", f"y{MAX_BITS}", f"Y({over}k)", "Y(1999k)|Y(2003k+1)"):
+        assert main(["cofinite", "eval", text]) == 3, text
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and str(MAX_BITS) in err, err
 
 
 def test_cofinite_demo(capsys):

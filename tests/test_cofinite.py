@@ -1,23 +1,26 @@
 """The symbolic finite/cofinite algebra: sets, elements, limits, filters."""
 
+import contextlib
+import io
 import itertools
 import random
+import time
 
 import pytest
+from conftest import canonical_bits, cof_elem_oracle, pointwise_binop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noise_lattice import cofinite as cf
-from noise_lattice.errors import UnsupportedSequenceError
+from noise_lattice.cli import main
+from noise_lattice.errors import CapacityError, NoiseLatticeError, UnsupportedSequenceError
 from noise_lattice.finmeas import coordinate_sign
 from noise_lattice.ntba import mk_parity_ntba
 from noise_lattice.sigma import join, meet, sigma_of_rvs
 
-natsets = st.builds(
-    cf.natset,
-    st.lists(st.integers(0, 1), max_size=6),
-    st.lists(st.integers(0, 1), min_size=1, max_size=4),
-)
+bit_lists = st.lists(st.integers(0, 1), max_size=12)
+period_lists = st.lists(st.integers(0, 1), min_size=1, max_size=12)
+natsets = st.builds(cf.natset, bit_lists, period_lists)
 
 
 # ---------------------------------------------------------------------------
@@ -26,14 +29,15 @@ natsets = st.builds(
 
 @given(natsets)
 def test_canonical_form_preserves_membership(s):
+    h = s.npre + 2  # any preperiod at least npre long describes the same set
     rebuilt = cf.natset(
-        [s.bit(p) for p in range(1, 9)], [s.bit(p) for p in range(9, 9 + len(s.per))]
+        [s.bit(p) for p in range(1, h + 1)], [s.bit(p) for p in range(h + 1, h + 1 + s.nper)]
     )
     assert all(rebuilt.bit(p) == s.bit(p) for p in range(1, 40))
 
 
 @given(natsets, natsets)
-@settings(max_examples=200)
+@settings(max_examples=300)
 def test_set_ops_match_pointwise_semantics(a, b):
     u, i, d = a.union(b), a.intersect(b), a.minus(b)
     c = a.complement()
@@ -42,14 +46,60 @@ def test_set_ops_match_pointwise_semantics(a, b):
         assert i.bit(p) == (a.bit(p) & b.bit(p))
         assert d.bit(p) == (a.bit(p) & (1 - b.bit(p)))
         assert c.bit(p) == 1 - a.bit(p)
+    # the canonical forms agree with the per-bit route
+    assert str(u) == pointwise_binop(a, b, lambda p, q: p | q)
+    assert str(i) == pointwise_binop(a, b, lambda p, q: p & q)
+    assert str(d) == pointwise_binop(a, b, lambda p, q: p & (1 - q))
+    assert str(c) == pointwise_binop(a, a, lambda p, _: 1 - p)
 
 
 @given(natsets, natsets)
 @settings(max_examples=200)
 def test_equal_membership_implies_equal_canonical_form(a, b):
-    horizon = len(a.pre) + len(b.pre) + 2 * len(a.per) * len(b.per) + 4
+    horizon = a.npre + b.npre + 2 * a.nper * b.nper + 4
     same = all(a.bit(p) == b.bit(p) for p in range(1, horizon + 1))
     assert same == (a == b)
+
+
+@given(bit_lists, period_lists)
+def test_natset_matches_tuple_canonical_form(pre, per):
+    assert str(cf.natset(pre, per)) == canonical_bits(pre, per)
+
+
+@given(st.one_of(st.none(), st.integers(1, 30)), natsets)
+@settings(max_examples=300)
+def test_cof_elem_matches_pointwise_oracle(tail, ys):
+    e = cf.cof_elem(tail, ys)
+    assert (e.tail, str(e.ys)) == cof_elem_oracle(tail, ys)
+
+
+def test_long_period_union_is_word_operations():
+    a, b = cf.progression(1021), cf.progression(1019, 1)
+    start = time.perf_counter()
+    u = a.union(b)
+    elapsed = time.perf_counter() - start
+    assert u.nper == 1021 * 1019 and u.npre == 0
+    assert [p for p in range(1, 2045) if p in u] == [1, 1020, 1021, 2039, 2042]
+    assert elapsed < 0.3, elapsed
+
+
+def test_mask_length_guard():
+    over = cf.MAX_BITS + 1
+    for build in (
+        lambda: cf.progression(over),
+        lambda: cf.finite_set([cf.MAX_BITS]),
+        lambda: cf.range_set(1, over),
+        lambda: cf.tail_set(over),
+        lambda: cf.x(over),
+        lambda: cf.natset([0] * cf.MAX_BITS, [1]),
+        lambda: cf.FULL_SET.indices_up_to(over),
+        # a period of 4,003,997 bits; refused before any mask is built
+        lambda: cf.progression(1999).union(cf.progression(2003, 1)),
+    ):
+        with pytest.raises(CapacityError, match=str(cf.MAX_BITS)):
+            build()
+    assert cf.x(cf.MAX_BITS).tail == cf.MAX_BITS
+    assert cf.y(cf.MAX_BITS - 1).ys.max_or_zero() == cf.MAX_BITS - 1
 
 
 @given(natsets)
@@ -254,6 +304,17 @@ def test_unsupported_descriptor():
         )
 
 
+def test_explicit_sequences_report_their_direction():
+    assert cf._require_monotone((cf.y(1), cf.parse_elem("y1|y2"), cf.x(1))) is True
+    assert cf._require_monotone((cf.x(2), cf.x(3))) is False
+    with pytest.raises(UnsupportedSequenceError):
+        cf._require_monotone((cf.y(1), cf.y(2)))
+    with pytest.raises(UnsupportedSequenceError):
+        cf.completion_criterion_check(cf.EventuallyConstant((cf.x(2), cf.x(3))))
+    with pytest.raises(UnsupportedSequenceError):
+        cf.completion_criterion_check(cf.EventuallyConstant((cf.y(1), cf.ys_elem(cf.progression(2)))))
+
+
 def test_completion_criterion_examples():
     r = cf.completion_criterion_check(cf.PrefixJoins(cf.FULL_SET))
     assert not r.holds
@@ -352,6 +413,34 @@ def test_parse_progressions():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         cf.parse_elem("z9")
+
+
+element_text = st.text(alphabet="xyYk01234579(){};|+ z-", max_size=16)
+
+
+@given(element_text)
+@settings(max_examples=400)
+def test_parse_elem_parses_or_rejects(text):
+    try:
+        e = cf.parse_elem(text)
+    except (ValueError, NoiseLatticeError):
+        return
+    assert cf.parse_elem(cf.format_elem(e)) == e
+
+
+@given(element_text)
+@settings(max_examples=100, deadline=None)
+def test_cofinite_eval_exits_0_2_or_3(text):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["cofinite", "eval", text])
+        except SystemExit as exc:  # argparse refuses text that looks like an option
+            assert exc.code == 2, text
+            return
+    assert code in (0, 2, 3), text
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_closure_lattice_laws_fuzz_with_infinite_sets():
