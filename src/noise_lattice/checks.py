@@ -46,6 +46,7 @@ from .sigma import (
     sigma_of,
     sigma_of_rvs,
     subspace_of,
+    sup_family,
     trivial,
 )
 from .spectrum import (
@@ -749,12 +750,16 @@ def suite_cofinite_truncation(rng: random.Random, cases: int) -> SuiteResult:
     space = P.space
     signs = {j: coordinate_sign(space, j) for j in range(1, n + 2)}
     pairs = {k: signs[k] * signs[k + 1] for k in range(1, n + 1)}
+    # sigma(f_1, ..., f_k) is the join of the sigma(f_i), each built once
+    sign_fields = {j: sigma_of_rvs(space, [g]) for j, g in signs.items()}
+    pair_fields = {k: sigma_of_rvs(space, [g]) for k, g in pairs.items()}
+    bottom = trivial(space)
 
     def realize(e: cf.CofElem) -> SigmaField:
-        gens = [pairs[k] for k in e.ys.indices_up_to(n)]
+        fields = [bottom] + [pair_fields[k] for k in e.ys.indices_up_to(n)]
         if e.tail is not None:
-            gens.extend(signs[j] for j in range(e.tail, n + 2))
-        return sigma_of_rvs(space, gens)
+            fields.extend(sign_fields[j] for j in range(e.tail, n + 2))
+        return sup_family(fields)
 
     def rand_elem() -> cf.CofElem:
         tail = rng.choice([None, None, rng.randint(1, n + 1)])

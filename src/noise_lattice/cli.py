@@ -116,7 +116,7 @@ def _load(path: str, parse):
         raise UsageError(f"{path}: {exc.strerror}") from None
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}") from None
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, TypeError, ArithmeticError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("space", help="construct or load probability spaces")
     spsub = sp.add_subparsers(dest="space_cmd", required=True)
     d = spsub.add_parser("dyadic")
-    d.add_argument("n", type=int)
+    d.add_argument("n", type=_int_at_least(1))
     ld = spsub.add_parser("load")
     ld.add_argument("file")
     sp.set_defaults(fn=cmd_space)
@@ -488,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     nb = sub.add_parser("ntba", help="noise-type Boolean algebras")
     nbsub = nb.add_subparsers(dest="ntba_cmd", required=True)
     c = nbsub.add_parser("coords")
-    c.add_argument("n", type=int)
+    c.add_argument("n", type=_int_at_least(1))
     pa = nbsub.add_parser("parity")
-    pa.add_argument("n", type=int)
+    pa.add_argument("n", type=_int_at_least(1))
     va = nbsub.add_parser("validate")
     va.add_argument("file")
     re_ = nbsub.add_parser("restrict")

@@ -7,19 +7,23 @@ signs xi_1, xi_2, ...  Two families of sigma-fields matter:
 * pair signs y(k) generated by the single product xi_k xi_{k+1}.
 
 The algebra B consists of all joins of finitely many y(k) with at most one
-tail; it is Boolean-isomorphic to the finite/cofinite algebra on the
-positive integers.  Its monotone-limit closure adds exactly the joins of
-y(k) over infinite index sets, which have no tail and, famously, fall
-short of the corresponding tails:  sup_k y(k) is a proper sub-sigma-field
-of t(1) (a measurable function of all pair signs cannot recover the signs
-themselves).  Elements are kept in a canonical (tail, index set) form, so
-equality is syntactic and all lattice operations are exact.
+tail; it is Boolean-isomorphic to the finite/cofinite algebra of the pair
+indices k, a tail t(m) standing for every k >= m.  Its monotone-limit
+closure adds exactly the joins of y(k) over infinite index sets, which
+have no tail and, famously, fall short of the corresponding tails:
+sup_k y(k) is a proper sub-sigma-field of t(1) (a measurable function of
+all pair signs cannot recover the signs themselves).  So an element is the
+pair (tailed, index set): the set of pair indices it holds, and whether it
+also holds a whole tail.  A tailed element's set is cofinite; the flag is
+the gap between sup_k y(k) = (False, N) and t(1) = (True, N).  Meet and
+join act on both parts at once, the complement in B flips both, and
+equality is syntactic.
 
 An index set is an eventually periodic bit string, held as two integer
 masks: a preperiod and one period, bit i-1 of a mask standing for its
-i-th position.  Union, intersection, difference and complement are a few
-shifts, rotations and repetitions of those integers and one bitwise
-operation, never a loop over positions.  No set may need more than
+i-th position.  Union, intersection and complement are a few shifts,
+rotations and repetitions of those integers and one bitwise operation,
+never a loop over positions.  No set may need more than
 ``MAX_BITS`` mask bits in its preperiod and period together (a finite
 set up to k, or a tail t(k), takes k); a larger position, step or period
 raises ``CapacityError``.
@@ -72,35 +76,15 @@ def _repeat(block: int, width: int, times: int) -> int:
         width *= 2
 
 
-def _prime_factors(n: int) -> list:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _primitive(per: int, nper: int) -> int:
     """Length of the primitive period of a cyclic block.
 
     The rotations that fix the block are the multiples of its primitive
-    period, so dividing ``nper`` by each prime while the rotation by the
-    quotient still fixes the block ends exactly there.
+    period, so the first return of the block inside its doubled word is
+    at exactly that shift.
     """
-    d = nper
-    for p in _prime_factors(nper):
-        while d % p == 0 and _rotate(per, nper, d // p) == per:
-            d //= p
-    return d
-
-
-def _and_not(a: int, b: int) -> int:
-    return a & ~b
+    text = _text(per, nper)
+    return (text + text).find(text, 1)
 
 
 def _members(mask: int) -> tuple:
@@ -194,9 +178,6 @@ class NatSet:
     def intersect(self, other: "NatSet") -> "NatSet":
         return self._combine(other, and_)
 
-    def minus(self, other: "NatSet") -> "NatSet":
-        return self._combine(other, _and_not)
-
     def complement(self) -> "NatSet":
         # flipping every bit keeps the period primitive and the preperiod shortest
         return NatSet(
@@ -285,37 +266,50 @@ def progression(step: int, offset: int = 0) -> NatSet:
 
 @dataclass(frozen=True)
 class CofElem:
-    """Canonical element: optional tail start plus a set of pair-sign indices.
+    """Canonical element: a tail flag plus the set of pair indices it holds.
 
-    A present tail m means the element contains t(m); canonically the pair
-    indices then lie below m-1, because y(k) for k >= m is swallowed by the
-    tail and y(m-1) together with t(m) upgrades the tail to t(m-1).
-    Without a tail the index set is arbitrary; it is in the algebra B iff
-    the set is finite, and in the closure-minus-B iff infinite.
+    ``index_set`` holds k when the element contains y(k), and a tail t(m)
+    counts as every k >= m, so a tailed element's index set is cofinite;
+    ``tailed`` says whether the element holds a whole tail.  The flag is the
+    gap between the two: (False, N) is sup_k y(k), strictly below
+    (True, N) = t(1) = 1.  The pair is unique, so dataclass equality decides
+    element equality.  The element is in the algebra B iff it is tailed or
+    its index set is finite.
     """
 
-    tail: int | None
-    ys: NatSet
+    tailed: bool
+    index_set: NatSet
+
+    def __post_init__(self):
+        if self.tailed and not self.index_set.is_cofinite:
+            raise ValueError("a tailed element needs a cofinite index set")
+
+    @property
+    def tail(self) -> int | None:
+        """The m of the largest tail t(m) in the element, None without one."""
+        return self.index_set.npre + 1 if self.tailed else None
+
+    @property
+    def ys(self) -> NatSet:
+        """The pair indices outside the tail (all of them without one)."""
+        return _finite(self.index_set.pre) if self.tailed else self.index_set
 
 
 def cof_elem(tail: int | None, ys: NatSet) -> CofElem:
-    if tail is not None:
-        if tail < 1:
-            raise ValueError("tail starts at 1")
-        _guard(tail)
-        below = ys._prefix(tail - 1)
-        # the run of pair indices just below the tail joins it
-        tail = (below ^ _ones(tail - 1)).bit_length() + 1
-        ys = _finite(below & _ones(tail - 1))
-    return CofElem(tail, ys)
+    """The join of t(tail) (none when ``tail`` is None) and y(k) for k in ys."""
+    if tail is None:
+        return CofElem(False, ys)
+    if tail < 1:
+        raise ValueError("tail starts at 1")
+    return CofElem(True, ys.union(tail_set(tail)))
 
 
-ZERO = cof_elem(None, EMPTY_SET)
-ONE = cof_elem(1, EMPTY_SET)
+ZERO = CofElem(False, EMPTY_SET)
+ONE = CofElem(True, FULL_SET)
 
 
 def y(k: int) -> CofElem:
-    return cof_elem(None, finite_set([k]))
+    return CofElem(False, finite_set([k]))
 
 
 def x(m: int) -> CofElem:
@@ -323,34 +317,21 @@ def x(m: int) -> CofElem:
 
 
 def ys_elem(s: NatSet) -> CofElem:
-    return cof_elem(None, s)
+    return CofElem(False, s)
 
 
 def cof_meet(a: CofElem, b: CofElem) -> CofElem:
-    """Lattice meet, exact.
+    """Lattice meet, exact: both flags and both index sets meet.
 
-    With both tails present the shallower element is rewritten over the
-    independent generators at the deeper tail (t(m) = y(m) v ... v t(m'))
-    and the meet of joins of independent generators keeps exactly the
-    shared ones.  A tail meets a tailless element in the pair indices the
-    tailless side shares with it.
+    Rewritten over the independent generators y(1), ..., y(m-1), t(m) at a
+    tail m past both preperiods (t(k) = y(k) v ... v y(m-1) v t(m)), each
+    element is a join of generators, and the meet keeps the shared ones.
     """
-    if a.tail is not None and b.tail is not None:
-        if a.tail > b.tail:
-            a, b = b, a
-        expanded = a.ys.union(range_set(a.tail, b.tail))
-        return cof_elem(b.tail, expanded.intersect(b.ys))
-    if a.tail is None and b.tail is None:
-        return cof_elem(None, a.ys.intersect(b.ys))
-    if a.tail is None:
-        a, b = b, a
-    expanded = a.ys.union(tail_set(a.tail))
-    return cof_elem(None, expanded.intersect(b.ys))
+    return CofElem(a.tailed and b.tailed, a.index_set.intersect(b.index_set))
 
 
 def cof_join(a: CofElem, b: CofElem) -> CofElem:
-    tails = [t for t in (a.tail, b.tail) if t is not None]
-    return cof_elem(min(tails) if tails else None, a.ys.union(b.ys))
+    return CofElem(a.tailed or b.tailed, a.index_set.union(b.index_set))
 
 
 def cof_leq(a: CofElem, b: CofElem) -> bool:
@@ -358,7 +339,7 @@ def cof_leq(a: CofElem, b: CofElem) -> bool:
 
 
 def in_algebra(e: CofElem) -> bool:
-    return e.tail is not None or e.ys.is_finite
+    return e.tailed or e.index_set.is_finite
 
 
 def closure_membership(e: CofElem) -> str:
@@ -370,10 +351,7 @@ def complement_in_algebra(e: CofElem) -> CofElem:
     """Boolean complement within B; defined for members of B only."""
     if not in_algebra(e):
         raise PreconditionError("only members of the algebra are complemented")
-    if e.tail is not None:
-        return cof_elem(None, range_set(1, e.tail).minus(e.ys))
-    m = e.ys.max_or_zero() + 1
-    return cof_elem(m, range_set(1, m).minus(e.ys))
+    return CofElem(not e.tailed, e.index_set.complement())
 
 
 def has_complement(e: CofElem) -> CofElem | None:
@@ -400,7 +378,7 @@ class PrefixJoins:
     index_set: NatSet
 
     def term(self, n: int) -> CofElem:
-        return cof_elem(None, self.index_set.intersect(range_set(1, n + 1)))
+        return ys_elem(self.index_set.intersect(range_set(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -440,17 +418,14 @@ def monotone_limit(seq) -> CofElem:
     corresponds to the group of finite sign-products it can measure, the
     limit of a monotone chain corresponds to the union/intersection of
     those groups, and for every descriptor in the family that union or
-    intersection is again represented by a (tail, index set) pair.
+    intersection is again represented by a (tailed, index set) pair.
     """
     if isinstance(seq, PrefixJoins):
-        return cof_elem(None, seq.index_set)
+        return ys_elem(seq.index_set)
     if isinstance(seq, TailChain):
         return ZERO
     if isinstance(seq, ComplementChain):
-        i = seq.index_set
-        if i.is_finite:
-            return complement_in_algebra(cof_elem(None, i))
-        return cof_elem(None, i.complement())
+        return CofElem(seq.index_set.is_finite, seq.index_set.complement())
     if isinstance(seq, EventuallyConstant):
         _require_monotone(seq.elems)
         return seq.elems[-1]
@@ -530,12 +505,12 @@ def double_limit_check(seq) -> DoubleLimitCheck:
     lhs = cof_join(monotone_limit(seq), monotone_limit(ComplementChain(i)))
     if i.is_finite:
         m = i.max_or_zero() + 1
-        inner = cof_join(seq.term(m), complement_in_algebra(cof_elem(None, i)))
+        inner = cof_join(seq.term(m), complement_in_algebra(ys_elem(i)))
         rhs = inner
     else:
         # inner limit at level m: join of the prefix with the complement's
         # eventual part, a tailless element; the outer limit is increasing.
-        rhs = cof_elem(None, i.complement().union(i))
+        rhs = ys_elem(i.complement().union(i))
     return DoubleLimitCheck(lhs == rhs, lhs, rhs)
 
 
@@ -550,10 +525,8 @@ class CofUltrafilter:
 
     def contains(self, e: CofElem) -> bool:
         if self.kind == "principal":
-            return e.ys.bit(self.index) == 1 or (
-                e.tail is not None and self.index >= e.tail
-            )
-        return e.tail is not None
+            return self.index in e.index_set
+        return e.tailed
 
     def infimum(self) -> CofElem:
         if self.kind == "principal":
@@ -631,7 +604,7 @@ def bounded_elements(max_support: int, max_tail: int):
     out = set()
     for mask in range(1 << max_support):
         s = _finite(mask)
-        out.add(cof_elem(None, s))
+        out.add(ys_elem(s))
         for m in range(1, max_tail + 1):
             out.add(cof_elem(m, s))
     return sorted(out, key=lambda e: (e.tail or 0, str(e.ys)))

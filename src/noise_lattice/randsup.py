@@ -34,7 +34,6 @@ class SampleConfig:
     ps: tuple
     seed: int
     trials: int
-    c_exponents: tuple | None = None  # defaults to n^2 per level
 
     def __post_init__(self):
         if len(self.atom_counts) != len(self.ps):
@@ -187,6 +186,5 @@ def element_distribution_pvalue(n_atoms: int, p: float, seed: int, trials: int):
 
 
 def inclusion_decay(cfg: SampleConfig) -> list:
-    """The sequence (1-p_n)^(c_n), reported for inspection only."""
-    cs = cfg.c_exponents or tuple((n + 1) ** 2 for n in range(len(cfg.ps)))
-    return [float((1.0 - p) ** c) for p, c in zip(cfg.ps, cs)]
+    """The sequence (1-p_n)^(n^2), n = 1, 2, ..., reported for inspection only."""
+    return [float((1.0 - p) ** (n * n)) for n, p in enumerate(cfg.ps, 1)]

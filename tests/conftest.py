@@ -3,8 +3,9 @@
 These deliberately recompute library results by other routes: sigma-fields
 as explicit set systems, projections as dense matrices, the first chaos by
 elimination, the best atomless cover by enumerating every cover,
-eventually periodic sets one position at a time.  Tests compare the
-production path against these.
+eventually periodic sets one position at a time, the cofinite lattice
+by its (tail, pair indices) case analysis.  Tests compare the production
+path against these.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from math import lcm
 
 import pytest
 
+from noise_lattice.cofinite import range_set, tail_set
 from noise_lattice.finmeas import RV, ProbSpace, Subspace, indicator, mk_space, span_on
 from noise_lattice.linalg import exact_nullspace, float_nullspace
 from noise_lattice.sigma import SigmaField, cond_exp, partition
@@ -175,6 +177,40 @@ def cof_elem_oracle(tail, ys) -> tuple:
         bits.pop()
         tail -= 1
     return tail, canonical_bits(bits, ())
+
+
+def cof_meet_oracle(a, b) -> tuple:
+    """(tail, ``{pre;per}``) of the meet, case by case on the tails.
+
+    With both tails present the shallower element is rewritten over the
+    independent generators at the deeper tail (t(m) = y(m) v ... v t(m'))
+    and the meet keeps the shared generators; a tail meets a tailless
+    element in the pair indices the tailless side shares with it.
+    """
+    if a.tail is not None and b.tail is not None:
+        if a.tail > b.tail:
+            a, b = b, a
+        expanded = a.ys.union(range_set(a.tail, b.tail))
+        return cof_elem_oracle(b.tail, expanded.intersect(b.ys))
+    if a.tail is None and b.tail is None:
+        return cof_elem_oracle(None, a.ys.intersect(b.ys))
+    if a.tail is None:
+        a, b = b, a
+    return cof_elem_oracle(None, a.ys.union(tail_set(a.tail)).intersect(b.ys))
+
+
+def cof_join_oracle(a, b) -> tuple:
+    """(tail, ``{pre;per}``) of the join: the smaller tail, the union of the pair indices."""
+    tails = [t for t in (a.tail, b.tail) if t is not None]
+    return cof_elem_oracle(min(tails) if tails else None, a.ys.union(b.ys))
+
+
+def complement_oracle(e) -> tuple:
+    """(tail, ``{pre;per}``) of the complement in B of a tailed or finite element."""
+    if e.tail is not None:
+        return cof_elem_oracle(None, range_set(1, e.tail).intersect(e.ys.complement()))
+    m = e.ys.max_or_zero() + 1
+    return cof_elem_oracle(m, range_set(1, m).intersect(e.ys.complement()))
 
 
 @pytest.fixture

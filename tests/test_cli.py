@@ -3,11 +3,18 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from noise_lattice.cli import main
+from noise_lattice.cli import UsageError, _load, main
 from noise_lattice.cofinite import MAX_BITS
+from noise_lattice.errors import NoiseLatticeError
+from noise_lattice.finmeas import space_from_json
+from noise_lattice.ntba import ntba_from_json
 
 RUN = [sys.executable, "-m", "noise_lattice.cli"]
 
@@ -255,6 +262,40 @@ def test_bad_command_line_values_are_usage_errors(tmp_path, capsys):
         assert f"argument {argv[-2]}" in capsys.readouterr().err
 
 
+def test_nonpositive_sizes_are_usage_errors(capsys):
+    for argv in (
+        ["space", "dyadic", "0"],
+        ["space", "dyadic", "-3"],
+        ["ntba", "coords", "0"],
+        ["ntba", "parity", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "argument n: must be at least 1" in err and "Traceback" not in err, err
+
+
+def test_zero_denominator_in_input_files_is_a_usage_error(tmp_path, capsys):
+    space = {"outcomes": ["a", "b"], "probs": ["1/0", "1/2"]}
+    algebra = {"space": space, "atoms": [{"blocks": [[0], [1]]}]}
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    (tmp_path / "algebra.json").write_text(json.dumps(algebra))
+    (tmp_path / "x.json").write_text(json.dumps({"blocks": [[0], [1]]}))
+    s, b, x = (str(tmp_path / n) for n in ("space.json", "algebra.json", "x.json"))
+    for argv in (
+        ["space", "load", s],
+        ["sigma", "meet", s, x, x],
+        ["ntba", "validate", b],
+        ["ntba", "restrict", b, "0"],
+        ["chaos", "report", b],
+        ["spectrum", "report", b],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
 def test_randsup_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["randsup", "run", "--ps", "0.1", "--trials", "0"])
@@ -267,3 +308,48 @@ def test_report_json_roundtrip(capsys):
     blob = capsys.readouterr().out
     rep = json.loads(blob)
     assert json.loads(json.dumps(rep)) == rep
+
+
+# arbitrary JSON, weighted towards the shapes the loaders read
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers(-(2**1100), 2**1100)
+    | st.floats()
+    | st.text(alphabet="0123456789/-.e ab", max_size=6)
+    | st.sampled_from(["1/2", "1/3", "1/0", "0/1", "-1/2", "1e400", "nan", "inf"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["outcomes", "probs", "space", "atoms", "blocks", "x"]), inner, max_size=3
+    ),
+    max_leaves=12,
+)
+space_objs = json_values | st.fixed_dictionaries(
+    {"outcomes": st.lists(json_scalars, max_size=4), "probs": st.lists(json_scalars, max_size=4)}
+)
+blocks = st.lists(st.lists(st.integers(-1, 4) | json_scalars, max_size=4), max_size=4)
+ntba_objs = json_values | st.fixed_dictionaries(
+    {
+        "space": space_objs,
+        "atoms": st.lists(st.fixed_dictionaries({"blocks": blocks}) | json_values, max_size=3),
+    }
+)
+
+
+@given(st.sampled_from([space_from_json, ntba_from_json]), space_objs | ntba_objs)
+@example(space_from_json, {"outcomes": ["a", "b"], "probs": ["1/0", "1/2"]})
+@example(space_from_json, {"outcomes": ["a", "b"], "probs": [0.5, 2**1100]})
+@example(space_from_json, {"outcomes": ["a", "b"], "probs": [0.5, "1e400"]})
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_input_files_parse_or_raise_a_reported_error(parse, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(obj))
+        try:
+            _load(str(path), parse)
+        except (UsageError, NoiseLatticeError):
+            pass

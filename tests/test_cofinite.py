@@ -7,7 +7,14 @@ import random
 import time
 
 import pytest
-from conftest import canonical_bits, cof_elem_oracle, pointwise_binop
+from conftest import (
+    canonical_bits,
+    cof_elem_oracle,
+    cof_join_oracle,
+    cof_meet_oracle,
+    complement_oracle,
+    pointwise_binop,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +24,11 @@ from noise_lattice.errors import CapacityError, NoiseLatticeError, UnsupportedSe
 from noise_lattice.finmeas import coordinate_sign
 from noise_lattice.ntba import mk_parity_ntba
 from noise_lattice.sigma import join, meet, sigma_of_rvs
+
+def _tail_and_ys(e) -> tuple:
+    """An element in the oracles' (tail, ``{pre;per}``) form."""
+    return e.tail, str(e.ys)
+
 
 bit_lists = st.lists(st.integers(0, 1), max_size=12)
 period_lists = st.lists(st.integers(0, 1), min_size=1, max_size=12)
@@ -39,17 +51,15 @@ def test_canonical_form_preserves_membership(s):
 @given(natsets, natsets)
 @settings(max_examples=300)
 def test_set_ops_match_pointwise_semantics(a, b):
-    u, i, d = a.union(b), a.intersect(b), a.minus(b)
+    u, i = a.union(b), a.intersect(b)
     c = a.complement()
     for p in range(1, 40):
         assert u.bit(p) == (a.bit(p) | b.bit(p))
         assert i.bit(p) == (a.bit(p) & b.bit(p))
-        assert d.bit(p) == (a.bit(p) & (1 - b.bit(p)))
         assert c.bit(p) == 1 - a.bit(p)
     # the canonical forms agree with the per-bit route
     assert str(u) == pointwise_binop(a, b, lambda p, q: p | q)
     assert str(i) == pointwise_binop(a, b, lambda p, q: p & q)
-    assert str(d) == pointwise_binop(a, b, lambda p, q: p & (1 - q))
     assert str(c) == pointwise_binop(a, a, lambda p, _: 1 - p)
 
 
@@ -69,8 +79,42 @@ def test_natset_matches_tuple_canonical_form(pre, per):
 @given(st.one_of(st.none(), st.integers(1, 30)), natsets)
 @settings(max_examples=300)
 def test_cof_elem_matches_pointwise_oracle(tail, ys):
-    e = cf.cof_elem(tail, ys)
-    assert (e.tail, str(e.ys)) == cof_elem_oracle(tail, ys)
+    assert _tail_and_ys(cf.cof_elem(tail, ys)) == cof_elem_oracle(tail, ys)
+
+
+def _check_against_case_oracles(a, b):
+    assert _tail_and_ys(cf.cof_meet(a, b)) == cof_meet_oracle(a, b)
+    assert _tail_and_ys(cf.cof_join(a, b)) == cof_join_oracle(a, b)
+    if cf.in_algebra(a):
+        assert _tail_and_ys(cf.complement_in_algebra(a)) == complement_oracle(a)
+
+
+def test_lattice_ops_match_case_oracles_exhaustively():
+    probe = cf.bounded_elements(4, 5)
+    for a, b in itertools.product(probe, repeat=2):
+        _check_against_case_oracles(a, b)
+
+
+elems = st.one_of(
+    st.builds(cf.ys_elem, natsets),
+    st.builds(cf.cof_elem, st.integers(1, 30), natsets),
+)
+
+
+@given(elems, elems)
+@settings(max_examples=300)
+def test_lattice_ops_match_case_oracles(a, b):
+    _check_against_case_oracles(a, b)
+
+
+def test_tailed_element_needs_cofinite_index_set():
+    for s in (cf.EMPTY_SET, cf.finite_set([1, 4]), cf.progression(2)):
+        with pytest.raises(ValueError):
+            cf.CofElem(True, s)
+    assert cf.CofElem(True, cf.tail_set(3)) == cf.x(3)
+    # the gap: sup_k y(k) and t(1) share the index set and differ in the flag
+    assert cf.ys_elem(cf.FULL_SET).index_set == cf.ONE.index_set
+    assert cf.ys_elem(cf.FULL_SET) != cf.ONE
 
 
 def test_long_period_union_is_word_operations():

@@ -115,8 +115,6 @@ def test_config_validation():
 def test_inclusion_decay_default_exponents():
     cfg = SampleConfig((2, 2, 2), (0.5, 0.5, 0.5), seed=0, trials=1)
     assert inclusion_decay(cfg) == [0.5, 0.5**4, 0.5**9]
-    cfg2 = SampleConfig((2,), (0.5,), seed=0, trials=1, c_exponents=(3,))
-    assert inclusion_decay(cfg2) == [0.125]
 
 
 def test_trial_streams_are_independent_of_order():
