@@ -949,9 +949,11 @@ def run_all(seed: int, cases: int | None = None, inject_fault: bool = False) -> 
     case so the harness contract (nonzero exit, witness payload) can be
     exercised end to end.
     """
+    if cases is not None and cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     results = []
     for fn, default_cases in SUITES:
-        n = default_cases if cases is None else max(1, min(default_cases, cases))
+        n = default_cases if cases is None else min(default_cases, cases)
         rng = random.Random(f"{seed}:{fn.__name__}")
         results.append(fn(rng, n))
     if inject_fault:

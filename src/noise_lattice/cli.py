@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="run the randomized property suites")
     ck.add_argument("check_cmd", choices=["all"])
     ck.add_argument("--seed", type=int, default=0)
-    ck.add_argument("--cases", type=int, default=None)
+    ck.add_argument("--cases", type=_int_at_least(1), default=None)
     ck.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     ck.add_argument("--format", choices=["text", "json"], default="json")
     ck.set_defaults(fn=cmd_check)

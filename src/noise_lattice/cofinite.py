@@ -165,18 +165,28 @@ class NatSet:
         per = _rotate(self.per, self.nper, npre - self.npre)
         return self._prefix(npre), _repeat(per, self.nper, nper // self.nper)
 
-    def _combine(self, other: "NatSet", op) -> "NatSet":
-        """Apply a bitwise op to both sets over max(npre) and lcm(nper) bits."""
-        npre, nper = max(self.npre, other.npre), lcm(self.nper, other.nper)
+    def _combine(self, other: "NatSet", op, absorbing: int) -> "NatSet":
+        """Apply a bitwise op to both sets over max(npre) and lcm(nper) bits.
+
+        When one set's period is the single bit that absorbs the op (1 for
+        union, 0 for intersection), so is the result's: both sets are then
+        read over max(npre) bits only, whatever the other period.  That
+        needs no guard, since each operand already has npre + nper <=
+        MAX_BITS.
+        """
+        npre = max(self.npre, other.npre)
+        if (1, absorbing) in ((self.nper, self.per), (other.nper, other.per)):
+            return _canon(op(self._prefix(npre), other._prefix(npre)), npre, absorbing, 1)
+        nper = lcm(self.nper, other.nper)
         _guard(npre + nper)
         (a, p), (b, q) = self._extend(npre, nper), other._extend(npre, nper)
         return _canon(op(a, b), npre, op(p, q), nper)
 
     def union(self, other: "NatSet") -> "NatSet":
-        return self._combine(other, or_)
+        return self._combine(other, or_, 1)
 
     def intersect(self, other: "NatSet") -> "NatSet":
-        return self._combine(other, and_)
+        return self._combine(other, and_, 0)
 
     def complement(self) -> "NatSet":
         # flipping every bit keeps the period primitive and the preperiod shortest

@@ -3,7 +3,9 @@
 A space carries either exact-rational probabilities (the default for
 dyadic constructions) or float probabilities.  It picks the matching
 ``linalg`` backend once, when it is built, and every random variable and
-every rank/equality decision downstream goes through that backend.
+every rank/equality decision downstream goes through that backend.  The
+backend also scales the probabilities once into the weights that the
+inner loops sum: integers over one common total in rational mode.
 """
 
 from __future__ import annotations
@@ -24,12 +26,17 @@ class ProbSpace:
 
     ``probs`` holds Fractions (rational mode) or floats (float mode);
     a mix of the two is rejected.  ``backend`` is the ``linalg`` backend
-    that the probabilities select.
+    that the probabilities select.  ``weights`` and ``total`` are the
+    probabilities as the backend computes with them, p_i = weights[i] /
+    total: in rational mode integers over the lcm of the denominators, in
+    float mode the probabilities themselves over 1.0.
     """
 
     outcomes: tuple
     probs: tuple
     backend: object = field(init=False, repr=False, compare=False)
+    weights: tuple = field(init=False, repr=False, compare=False)
+    total: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.outcomes) != len(self.probs):
@@ -44,9 +51,11 @@ class ProbSpace:
         object.__setattr__(self, "backend", backend)
         if any(p <= 0 for p in self.probs):
             raise ValueError("probabilities must be strictly positive")
-        total = sum(self.probs)
-        if not backend.sums_to_one(total):
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        weights, total = backend.scale(self.probs)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "total", total)
+        if not backend.sums_to_one(weights, total):
+            raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
 
     @property
     def mode(self) -> str:
@@ -155,7 +164,7 @@ def walsh_character(space: ProbSpace, ks) -> RV:
 def inner(f: RV, g: RV):
     """The probability-weighted inner product E[fg]."""
     _same_space(f, g)
-    return f.space.backend.dot(f.values, g.values, f.space.probs)
+    return f.space.backend.dot(f.values, g.values, f.space)
 
 
 def norm2(f: RV):
@@ -227,9 +236,7 @@ def span(vs, space: ProbSpace | None = None) -> Subspace:
 
 
 def span_on(space: ProbSpace, vs) -> Subspace:
-    basis, norms2 = space.backend.orthogonalize(
-        [v.values for v in vs], list(space.probs)
-    )
+    basis, norms2 = space.backend.orthogonalize([v.values for v in vs], space)
     return Subspace(space, [RV(space, tuple(b)) for b in basis], norms2=norms2)
 
 

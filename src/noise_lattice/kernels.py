@@ -2,13 +2,14 @@
 
 The kernels operate on lists of Python ints, so results are exact.
 Rational inputs are scaled to integers by the callers (see ``linalg``).
+Every step is fraction-free: a row is combined with another by integer
+multiples and then divided by the gcd of its entries, so no entry ever
+needs a denominator.
 """
 
 from math import gcd
 
-# There is one implementation, in pure Python.  A compiled twin gained
-# little: these kernels are about 2% of exact first-chaos time, since the
-# Fraction arithmetic around them dominates.  The name stays because
+# There is one implementation, in pure Python.  The name stays because
 # reports print it as ``versions.kernel`` and must stay byte-identical.
 BACKEND = "pure"
 
@@ -23,47 +24,39 @@ def weighted_dot_int(u, v, w):
 
 
 def row_echelon_int(rows):
-    """Fraction-free row echelon form (Bareiss).  Returns (matrix, pivot_cols).
+    """Row echelon form, built one row at a time.  Returns (rows, pivot_cols).
 
-    The input is not mutated.  Every division below is exact by the
-    Sylvester determinant identity, so entries stay integers and grow no
-    faster than minors of the input.
+    Each input row is reduced against the rows kept so far: while its
+    leading column holds the pivot p of a kept row, it becomes
+    (p/g)*row - (e/g)*kept, with e its entry there and g = gcd(p, e).  A
+    nonzero remainder is kept, divided by the gcd of its entries, with its
+    leading column as pivot.  The kept rows come back sorted by pivot
+    column, one per rank, so they span the row space of the input.  The
+    input is not mutated.
     """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    piv_cols = []
-    prev = 1
-    r = 0
-    for c in range(nc):
-        p = -1
-        for i in range(r, nr):
-            if m[i][c]:
-                p = i
+    kept = {}  # pivot column -> primitive row whose leading entry sits there
+    nc = len(rows[0]) if rows else 0
+    for row in rows:
+        r = list(row)
+        c = 0
+        while True:
+            while c < nc and not r[c]:
+                c += 1
+            if c == nc:
                 break
-        if p < 0:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        pv = m[r][c]
-        row_r = m[r]
-        for i in range(r + 1, nr):
-            row_i = m[i]
-            fi = row_i[c]
-            if fi:
-                for j in range(c, nc):
-                    row_i[j] = (pv * row_i[j] - fi * row_r[j]) // prev
-            else:
-                for j in range(c, nc):
-                    x = row_i[j]
-                    if x:
-                        row_i[j] = pv * x // prev
-        prev = pv
-        piv_cols.append(c)
-        r += 1
-        if r == nr:
+            pivot_row = kept.get(c)
+            if pivot_row is None:
+                kept[c] = _strip_gcd(r)
+                break
+            p, e = pivot_row[c], r[c]
+            g = gcd(p, e)
+            p, e = p // g, e // g
+            for j in range(c, nc):
+                r[j] = p * r[j] - e * pivot_row[j]
+        if len(kept) == nc:
             break
-    return m, piv_cols
+    piv_cols = sorted(kept)
+    return [kept[c] for c in piv_cols], piv_cols
 
 
 def _strip_gcd(v):

@@ -1,50 +1,46 @@
 """Exact rational and float linear algebra on coordinate vectors.
 
-Rational vectors are scaled to integers and routed through the elimination
-kernels; float vectors go through numpy.  Every rank/equality decision is
-made inside one backend, never by mixing the two: ``EXACT`` for spaces
-with Fraction probabilities, ``FLOAT`` for float ones.  A probability space
-picks its backend once (``backend_of``), and the modules above ask that
-backend for zero, one, constants, equality, rank and orthogonalization
+Every rank/equality decision is made inside one backend, never by mixing
+the two: ``EXACT`` for spaces with Fraction probabilities, ``FLOAT`` for
+float ones.  A probability space picks its backend once (``backend_of``),
+and the modules above ask that backend for zero, one, constants, weights,
+block averages, inner products, equality, rank and orthogonalization
 instead of branching on the mode themselves.  The float tolerances live
 here and nowhere else.
+
+Exact mode computes on integers.  A rational space holds integer weights
+w_i over one total W, the lcm of its denominators (``ExactBackend.scale``),
+and a vector of Fractions becomes integers over one denominator
+(``to_int``).  Sums, products and comparisons of probabilities are then
+Python ``int`` arithmetic and the elimination kernels; a ``Fraction`` is
+built only for a value handed back: a block mass, a block average, an
+inner product, a basis entry.  The float backend uses the probabilities
+themselves as weights, with W = 1.0, and numpy.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 
 import numpy as np
 
-from .kernels import orthogonalize_int, row_echelon_int
+from .kernels import orthogonalize_int, row_echelon_int, weighted_dot_int
 
 FLOAT_TOL = 1e-9  # entrywise equality, norm and singular-value cutoff
 GROUP_TOL = 1e-7  # float values closer than this share a level set
 PROB_SUM_TOL = 1e-12  # float probabilities must sum to 1 within this
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def to_int(values):
+    """(ints, den): Fractions or ints as integers over their least common denominator.
 
-
-def scale_row_to_int(row) -> list:
-    """Clear denominators of one vector of Fractions (or ints)."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = _lcm(den, x.denominator)
-    return [int(x * den) for x in row]
-
-
-def scale_weights_to_int(weights):
-    """Clear denominators of a weight vector; returns (ints, scale)."""
-    den = 1
-    for w in weights:
-        den = _lcm(den, Fraction(w).denominator)
-    return [int(Fraction(w) * den) for w in weights], den
+    ``ints[i] / den == values[i]``; integer operations only.
+    """
+    den = lcm(*{x.denominator for x in values})
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def exact_rank(rows) -> int:
-    rows = [scale_row_to_int(r) for r in rows]
+    rows = [to_int(r)[0] for r in rows]
     rows = [r for r in rows if any(r)]
     if not rows:
         return 0
@@ -59,12 +55,12 @@ def exact_rref(rows):
     them; two lists of vectors span the same subspace iff their forms are
     equal, which makes this the canonical key for subspace identity.
     """
-    int_rows = [scale_row_to_int(r) for r in rows]
+    int_rows = [to_int(r)[0] for r in rows]
     int_rows = [r for r in int_rows if any(r)]
     if not int_rows:
         return ()
     ech, piv = row_echelon_int(int_rows)
-    work = [[Fraction(x) for x in ech[i]] for i in range(len(piv))]
+    work = [[Fraction(x) for x in row] for row in ech]
     for i in reversed(range(len(piv))):
         c = piv[i]
         pivval = work[i][c]
@@ -81,7 +77,7 @@ def exact_nullspace(rows):
 
     One basis vector per free column, with that coordinate set to 1.
     """
-    int_rows = [scale_row_to_int(r) for r in rows]
+    int_rows = [to_int(r)[0] for r in rows]
     int_rows = [r for r in int_rows if any(r)]
     if not int_rows:
         return None  # caller interprets: whole space
@@ -106,17 +102,18 @@ def exact_nullspace(rows):
     return basis
 
 
-def exact_orthogonalize(vectors, weights):
+def exact_orthogonalize(vectors, weights, total):
     """Weighted Gram-Schmidt over the rationals, unnormalized.
 
-    Returns (basis, norms2) where basis vectors have integer entries
-    (as Fractions) and norms2 are their exact squared weighted norms.
+    ``weights`` are the integer outcome weights over ``total`` (see
+    ``ExactBackend.scale``).  Returns (basis, norms2) where basis vectors
+    have integer entries (as Fractions) and norms2 are their exact squared
+    weighted norms.
     """
-    w_int, scale = scale_weights_to_int(weights)
-    int_vecs = [scale_row_to_int(v) for v in vectors]
-    basis, norms = orthogonalize_int(int_vecs, w_int)
+    int_vecs = [to_int(v)[0] for v in vectors]
+    basis, norms = orthogonalize_int(int_vecs, weights)
     out_basis = [[Fraction(x) for x in b] for b in basis]
-    out_norms = [Fraction(n, scale) for n in norms]
+    out_norms = [Fraction(n, total) for n in norms]
     return out_basis, out_norms
 
 
@@ -160,10 +157,12 @@ def float_nullspace(rows):
 
 
 class ExactBackend:
-    """Fractions: every decision is an exact comparison, with no tolerance.
+    """Fractions at the boundary, integers inside: every decision is exact.
 
-    Vectors are tuples or lists of the values of one random variable;
-    ``weights`` are the outcome probabilities.
+    Vectors are tuples or lists of the values of one random variable.  A
+    space's ``weights`` are integers w_i over its ``total`` W (``scale``),
+    so sums and products of probabilities are int arithmetic and every
+    comparison an integer cross-multiplication, with no tolerance.
     """
 
     name = "rational"
@@ -177,8 +176,21 @@ class ExactBackend:
     def to_json(self, p) -> str:
         return f"{p.numerator}/{p.denominator}"
 
-    def sums_to_one(self, total) -> bool:
-        return total == 1
+    def scale(self, probs):
+        """(weights, W): integer weights over the lcm W of the denominators."""
+        weights, total = to_int(probs)
+        return tuple(weights), total
+
+    def sums_to_one(self, weights, total) -> bool:
+        return sum(weights) == total
+
+    def ratio(self, weight, total) -> Fraction:
+        """The probability of a weight, as one Fraction."""
+        return Fraction(weight, total)
+
+    def is_product(self, cell, factors, total) -> bool:
+        """Whether cell/W = prod(f/W) over the factors, as cell*W^(n-1) = prod(f)."""
+        return cell * total ** (len(factors) - 1) == prod(factors)
 
     def equal(self, a, b) -> bool:
         return a == b
@@ -190,12 +202,28 @@ class ExactBackend:
         """One hashable level label per entry: equal labels, same level set."""
         return values
 
-    def dot(self, u, v, weights):
-        return sum(p * a * b for p, a, b in zip(weights, u, v))
+    def block_means(self, labels, block_weights, values, weights):
+        """Per block k, the weighted average of values over the outcomes labelled k.
 
-    def orthogonalize(self, vectors, weights):
+        One pass of integer products w_i*n_i over the values' numerators
+        n_i (common denominator d), then one Fraction(S_k, d*w_k) per block.
+        """
+        nums, den = to_int(values)
+        sums = [0] * len(block_weights)
+        for k, w, n in zip(labels, weights, nums):
+            if n:
+                sums[k] += w * n
+        return [Fraction(s, den * w) for s, w in zip(sums, block_weights)]
+
+    def dot(self, u, v, space):
+        """E[uv] under the space's weights, one Fraction at the end."""
+        a, da = to_int(u)
+        b, db = (a, da) if v is u else to_int(v)
+        return Fraction(weighted_dot_int(a, b, space.weights), da * db * space.total)
+
+    def orthogonalize(self, vectors, space):
         """(basis, norms2): an orthogonal basis of the span and its squared norms."""
-        return exact_orthogonalize(vectors, weights)
+        return exact_orthogonalize(vectors, space.weights, space.total)
 
     def rank(self, rows) -> int:
         return exact_rank(rows)
@@ -206,7 +234,11 @@ class ExactBackend:
 
 
 class FloatBackend:
-    """Floats: entrywise equality within FLOAT_TOL and numerical rank by SVD."""
+    """Floats: entrywise equality within FLOAT_TOL and numerical rank by SVD.
+
+    A space's weights are its probabilities and its total is 1.0, so every
+    method does the float arithmetic of the plain probability formula.
+    """
 
     name = "float"
     zero = 0.0
@@ -219,8 +251,20 @@ class FloatBackend:
     def to_json(self, p) -> float:
         return float(p)
 
-    def sums_to_one(self, total) -> bool:
-        return abs(total - 1.0) <= PROB_SUM_TOL
+    def scale(self, probs):
+        return probs, 1.0
+
+    def sums_to_one(self, weights, total) -> bool:
+        return abs(sum(weights) - total) <= PROB_SUM_TOL
+
+    def ratio(self, weight, total) -> float:
+        return weight / total
+
+    def is_product(self, cell, factors, total) -> bool:
+        expected = 1.0
+        for f in factors:
+            expected *= f / total
+        return abs(cell / total - expected) <= self.tol
 
     def equal(self, a, b) -> bool:
         return all(abs(x - y) <= self.tol for x, y in zip(a, b))
@@ -243,11 +287,17 @@ class FloatBackend:
             labels[cur] = level
         return labels
 
-    def dot(self, u, v, weights):
-        return float(np.dot(np.asarray(weights) * np.asarray(u), np.asarray(v)))
+    def block_means(self, labels, block_weights, values, weights):
+        sums = [0] * len(block_weights)
+        for k, p, v in zip(labels, weights, values):
+            sums[k] += p * v
+        return [s / w for s, w in zip(sums, block_weights)]
 
-    def orthogonalize(self, vectors, weights):
-        basis = float_orthonormalize(vectors, weights)
+    def dot(self, u, v, space):
+        return float(np.dot(np.asarray(space.weights) * np.asarray(u), np.asarray(v)))
+
+    def orthogonalize(self, vectors, space):
+        basis = float_orthonormalize(vectors, space.weights)
         return [b.tolist() for b in basis], [1.0] * len(basis)
 
     def rank(self, rows) -> int:

@@ -51,15 +51,13 @@ class NTBA:
             if a.n_blocks == 1:
                 return "atoms must differ from the trivial sigma-field"
         joint = _table(self.space, [a.labels for a in self.atoms])
-        backend = self.space.backend
+        is_product, total = self.space.backend.is_product, self.space.total
         # an absent cell is a structural zero against a positive product, so
         # the lexicographic walk stops within the present cells plus one
         for key in itertools.product(*(range(a.n_blocks) for a in self.atoms)):
             got = joint.get(key)
-            expected = backend.one
-            for a, bi in zip(self.atoms, key):
-                expected *= a.masses[bi]
-            if got is None or not backend.equal((got,), (expected,)):
+            factors = [a.weights[bi] for a, bi in zip(self.atoms, key)]
+            if got is None or not is_product(got, factors, total):
                 return f"atoms are not mutually independent at block tuple {key}"
         if len(joint) != self.space.size:
             return "the join of the atoms is not the discrete sigma-field"

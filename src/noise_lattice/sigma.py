@@ -8,19 +8,20 @@ partition the bottom.  Conditional expectation is block averaging.
 A ``SigmaField`` is its label vector: ``labels[i]`` numbers the block of
 outcome i, blocks numbered 0, 1, ... in the order of their least outcome.
 That numbering is canonical, so the labels alone give equality and
-hashing; the blocks and the block masses are derived from them on first
-read.  One first-seen numbering builds every field: ``partition`` (the one
-check of blocks from outside), ``trivial``, ``discrete``, every join (one
-grouping of the outcomes by their tuple of labels) and the meet (one
-union-find over the blocks of both fields).
+hashing; the blocks and the block weights and masses are derived from
+them on first read.  One first-seen numbering builds every field:
+``partition`` (the one check of blocks from outside), ``trivial``,
+``discrete``, every join (one grouping of the outcomes by their tuple of
+labels) and the meet (one union-find over the blocks of both fields).
 Independence and commuting are one test: x and y are conditionally
 independent given a z below both iff, within every z-block c, every
-x-block a and y-block b in c satisfy P(a & b | c) = P(a | c) P(b | c).
-Conditioning on c keeps the float comparison on the scale of
-probabilities.  A pair that does not meet at all is a structural zero and
-fails at once, so the test is linear in the outcomes.  Independence is
-this test given the trivial field; the projections Q_x and Q_y commute
-iff it holds given x ^ y (the classical criterion).
+x-block a and y-block b in c satisfy P(a & b | c) = P(a | c) P(b | c):
+in rational mode one integer cross-multiplication of block weights, in
+float mode a comparison on the scale of probabilities.  A pair that does
+not meet at all is a structural zero and fails at once, so the test is
+linear in the outcomes.  Independence is this test given the trivial
+field; the projections Q_x and Q_y commute iff it holds given x ^ y (the
+classical criterion).
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ class SigmaField:
 
     ``labels[i]`` is the index of the block holding outcome i, the blocks
     numbered in the order of their least outcome.  Only the labels are
-    hashed; ``n_blocks``, ``blocks`` and ``masses`` (block probabilities)
-    are derived from them on first read.
+    hashed; ``n_blocks``, ``blocks``, ``weights`` (block sums of the
+    space's weights: ints in rational mode) and ``masses`` (block
+    probabilities, each weight over the space's total) are derived from
+    them on first read.
     """
 
     space: ProbSpace = field(hash=False)
@@ -68,11 +71,16 @@ class SigmaField:
         return tuple(map(tuple, blocks))
 
     @cached_property
+    def weights(self) -> tuple:
+        weights = [0] * self.n_blocks
+        for k, w in zip(self.labels, self.space.weights):
+            weights[k] += w
+        return tuple(weights)
+
+    @cached_property
     def masses(self) -> tuple:
-        masses = [0] * self.n_blocks
-        for k, p in zip(self.labels, self.space.probs):
-            masses[k] += p
-        return tuple(masses)
+        space = self.space
+        return tuple(space.backend.ratio(w, space.total) for w in self.weights)
 
     def is_coarser_eq(self, other: "SigmaField") -> bool:
         """True iff self <= other in the lattice (other refines self)."""
@@ -131,10 +139,10 @@ def _group(space: ProbSpace, labelings) -> SigmaField:
 
 
 def _table(space: ProbSpace, labelings) -> dict:
-    """The contingency table: label tuple -> mass, for the present cells only."""
+    """The contingency table: label tuple -> weight, for the present cells only."""
     table: dict = {}
-    for key, p in zip(zip(*labelings), space.probs):
-        table[key] = table.get(key, 0) + p
+    for key, w in zip(zip(*labelings), space.weights):
+        table[key] = table.get(key, 0) + w
     return table
 
 
@@ -205,10 +213,7 @@ def cond_exp(x: SigmaField, f: RV) -> RV:
     """Conditional expectation given x: the block average of f."""
     if x.space != f.space:
         raise DomainMismatchError("sigma-field and RV on different spaces")
-    sums = [0] * x.n_blocks
-    for k, p, v in zip(x.labels, x.space.probs, f.values):
-        sums[k] += p * v
-    avgs = [s / mass for s, mass in zip(sums, x.masses)]
+    avgs = x.space.backend.block_means(x.labels, x.weights, f.values, x.space.weights)
     return RV(x.space, tuple(map(avgs.__getitem__, x.labels)))
 
 
@@ -217,11 +222,12 @@ def _cond_independent(x: SigmaField, y: SigmaField, z: SigmaField) -> bool:
 
     The present cells of the contingency table are the blocks of x v y.
     Within each z-block c, every x-block a and y-block b in c must meet, and
-    the law given c must be a product: P(a & b | c) = P(a | c) P(b | c) by
-    the backend's equality.  Conditioning on c keeps the compared values on
-    the scale of probabilities however small P(c) is; given the trivial
-    field they are the plain masses.  An absent cell is a structural zero
-    against P(a) P(b) > 0, so the loop stops at the first one and never
+    the law given c must be a product: P(a & b | c) = P(a | c) P(b | c),
+    decided by the backend (``is_product``) on the block weights.  In
+    rational mode that is the integer comparison w_ab w_c = w_a w_b; in float
+    mode conditioning on c keeps the compared values on the scale of
+    probabilities however small P(c) is.  An absent cell is a structural
+    zero against P(a) P(b) > 0, so the loop stops at the first one and never
     visits more than the present cells plus one.
     """
     _chk(x, y)
@@ -232,17 +238,13 @@ def _cond_independent(x: SigmaField, y: SigmaField, z: SigmaField) -> bool:
         # z <= part, so each part-block lies in one z-block; the dict keeps
         # the part-blocks in label order
         for k, c in dict(zip(part.labels, z.labels)).items():
-            inside[c].append((k, part.masses[k]))
-    equal = x.space.backend.equal
-    for c, pc in enumerate(z.masses):
-        ys_given_c = [(b, pb / pc) for b, pb in ys_in[c]]
-        for a, pa in xs_in[c]:
-            pa_c = pa / pc
-            for b, pb_c in ys_given_c:
-                pab = table.get((a, b))
-                if pab is None:
-                    return False
-                if not equal((pab / pc,), (pa_c * pb_c,)):
+            inside[c].append((k, part.weights[k]))
+    is_product = x.space.backend.is_product
+    for c, wc in enumerate(z.weights):
+        for a, wa in xs_in[c]:
+            for b, wb in ys_in[c]:
+                wab = table.get((a, b))
+                if wab is None or not is_product(wab, (wa, wb), wc):
                     return False
     return True
 

@@ -4,12 +4,17 @@ These deliberately recompute library results by other routes: sigma-fields
 as explicit set systems, projections as dense matrices, the first chaos by
 elimination, the best atomless cover by enumerating every cover,
 eventually periodic sets one position at a time, the cofinite lattice
-by its (tail, pair indices) case analysis.  Tests compare the production
-path against these.
+by its (tail, pair indices) case analysis, and block masses, block
+averages, inner products and the product rules summed one outcome at a
+time on the probabilities themselves (Fractions in rational mode) rather
+than on integer weights.  Tests compare the production path against
+these.
 """
 
 from fractions import Fraction
 from math import lcm
+
+import itertools
 
 import pytest
 
@@ -69,6 +74,78 @@ def projection_matrix(x: SigmaField):
             for j in b:
                 rows[i][j] = space.probs[j] / mass
     return rows
+
+
+def masses_oracle(x: SigmaField) -> tuple:
+    """Block probabilities summed outcome by outcome."""
+    masses = [0] * x.n_blocks
+    for k, p in zip(x.labels, x.space.probs):
+        masses[k] += p
+    return tuple(masses)
+
+
+def cond_exp_oracle(x: SigmaField, f: RV) -> tuple:
+    """Values of E[f | x]: per block, the sum of p_i f_i over its mass."""
+    sums = [0] * x.n_blocks
+    for k, p, v in zip(x.labels, x.space.probs, f.values):
+        sums[k] += p * v
+    avgs = [s / mass for s, mass in zip(sums, masses_oracle(x))]
+    return tuple(map(avgs.__getitem__, x.labels))
+
+
+def dot_oracle(f: RV, g: RV):
+    """E[fg] as one sum of p_i f_i g_i."""
+    return sum(p * a * b for p, a, b in zip(f.space.probs, f.values, g.values))
+
+
+def cond_independent_oracle(x: SigmaField, y: SigmaField, z: SigmaField) -> bool:
+    """P(a & b | c) = P(a | c) P(b | c) on every block triple, on the masses."""
+    space = x.space
+    equal = space.backend.equal
+    table: dict = {}
+    for key, p in zip(zip(x.labels, y.labels), space.probs):
+        table[key] = table.get(key, 0) + p
+    xs_in = [[] for _ in range(z.n_blocks)]
+    ys_in = [[] for _ in range(z.n_blocks)]
+    for part, inside in ((x, xs_in), (y, ys_in)):
+        masses = masses_oracle(part)
+        for k, c in dict(zip(part.labels, z.labels)).items():
+            inside[c].append((k, masses[k]))
+    for c, pc in enumerate(masses_oracle(z)):
+        ys_given_c = [(b, pb / pc) for b, pb in ys_in[c]]
+        for a, pa in xs_in[c]:
+            pa_c = pa / pc
+            for b, pb_c in ys_given_c:
+                pab = table.get((a, b))
+                if pab is None or not equal((pab / pc,), (pa_c * pb_c,)):
+                    return False
+    return True
+
+
+def independence_problem_oracle(space: ProbSpace, atoms):
+    """The first reason atoms fail to present an algebra, or None.
+
+    Walks the block tuples in lexicographic order and compares each cell's
+    mass with the product of its blocks' masses, as ``NTBA`` reports it.
+    """
+    if not atoms:
+        return "an atom presentation needs at least one atom"
+    if any(a.n_blocks == 1 for a in atoms):
+        return "atoms must differ from the trivial sigma-field"
+    joint: dict = {}
+    for key, p in zip(zip(*(a.labels for a in atoms)), space.probs):
+        joint[key] = joint.get(key, 0) + p
+    masses = [masses_oracle(a) for a in atoms]
+    for key in itertools.product(*(range(a.n_blocks) for a in atoms)):
+        got = joint.get(key)
+        expected = space.backend.one
+        for m, bi in zip(masses, key):
+            expected *= m[bi]
+        if got is None or not space.backend.equal((got,), (expected,)):
+            return f"atoms are not mutually independent at block tuple {key}"
+    if len(joint) != space.size:
+        return "the join of the atoms is not the discrete sigma-field"
+    return None
 
 
 def mat_mul(a, b):

@@ -1,5 +1,6 @@
 """CLI surfaces: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from noise_lattice import checks
 from noise_lattice.cli import UsageError, _load, main
 from noise_lattice.cofinite import MAX_BITS
 from noise_lattice.errors import NoiseLatticeError
@@ -133,6 +135,18 @@ def test_cofinite_eval_bad_elements(capsys):
         assert err.startswith("capacity error: ") and str(MAX_BITS) in err, err
 
 
+def test_join_with_a_cofinite_set_guards_only_the_preperiod(capsys):
+    # a tail decides every position past its start, so the join with a long
+    # period needs the tail's bits plus one; the element printed is a
+    # finite index set with its tail, about 4.7 MB of text
+    assert main(["cofinite", "eval", "Y(524288k)|x600000"]) == 0
+    out = capsys.readouterr().out.encode()
+    digest = "d2a83c96c2187b4f1de6edc48e48810b74297c9c6f57edf3443aca99258ded01"
+    assert hashlib.sha256(out).hexdigest() == digest
+    assert json.loads(out)["membership"] == "B"
+    assert main(["cofinite", "eval", f"x{MAX_BITS + 1}"]) == 3
+
+
 def test_cofinite_demo(capsys):
     assert main(["cofinite", "demo", "--format", "json"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -186,6 +200,17 @@ def test_check_fault_injection(capsys):
     assert [s["suite"] for s in bad] == ["injected-fault"]
     witness = bad[0]["failures"][0]
     assert "space" in witness and "x" in witness and "y" in witness
+
+
+def test_nonpositive_case_counts_are_usage_errors(capsys):
+    for cases in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "all", "--seed", "1", "--cases", cases])
+        assert exc.value.code == 2, cases
+        err = capsys.readouterr().err
+        assert "argument --cases: must be at least 1" in err and "Traceback" not in err, err
+    with pytest.raises(ValueError, match="at least 1"):
+        checks.run_all(1, 0)
 
 
 def test_exit_codes_via_subprocess():

@@ -146,6 +146,18 @@ def test_mask_length_guard():
     assert cf.y(cf.MAX_BITS - 1).ys.max_or_zero() == cf.MAX_BITS - 1
 
 
+def test_an_absorbing_period_decides_the_rest_of_the_result():
+    # the largest tail the guard admits, against the longest admitted period:
+    # max(npre) + lcm(nper) is 2^21 - 1 bits, yet the result needs max(npre) + 1
+    far, sparse = cf.tail_set(cf.MAX_BITS), cf.progression(cf.MAX_BITS)
+    assert far.union(sparse) == far
+    assert sparse.union(far) == far
+    assert far.complement().intersect(sparse) == cf.EMPTY_SET
+    assert far.union(cf.progression(cf.MAX_BITS, 1)).npre == cf.MAX_BITS - 1
+    with pytest.raises(CapacityError, match=str(cf.MAX_BITS)):
+        cf.progression(cf.MAX_BITS).union(cf.progression(cf.MAX_BITS - 1))
+
+
 @given(natsets)
 def test_complement_involution_and_demorgan(a):
     assert a.complement().complement() == a

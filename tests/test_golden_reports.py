@@ -1,0 +1,32 @@
+"""Reports print exactly the text captured before a refactor.
+
+``tests/golden`` holds three algebras, each a product of independent
+coordinates: ``mixed2`` (probabilities 1/12 ... 3/8) and ``mixed3`` (1/30
+... 1/5) in rational mode with mixed denominators, and ``float2`` in float
+mode.  Next to each sit the ``chaos report`` text and the ``spectrum report
+--format json`` line, and ``demo.json`` holds ``demo --format json``.  Any
+change to a printed value, a key or the formatting fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from noise_lattice.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = ("mixed2", "mixed3", "float2")
+CASES = [
+    *((f"{f}.chaos.txt", ["chaos", "report", str(GOLDEN / f"{f}.json")]) for f in FIXTURES),
+    *(
+        (f"{f}.spectrum.json", ["spectrum", "report", str(GOLDEN / f"{f}.json"), "--format=json"])
+        for f in FIXTURES
+    ),
+    ("demo.json", ["demo", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("golden, argv", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden_text(golden, argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -2,6 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noise_lattice.kernels import BACKEND, orthogonalize_int, row_echelon_int
 
@@ -29,7 +33,7 @@ def random_matrix(rng, nr, nc, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
 
 
-def test_bareiss_rank_matches_fraction_elimination():
+def test_echelon_rank_matches_fraction_elimination():
     rng = random.Random(0)
     for _ in range(100):
         m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
@@ -37,7 +41,7 @@ def test_bareiss_rank_matches_fraction_elimination():
         assert len(piv) == rref_fraction_rank(m)
 
 
-def test_bareiss_preserves_row_space():
+def test_echelon_preserves_row_space():
     rng = random.Random(1)
     for _ in range(50):
         m = random_matrix(rng, 4, 5)
@@ -45,6 +49,27 @@ def test_bareiss_preserves_row_space():
         combined = [r[:] for r in m] + [r[:] for r in ech]
         _, piv2 = row_echelon_int(combined)
         assert len(piv2) == len(piv)
+
+
+matrices = st.integers(1, 6).flatmap(
+    lambda nc: st.lists(
+        st.lists(st.integers(-9, 9), min_size=nc, max_size=nc), min_size=1, max_size=8
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_echelon_rows_are_primitive_with_increasing_pivots(m):
+    ech, piv = row_echelon_int(m)
+    assert len(ech) == len(piv) == rref_fraction_rank(m)
+    assert piv == sorted(set(piv))
+    for row, c in zip(ech, piv):
+        assert not any(row[:c]) and row[c]
+        assert gcd(*row) == 1
+    # the kept rows are independent (distinct pivots) and lie in the row
+    # space, as many as its rank: they span it
+    assert rref_fraction_rank(m + ech) == len(piv)
 
 
 def test_orthogonalize_output_is_orthogonal():
