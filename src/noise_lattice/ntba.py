@@ -5,7 +5,10 @@ sigma-field; every element is the join of a subset of atoms, so the
 element lattice is the powerset Boolean algebra on the atom indices.
 ``validate_family`` audits an arbitrary family of sigma-fields against the
 defining conditions instead (sublattice, distributivity, complements,
-independence) and reports the first failure with a witness.
+independence) and reports the first failure with a witness.  It computes
+``meet`` and ``join`` once per pair of its F distinct members, F(F-1)/2
+of each, into an index table over the family; distributivity and the
+complement search are lookups in that table.
 """
 
 from __future__ import annotations
@@ -157,50 +160,58 @@ def validate_family(space: ProbSpace, elems) -> FamilyVerdict:
 
     Checks, in order: 0 and 1 are present; meet- and join-closure;
     distributivity over element triples; every element has a complement in
-    the family; each element is independent of its complement.  Triples are
-    checked exhaustively for families of at most 64 elements, and on 1000
-    deterministically seeded samples above that.
+    the family; each element is independent of its complement.
+
+    The pair pass computes ``meet`` and ``join`` once for each of the
+    F(F-1)/2 pairs of the F distinct members and records the results as
+    family indices in two symmetric tables (the diagonal is the element
+    itself, since both operations are idempotent on canonical labels).
+    Distributivity and the complement search are then table lookups.
+    Triples are checked exhaustively for families of at most 64 elements,
+    and on 1000 deterministically seeded samples above that.
     """
     import random
 
-    family = []
-    for e in elems:
+    family = list(dict.fromkeys(elems))
+    for e in family:
         if e.space != space:
             raise DomainMismatchError("family member on a different space")
-        if e not in family:
-            family.append(e)
-    fam_set = set(family)
-    if trivial(space) not in fam_set:
+    index = {e: i for i, e in enumerate(family)}
+    bot, top = index.get(trivial(space)), index.get(discrete(space))
+    if bot is None:
         return FamilyVerdict(False, "missing the trivial sigma-field", ())
-    if discrete(space) not in fam_set:
+    if top is None:
         return FamilyVerdict(False, "missing the discrete sigma-field", ())
-    for x, y in itertools.combinations(family, 2):
-        if meet(x, y) not in fam_set:
+    n = len(family)
+    M = [[i] * n for i in range(n)]
+    J = [[i] * n for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        x, y = family[i], family[j]
+        m = index.get(meet(x, y))
+        if m is None:
             return FamilyVerdict(False, "not closed under meet", (x, y))
-        if join(x, y) not in fam_set:
+        k = index.get(join(x, y))
+        if k is None:
             return FamilyVerdict(False, "not closed under join", (x, y))
-    if len(family) <= 64:
-        triples = itertools.product(family, repeat=3)
+        M[i][j] = M[j][i] = m
+        J[i][j] = J[j][i] = k
+    if n <= 64:
+        triples = itertools.product(range(n), repeat=3)
     else:
         rng = random.Random(0)
-        triples = (tuple(rng.choice(family) for _ in range(3)) for _ in range(1000))
+        triples = (tuple(rng.choice(range(n)) for _ in range(3)) for _ in range(1000))
     for x, y, z in triples:
-        left = meet(x, join(y, z))
-        right = join(meet(x, y), meet(x, z))
-        if left != right:
-            return FamilyVerdict(False, "distributivity fails", (x, y, z))
-    bot, top = trivial(space), discrete(space)
-    for x in family:
-        comp = None
-        for y in family:
-            if meet(x, y) == bot and join(x, y) == top:
-                comp = y
-                break
-        if comp is None:
-            return FamilyVerdict(False, "element without complement", (x,))
-        if not independent(x, comp):
+        if M[x][J[y][z]] != J[M[x][y]][M[x][z]]:
             return FamilyVerdict(
-                False, "complement pair not independent", (x, comp)
+                False, "distributivity fails", (family[x], family[y], family[z])
+            )
+    for i in range(n):
+        c = next((j for j in range(n) if M[i][j] == bot and J[i][j] == top), None)
+        if c is None:
+            return FamilyVerdict(False, "element without complement", (family[i],))
+        if not independent(family[i], family[c]):
+            return FamilyVerdict(
+                False, "complement pair not independent", (family[i], family[c])
             )
     return FamilyVerdict(True)
 

@@ -7,21 +7,33 @@ eventually periodic sets one position at a time, the cofinite lattice
 by its (tail, pair indices) case analysis, and block masses, block
 averages, inner products and the product rules summed one outcome at a
 time on the probabilities themselves (Fractions in rational mode) rather
-than on integer weights.  Tests compare the production path against
-these.
+than on integer weights, and a family of sigma-fields audited by
+recomputing every meet and join it reads.  Tests compare the production
+path against these.
 """
 
+import itertools
+import random
 from fractions import Fraction
 from math import lcm
-
-import itertools
 
 import pytest
 
 from noise_lattice.cofinite import range_set, tail_set
+from noise_lattice.errors import DomainMismatchError
 from noise_lattice.finmeas import RV, ProbSpace, Subspace, indicator, mk_space, span_on
 from noise_lattice.linalg import exact_nullspace, float_nullspace
-from noise_lattice.sigma import SigmaField, cond_exp, partition
+from noise_lattice.ntba import FamilyVerdict
+from noise_lattice.sigma import (
+    SigmaField,
+    cond_exp,
+    discrete,
+    independent,
+    join,
+    meet,
+    partition,
+    trivial,
+)
 
 
 def measurable_sets(x: SigmaField) -> set:
@@ -146,6 +158,55 @@ def independence_problem_oracle(space: ProbSpace, atoms):
     if len(joint) != space.size:
         return "the join of the atoms is not the discrete sigma-field"
     return None
+
+
+def scan_family_oracle(space: ProbSpace, elems) -> FamilyVerdict:
+    """``validate_family`` by recomputing every meet and join it reads.
+
+    The same checks in the same order, with the same first reason and
+    witness, but each distributivity triple and complement candidate runs
+    its own sigma-field operations instead of reading a pair table.
+    """
+    family = []
+    for e in elems:
+        if e.space != space:
+            raise DomainMismatchError("family member on a different space")
+        if e not in family:
+            family.append(e)
+    fam_set = set(family)
+    if trivial(space) not in fam_set:
+        return FamilyVerdict(False, "missing the trivial sigma-field", ())
+    if discrete(space) not in fam_set:
+        return FamilyVerdict(False, "missing the discrete sigma-field", ())
+    for x, y in itertools.combinations(family, 2):
+        if meet(x, y) not in fam_set:
+            return FamilyVerdict(False, "not closed under meet", (x, y))
+        if join(x, y) not in fam_set:
+            return FamilyVerdict(False, "not closed under join", (x, y))
+    if len(family) <= 64:
+        triples = itertools.product(family, repeat=3)
+    else:
+        rng = random.Random(0)
+        triples = (tuple(rng.choice(family) for _ in range(3)) for _ in range(1000))
+    for x, y, z in triples:
+        left = meet(x, join(y, z))
+        right = join(meet(x, y), meet(x, z))
+        if left != right:
+            return FamilyVerdict(False, "distributivity fails", (x, y, z))
+    bot, top = trivial(space), discrete(space)
+    for x in family:
+        comp = None
+        for y in family:
+            if meet(x, y) == bot and join(x, y) == top:
+                comp = y
+                break
+        if comp is None:
+            return FamilyVerdict(False, "element without complement", (x,))
+        if not independent(x, comp):
+            return FamilyVerdict(
+                False, "complement pair not independent", (x, comp)
+            )
+    return FamilyVerdict(True)
 
 
 def mat_mul(a, b):

@@ -80,6 +80,14 @@ def test_ntba_validate_and_restrict(tmp_path, capsys):
     assert len(restricted["atoms"]) == 2
 
 
+def test_ntba_validate_on_64_elements(tmp_path, capsys):
+    assert main(["ntba", "coords", "6"]) == 0
+    f = tmp_path / "coords6.json"
+    f.write_text(capsys.readouterr().out)
+    assert main(["ntba", "validate", str(f)]) == 0
+    assert capsys.readouterr().out == '{"reason": null, "valid": true}\n'
+
+
 def test_ntba_validate_rejects_bad_input(tmp_path, capsys):
     bad = {
         "space": {"outcomes": ["a", "b", "c"], "probs": ["1/3", "1/3", "1/3"]},

@@ -6,12 +6,20 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import scan_family_oracle
 
+from noise_lattice import ntba
 from noise_lattice.errors import PreconditionError
-from noise_lattice.finmeas import coordinate_sign, mk_dyadic
-from noise_lattice.instances import rand_atom_groups, rand_element, rand_ntba
+from noise_lattice.finmeas import coordinate_sign, mk_dyadic, mk_space, product
+from noise_lattice.instances import (
+    rand_atom_groups,
+    rand_element,
+    rand_ntba,
+    rand_partition,
+)
 from noise_lattice.ntba import (
     NTBA,
+    FamilyVerdict,
     coarsen,
     mk_coordinate_ntba,
     mk_parity_ntba,
@@ -24,6 +32,7 @@ from noise_lattice.sigma import (
     discrete,
     independent,
     join,
+    lift_partition,
     meet,
     partition,
     sigma_from_rv,
@@ -50,21 +59,123 @@ def test_second_ntba_structure_on_same_space():
     assert B.one().realize() == discrete(s2)
 
 
+def verdict_cases():
+    """(space, family, reason, witness): one family per verdict of validate_family."""
+    s4 = mk_space(["a", "b", "c", "d"], [Fraction(1, 4)] * 4)
+    bot, top = trivial(s4), discrete(s4)
+    a = partition(s4, [[0, 1], [2, 3]])
+    b = partition(s4, [[0, 2], [1, 3]])
+    c = partition(s4, [[0, 3], [1, 2]])
+    a_again = partition(s4, [[0, 1], [2, 3]])
+    p = partition(s4, [[0, 1], [2], [3]])
+    q = partition(s4, [[0], [1, 2], [3]])
+    r = partition(s4, [[0, 1, 2], [3]])
+    return [
+        (s4, [a, top], "missing the trivial sigma-field", ()),
+        (s4, [bot, a], "missing the discrete sigma-field", ()),
+        (s4, [bot, p, q, top], "not closed under meet", (p, q)),
+        (s4, [bot, a, r, top], "not closed under join", (a, r)),
+        (s4, [bot, a, b, c, top], "distributivity fails", (a, b, c)),
+        (s4, [bot, a, a_again, top], "element without complement", (a,)),
+        (s4, [bot, a, b, a_again, top, b, bot], None, None),
+    ]
+
+
+def test_validate_family_verdicts_and_witnesses():
+    for space, family, reason, witness in verdict_cases():
+        verdict = validate_family(space, family)
+        assert verdict == FamilyVerdict(reason is None, reason, witness)
+        # the witness is made of the first-listed members themselves
+        for w in verdict.witness or ():
+            assert next(e for e in family if e == w) is w
+
+
 def test_validate_family_rejects_dependent_complement(uniform3):
     x = partition(uniform3, [[0], [1, 2]])
     y = partition(uniform3, [[0, 1], [2]])
     verdict = validate_family(
         uniform3, [trivial(uniform3), x, y, discrete(uniform3)]
     )
-    assert not verdict.valid
-    assert verdict.reason == "complement pair not independent"
+    assert verdict == FamilyVerdict(False, "complement pair not independent", (x, y))
 
 
 def test_validate_family_needs_closure():
     s2 = mk_dyadic(2)
     x1 = sigma_from_rv(coordinate_sign(s2, 1))
     verdict = validate_family(s2, [trivial(s2), x1, discrete(s2)])
-    assert not verdict.valid
+    assert verdict == FamilyVerdict(False, "element without complement", (x1,))
+
+
+def test_validate_family_accepts_a_generator():
+    B = mk_coordinate_ntba(mk_dyadic(2))
+    assert validate_family(B.space, (e.realize() for e in B.elements())).valid
+
+
+def oracle_families():
+    """Families for the oracle comparison: valid, broken and oversized."""
+    for space, family, _, _ in verdict_cases():
+        yield space, family
+    s3 = mk_space(["a", "b", "c"], [Fraction(1, 3)] * 3)
+    x, y = partition(s3, [[0], [1, 2]]), partition(s3, [[0, 1], [2]])
+    yield s3, [trivial(s3), x, y, discrete(s3)]  # dependent complements
+    for mode in ("rational", "float"):
+        for seed in range(50):
+            rng = random.Random(seed)
+            B = rand_ntba(rng, 16, mode)
+            family = [e.realize() for e in B.elements()]
+            yield B.space, family
+            if len(family) > 2:
+                family_less = list(family)
+                del family_less[rng.randrange(1, len(family) - 1)]
+                yield B.space, family_less
+            yield B.space, family + [rand_partition(rng, B.space)]
+    # above 64 elements the triples are sampled: a valid family of 128, and
+    # M3 times the 16 elements of a 4-atom algebra, distributive only in part
+    B = mk_coordinate_ntba(mk_dyadic(7))
+    yield B.space, [e.realize() for e in B.elements()]
+    m3_space, m3, _, _ = next(c for c in verdict_cases() if c[2] == "distributivity fails")
+    B = mk_coordinate_ntba(mk_dyadic(4))
+    prod = product(m3_space, B.space)
+    yield prod.space, [
+        join(lift_partition(prod, x, "left"), lift_partition(prod, e.realize(), "right"))
+        for x in m3
+        for e in B.elements()
+    ]
+
+
+def test_validate_family_matches_the_scan_oracle():
+    verdicts = set()
+    for space, family in oracle_families():
+        got = validate_family(space, family)
+        want = scan_family_oracle(space, family)
+        assert got == want
+        assert all(g is w for g, w in zip(got.witness or (), want.witness or ()))
+        verdicts.add(got.reason)
+    assert len(verdicts) == 8  # every branch, valid included
+
+
+def test_validate_family_computes_each_pair_once(monkeypatch):
+    calls = {"meet": 0, "join": 0}
+
+    def counted(name, op):
+        def wrapper(x, y):
+            calls[name] += 1
+            return op(x, y)
+
+        return wrapper
+
+    monkeypatch.setattr(ntba, "meet", counted("meet", ntba.meet))
+    monkeypatch.setattr(ntba, "join", counted("join", ntba.join))
+    B = mk_coordinate_ntba(mk_dyadic(4))
+    family = [e.realize() for e in B.elements()]
+    cases = [(B.space, family + family[::-1])]
+    cases += [(space, fam) for space, fam, _, _ in verdict_cases()]
+    for space, fam in cases:
+        calls.update(meet=0, join=0)
+        validate_family(space, fam)
+        f = len(set(fam))
+        assert calls["meet"] <= f * (f - 1) // 2
+        assert calls["join"] <= f * (f - 1) // 2
 
 
 def test_parity_ntba_examples():
