@@ -44,8 +44,9 @@ def atom_bases(algebra: NTBA) -> list:
         rows = []
         for block, p in zip(atom.blocks[:-1], atom.masses):
             vals = [-p] * space.size
+            inside = one - p
             for i in block:
-                vals[i] = one - p
+                vals[i] = inside
             rows.append(RV(space, tuple(vals)))
         out.append(span_on(space, rows))
     return out
@@ -96,7 +97,7 @@ def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
     cond_a = True
     for e, part in zip(elements, parts):
         comp = parts[elements.index(e.complement())]
-        if not equal(f.values, (q(part) + q(comp)).values):
+        if not equal(f.vec, (q(part) + q(comp)).vec):
             cond_a = False
             break
 
@@ -104,15 +105,15 @@ def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
     for px, py in itertools.combinations_with_replacement(parts, 2):
         if meet(px, py) != bot:
             continue
-        if not equal(q(join(px, py)).values, (q(px) + q(py)).values):
+        if not equal(q(join(px, py)).vec, (q(px) + q(py)).vec):
             cond_b = False
             break
 
-    cond_c = space.backend.is_zero(q(bot).values)
+    cond_c = space.backend.is_zero(q(bot).vec)
     if cond_c:
         for px, py in itertools.combinations_with_replacement(parts, 2):
             lhs = q(join(px, py)) + q(meet(px, py))
-            if not equal(lhs.values, (q(px) + q(py)).values):
+            if not equal(lhs.vec, (q(px) + q(py)).vec):
                 cond_c = False
                 break
 
@@ -144,7 +145,7 @@ def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
     """
     space = algebra.space
     q0 = cond_exp(trivial(space), f)
-    if not space.backend.is_zero(q0.values):
+    if not space.backend.is_zero(q0.vec):
         raise PreconditionError("atomless_split needs a zero-mean input")
     best = max(norm2(cond_exp(atom, f)) for atom in algebra.atoms)
     best_parts = [[k] for k in range(algebra.n_atoms)]

@@ -90,7 +90,7 @@ def suite_span_rank(rng: random.Random, cases: int) -> SuiteResult:
         space = inst.rand_space(rng, 6, mode)
         vs = [inst.rand_rv(rng, space) for _ in range(rng.randint(0, 5))]
         got = span(vs, space=space).dim
-        want = space.backend.rank([v.values for v in vs])
+        want = space.backend.rank([v.vec for v in vs])
         if got != want:
             res.failures.append(
                 {"case": case, "space": _space_witness(space), "got": got, "want": want}
@@ -261,7 +261,7 @@ def suite_projection_laws(rng: random.Random, cases: int) -> SuiteResult:
         x = inst.rand_partition(rng, space)
         f, g = inst.rand_rv(rng, space), inst.rand_rv(rng, space)
         qf = cond_exp(x, f)
-        ok = cond_exp(x, qf).values == qf.values
+        ok = cond_exp(x, qf).vec == qf.vec
         ok = ok and inner(qf, g) == inner(f, cond_exp(x, g))
         ok = ok and subspace_of(x).contains(qf)
         ok = ok and sigma_of(subspace_of(x)) == x
@@ -472,7 +472,7 @@ def suite_chaos_additivity(rng: random.Random, cases: int) -> SuiteResult:
         for b in cr.h1.basis:
             lhs = cond_exp(j, b)
             rhs = cond_exp(x, b) + cond_exp(yy, b)
-            if lhs.values != rhs.values:
+            if lhs.vec != rhs.vec:
                 res.failures.append(
                     {"case": case, "space": _space_witness(B.space)}
                 )
@@ -640,10 +640,12 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
                 row = [-a - b for a, b in zip(qx[i], qxc[i])]
                 row[i] += 1
                 stacked.append(row)
-        rank = space.backend.rank([f.values for f in basis])
-        ok = rank == len(basis) == space.size - space.backend.rank(stacked)
+        backend = space.backend
+        rank = backend.rank([f.vec for f in basis])
+        stacked_rank = backend.rank([backend.vector(row, space.size) for row in stacked])
+        ok = rank == len(basis) == space.size - stacked_rank
         ok = ok and all(
-            space.backend.equal(f.values, (cond_exp(x, f) + cond_exp(xc, f)).values)
+            backend.equal(f.vec, (cond_exp(x, f) + cond_exp(xc, f)).vec)
             for f in basis
             for x, xc in splits
         )

@@ -81,8 +81,10 @@ def _primitive(per: int, nper: int) -> int:
 
     The rotations that fix the block are the multiples of its primitive
     period, so the first return of the block inside its doubled word is
-    at exactly that shift.
+    at exactly that shift.  A one-bit block is its own primitive period.
     """
+    if nper == 1:
+        return 1
     text = _text(per, nper)
     return (text + text).find(text, 1)
 

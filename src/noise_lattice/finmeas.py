@@ -5,7 +5,10 @@ dyadic constructions) or float probabilities.  It picks the matching
 ``linalg`` backend once, when it is built, and every random variable and
 every rank/equality decision downstream goes through that backend.  The
 backend also scales the probabilities once into the weights that the
-inner loops sum: integers over one common total in rational mode.
+inner loops sum: integers over one common total in rational mode.  A
+random variable holds the backend's vector of its values (integers over
+one denominator in rational mode), so its arithmetic, inner products,
+projections and spans are backend methods on those vectors.
 """
 
 from __future__ import annotations
@@ -92,36 +95,48 @@ def mk_dyadic(n: int) -> ProbSpace:
 
 @dataclass(frozen=True)
 class RV:
-    """A random variable: one real value per outcome."""
+    """A random variable: one real value per outcome.
+
+    Built as ``RV(space, values)``.  It holds its values as the space's
+    backend vector ``vec``: in rational mode integer numerators over one
+    denominator (``linalg.IntVec``), in float mode the tuple of floats.
+    Values from outside are checked and converted once (a float in a
+    rational space, or a Fraction in a float space, is a ``ValueError``); a
+    vector the backend built passes through.  ``values`` is a view that
+    builds the Fractions or floats on each read.
+    """
 
     space: ProbSpace
-    values: tuple
+    vec: object
 
     def __post_init__(self):
-        if len(self.values) != self.space.size:
-            raise ValueError("value count must equal outcome count")
+        object.__setattr__(self, "vec", self.space.backend.vector(self.vec, self.space.size))
+
+    @property
+    def values(self) -> tuple:
+        return self.space.backend.values(self.vec)
 
     def __add__(self, other: "RV") -> "RV":
         _same_space(self, other)
-        return RV(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
+        return RV(self.space, self.space.backend.add(self.vec, other.vec))
 
     def __sub__(self, other: "RV") -> "RV":
         _same_space(self, other)
-        return RV(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
+        return RV(self.space, self.space.backend.sub(self.vec, other.vec))
 
     def __mul__(self, other):
         if isinstance(other, RV):
             _same_space(self, other)
-            return RV(self.space, tuple(a * b for a, b in zip(self.values, other.values)))
-        return RV(self.space, tuple(a * other for a in self.values))
+            return RV(self.space, self.space.backend.mul(self.vec, other.vec))
+        return RV(self.space, self.space.backend.times(self.vec, other))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "RV":
-        return RV(self.space, tuple(-a for a in self.values))
+        return RV(self.space, self.space.backend.neg(self.vec))
 
     def mean(self):
-        return sum(p * v for p, v in zip(self.space.probs, self.values))
+        return self.space.backend.mean(self.vec, self.space)
 
 
 def _same_space(f, g):
@@ -164,7 +179,7 @@ def walsh_character(space: ProbSpace, ks) -> RV:
 def inner(f: RV, g: RV):
     """The probability-weighted inner product E[fg]."""
     _same_space(f, g)
-    return f.space.backend.dot(f.values, g.values, f.space)
+    return f.space.backend.dot(f.vec, g.vec, f.space)
 
 
 def norm2(f: RV):
@@ -195,13 +210,11 @@ class Subspace:
         """Orthogonal projection of f onto this subspace."""
         if f.space != self.space:
             raise DomainMismatchError("operands live on different spaces")
-        out = constant(self.space, 0)
-        for b, n2 in zip(self.basis, self.norms2):
-            out = out + (inner(f, b) / n2) * b
-        return out
+        vecs = [b.vec for b in self.basis]
+        return RV(self.space, self.space.backend.project(f.vec, vecs, self.norms2, self.space))
 
     def contains(self, f: RV) -> bool:
-        return self.space.backend.is_zero((f - self.project(f)).values)
+        return self.space.backend.equal(f.vec, self.project(f).vec)
 
     def canonical_key(self):
         """Canonical row-reduced form of the basis; equal iff same span.
@@ -209,7 +222,7 @@ class Subspace:
         Only the rational backend has one.
         """
         if self._rref is None:
-            self._rref = self.space.backend.rref([b.values for b in self.basis])
+            self._rref = self.space.backend.rref([b.vec for b in self.basis])
         return self._rref
 
     def equals(self, other: "Subspace") -> bool:
@@ -218,8 +231,8 @@ class Subspace:
         return self.dim == other.dim and self.contains_subspace(other)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        rows = [b.values for b in self.basis] + [b.values for b in other.basis]
-        return self.space.backend.rank(rows) == self.dim
+        vecs = [b.vec for b in self.basis + other.basis]
+        return self.space.backend.rank(vecs) == self.dim
 
 
 def span(vs, space: ProbSpace | None = None) -> Subspace:
@@ -236,8 +249,8 @@ def span(vs, space: ProbSpace | None = None) -> Subspace:
 
 
 def span_on(space: ProbSpace, vs) -> Subspace:
-    basis, norms2 = space.backend.orthogonalize([v.values for v in vs], space)
-    return Subspace(space, [RV(space, tuple(b)) for b in basis], norms2=norms2)
+    basis, norms2 = space.backend.orthogonalize([v.vec for v in vs], space)
+    return Subspace(space, [RV(space, b) for b in basis], norms2=norms2)
 
 
 def direct_sum(space: ProbSpace, parts) -> Subspace:
@@ -263,14 +276,14 @@ class SpaceProduct:
     def lift_left(self, f: RV) -> RV:
         if f.space != self.left:
             raise DomainMismatchError("lift_left expects an RV on the left factor")
-        vals = [f.values[ia] for ia in range(self.left.size) for _ in range(self.right.size)]
-        return RV(self.space, tuple(vals))
+        index = [ia for ia in range(self.left.size) for _ in range(self.right.size)]
+        return RV(self.space, self.space.backend.lift(f.vec, index))
 
     def lift_right(self, g: RV) -> RV:
         if g.space != self.right:
             raise DomainMismatchError("lift_right expects an RV on the right factor")
-        vals = [g.values[ib] for _ in range(self.left.size) for ib in range(self.right.size)]
-        return RV(self.space, tuple(vals))
+        index = [ib for _ in range(self.left.size) for ib in range(self.right.size)]
+        return RV(self.space, self.space.backend.lift(g.vec, index))
 
 
 def product(a: ProbSpace, b: ProbSpace) -> SpaceProduct:

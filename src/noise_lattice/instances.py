@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .finmeas import ProbSpace, RV, mk_space, product
+from .finmeas import ProbSpace, RV, constant, mk_space, product
 from .ntba import NTBA
 from .sigma import SigmaField, _group, discrete, lift_partition
 
@@ -40,8 +40,7 @@ def rand_rv(rng, space: ProbSpace, zero_mean: bool = False) -> RV:
         vals = [rng.uniform(-3.0, 3.0) for _ in range(space.size)]
     f = RV(space, tuple(vals))
     if zero_mean:
-        m = f.mean()
-        f = RV(space, tuple(v - m for v in f.values))
+        f = f - constant(space, f.mean())
     return f
 
 

@@ -46,7 +46,7 @@ def row_echelon_int(rows):
                 break
             pivot_row = kept.get(c)
             if pivot_row is None:
-                kept[c] = _strip_gcd(r)
+                kept[c] = strip_gcd(r)
                 break
             p, e = pivot_row[c], r[c]
             g = gcd(p, e)
@@ -59,7 +59,7 @@ def row_echelon_int(rows):
     return [kept[c] for c in piv_cols], piv_cols
 
 
-def _strip_gcd(v):
+def strip_gcd(v):
     g = 0
     for x in v:
         if x:
@@ -86,7 +86,7 @@ def orthogonalize_int(vecs, weights):
         for b, nb in zip(basis, norms):
             num = weighted_dot_int(w, b, weights)
             if num:
-                w = _strip_gcd([nb * wi - num * bi for wi, bi in zip(w, b)])
+                w = strip_gcd([nb * wi - num * bi for wi, bi in zip(w, b)])
         if any(w):
             basis.append(w)
             norms.append(weighted_dot_int(w, w, weights))

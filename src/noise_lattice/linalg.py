@@ -4,26 +4,32 @@ Every rank/equality decision is made inside one backend, never by mixing
 the two: ``EXACT`` for spaces with Fraction probabilities, ``FLOAT`` for
 float ones.  A probability space picks its backend once (``backend_of``),
 and the modules above ask that backend for zero, one, constants, weights,
-block averages, inner products, equality, rank and orthogonalization
-instead of branching on the mode themselves.  The float tolerances live
-here and nowhere else.
+vectors and their arithmetic, block averages, inner products, projections,
+equality, rank and orthogonalization instead of branching on the mode
+themselves.  The float tolerances live here and nowhere else.
 
 Exact mode computes on integers.  A rational space holds integer weights
 w_i over one total W, the lcm of its denominators (``ExactBackend.scale``),
-and a vector of Fractions becomes integers over one denominator
-(``to_int``).  Sums, products and comparisons of probabilities are then
-Python ``int`` arithmetic and the elimination kernels; a ``Fraction`` is
-built only for a value handed back: a block mass, a block average, an
-inner product, a basis entry.  The float backend uses the probabilities
-themselves as weights, with W = 1.0, and numpy.
+and a random variable is an ``IntVec``: integer numerators over one
+denominator, reduced by one gcd, so equal values are equal vectors.
+Fractions become such a vector once, at the boundary (``to_int``).  Sums,
+products and comparisons of probabilities and of values are then Python
+``int`` arithmetic and the elimination kernels; a ``Fraction`` is built
+only for a scalar handed back (a block mass, an inner product, a mean, a
+projection coefficient) or when a vector's values are read.  A float vector
+is a ``FloatVec``, the tuple of its floats; the float backend uses the
+probabilities themselves as weights, with W = 1.0, and numpy.  The two
+never mix: each backend refuses the other's numbers.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import orthogonalize_int, row_echelon_int, weighted_dot_int
+from .kernels import orthogonalize_int, row_echelon_int, strip_gcd, weighted_dot_int
 
 FLOAT_TOL = 1e-9  # entrywise equality, norm and singular-value cutoff
 GROUP_TOL = 1e-7  # float values closer than this share a level set
@@ -39,37 +45,61 @@ def to_int(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def exact_rank(rows) -> int:
-    rows = [to_int(r)[0] for r in rows]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    _, piv = row_echelon_int(rows)
-    return len(piv)
+class IntVec(NamedTuple):
+    """A rational vector as integer numerators over one positive denominator.
 
-
-def exact_rref(rows):
-    """Canonical reduced row echelon form over the rationals.
-
-    Returns a tuple of tuples of Fractions with unit pivots and zeros above
-    them; two lists of vectors span the same subspace iff their forms are
-    equal, which makes this the canonical key for subspace identity.
+    Entry i is ``nums[i] / den``, and gcd(den, *nums) = 1, so equal vectors
+    have equal ``nums`` and ``den`` and hash alike.
     """
-    int_rows = [to_int(r)[0] for r in rows]
-    int_rows = [r for r in int_rows if any(r)]
-    if not int_rows:
-        return ()
-    ech, piv = row_echelon_int(int_rows)
-    work = [[Fraction(x) for x in row] for row in ech]
+
+    nums: tuple
+    den: int
+
+
+class FloatVec(tuple):
+    """A float vector: the tuple of its floats, marked as built by the backend."""
+
+    __slots__ = ()
+
+
+def _intvec(nums, den) -> IntVec:
+    """nums / den with the common gcd divided out (den > 0)."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return IntVec(tuple([x // g for x in nums]), den // g)
+    return IntVec(tuple(nums), den)
+
+
+def exact_rank(rows) -> int:
+    """The rank of rows of Fractions or ints."""
+    return len(row_echelon_int([to_int(r)[0] for r in rows])[1])
+
+
+def exact_rref(int_rows):
+    """Canonical reduced row echelon form over the rationals, of integer rows.
+
+    Returns a tuple of ``IntVec``, one per rank: each row of the form with
+    its unit pivot and its zeros above the other pivots, as a primitive
+    integer row over its positive pivot entry.  Two lists of vectors span
+    the same subspace iff their forms are equal, which makes this the
+    canonical key for subspace identity.  The back substitution is
+    fraction-free: a row is cleared in a later pivot column by integer
+    multiples of the pivot row and divided by the gcd of its entries.
+    """
+    work, piv = row_echelon_int(int_rows)
     for i in reversed(range(len(piv))):
         c = piv[i]
-        pivval = work[i][c]
-        work[i] = [x / pivval for x in work[i]]
+        if work[i][c] < 0:
+            work[i] = [-x for x in work[i]]
+        p = work[i][c]
         for j in range(i):
-            f = work[j][c]
-            if f:
-                work[j] = [a - f * b for a, b in zip(work[j], work[i])]
-    return tuple(tuple(r) for r in work)
+            e = work[j][c]
+            if e:
+                g = gcd(p, e)
+                a, b = p // g, e // g
+                work[j] = strip_gcd([a * x - b * y for x, y in zip(work[j], work[i])])
+    return tuple(IntVec(tuple(r), r[c]) for r, c in zip(work, piv))
 
 
 def exact_nullspace(rows):
@@ -83,12 +113,7 @@ def exact_nullspace(rows):
         return None  # caller interprets: whole space
     nc = len(int_rows[0])
     rref = exact_rref(int_rows)
-    piv = []
-    for r in rref:
-        for c, x in enumerate(r):
-            if x:
-                piv.append(c)
-                break
+    piv = [next(c for c, x in enumerate(r.nums) if x) for r in rref]
     pivset = set(piv)
     basis = []
     for free in range(nc):
@@ -96,25 +121,23 @@ def exact_nullspace(rows):
             continue
         v = [Fraction(0)] * nc
         v[free] = Fraction(1)
-        for i, c in enumerate(piv):
-            v[c] = -rref[i][free]
+        for r, c in zip(rref, piv):
+            v[c] = -Fraction(r.nums[free], r.den)
         basis.append(v)
     return basis
 
 
-def exact_orthogonalize(vectors, weights, total):
+def exact_orthogonalize(int_vecs, weights, total):
     """Weighted Gram-Schmidt over the rationals, unnormalized.
 
-    ``weights`` are the integer outcome weights over ``total`` (see
-    ``ExactBackend.scale``).  Returns (basis, norms2) where basis vectors
-    have integer entries (as Fractions) and norms2 are their exact squared
-    weighted norms.
+    ``int_vecs`` are integer vectors (a vector's numerators: its
+    denominator does not change the span), and ``weights`` the integer
+    outcome weights over ``total`` (see ``ExactBackend.scale``).  Returns
+    (basis, norms2): the basis as integers over denominator 1 and the exact
+    squared weighted norms as Fractions.
     """
-    int_vecs = [to_int(v)[0] for v in vectors]
     basis, norms = orthogonalize_int(int_vecs, weights)
-    out_basis = [[Fraction(x) for x in b] for b in basis]
-    out_norms = [Fraction(n, total) for n in norms]
-    return out_basis, out_norms
+    return [IntVec(tuple(b), 1) for b in basis], [Fraction(n, total) for n in norms]
 
 
 def float_orthonormalize(vectors, weights):
@@ -159,10 +182,13 @@ def float_nullspace(rows):
 class ExactBackend:
     """Fractions at the boundary, integers inside: every decision is exact.
 
-    Vectors are tuples or lists of the values of one random variable.  A
-    space's ``weights`` are integers w_i over its ``total`` W (``scale``),
-    so sums and products of probabilities are int arithmetic and every
-    comparison an integer cross-multiplication, with no tolerance.
+    A vector is an ``IntVec``: the values of one random variable as
+    integer numerators over one denominator, reduced, so that equal values
+    are equal vectors.  A space's ``weights`` are integers w_i over its
+    ``total`` W (``scale``), so sums and products of probabilities are int
+    arithmetic and every comparison an integer cross-multiplication, with
+    no tolerance.  A ``Fraction`` is built only for a scalar handed back
+    (a mass, an inner product, a mean) or when ``values`` is read.
     """
 
     name = "rational"
@@ -192,52 +218,130 @@ class ExactBackend:
         """Whether cell/W = prod(f/W) over the factors, as cell*W^(n-1) = prod(f)."""
         return cell * total ** (len(factors) - 1) == prod(factors)
 
+    def vector(self, values, size) -> IntVec:
+        """The vector of ``size`` Fractions or ints; a built ``IntVec`` passes through."""
+        if type(values) is IntVec:
+            return values
+        values = tuple(values)
+        if len(values) != size:
+            raise ValueError("value count must equal outcome count")
+        for t in set(map(type, values)):
+            _check_exact(t, "value")
+        nums, den = to_int(values)
+        return IntVec(tuple(nums), den)
+
+    def values(self, u) -> tuple:
+        nums, den = u
+        return tuple([Fraction(n, den) for n in nums])
+
+    def add(self, u, v) -> IntVec:
+        (a, da), (b, db) = u, v
+        if da == db:
+            return _intvec([x + y for x, y in zip(a, b)], da)
+        d = lcm(da, db)
+        ma, mb = d // da, d // db
+        return _intvec([x * ma + y * mb for x, y in zip(a, b)], d)
+
+    def sub(self, u, v) -> IntVec:
+        return self.add(u, self.neg(v))
+
+    def neg(self, u) -> IntVec:
+        return IntVec(tuple([-x for x in u.nums]), u.den)
+
+    def mul(self, u, v) -> IntVec:
+        """The entrywise product."""
+        (a, da), (b, db) = u, v
+        return _intvec([x * y for x, y in zip(a, b)], da * db)
+
+    def times(self, u, c) -> IntVec:
+        """The vector times the scalar c (a Fraction or an int)."""
+        _check_exact(type(c), "scalar")
+        p, q = c.numerator, c.denominator
+        return _intvec([x * p for x in u.nums], u.den * q)
+
+    def lift(self, u, index) -> IntVec:
+        """The vector whose entry i is entry index[i] of u."""
+        return _intvec(list(map(u.nums.__getitem__, index)), u.den)
+
     def equal(self, a, b) -> bool:
         return a == b
 
-    def is_zero(self, values) -> bool:
-        return not any(values)
+    def is_zero(self, u) -> bool:
+        return not any(u.nums)
 
-    def levels(self, values):
+    def levels(self, u):
         """One hashable level label per entry: equal labels, same level set."""
-        return values
+        return u.nums
 
-    def block_means(self, labels, block_weights, values, weights):
-        """Per block k, the weighted average of values over the outcomes labelled k.
+    def mean(self, u, space) -> Fraction:
+        """E[u]: one integer sum of w_i n_i, one Fraction at the end."""
+        return Fraction(sum(map(mul, space.weights, u.nums)), u.den * space.total)
 
-        One pass of integer products w_i*n_i over the values' numerators
-        n_i (common denominator d), then one Fraction(S_k, d*w_k) per block.
+    def block_means(self, labels, block_weights, u, weights) -> IntVec:
+        """The vector that holds on each block the weighted average of u there.
+
+        One pass of integer products w_i n_i into the block sums S_k; block
+        k's average S_k / (d w_k) goes over the common denominator d L, L the
+        lcm of the block weights, and every outcome takes its block's
+        numerator.
         """
-        nums, den = to_int(values)
+        nums, den = u
         sums = [0] * len(block_weights)
         for k, w, n in zip(labels, weights, nums):
             if n:
                 sums[k] += w * n
-        return [Fraction(s, den * w) for s, w in zip(sums, block_weights)]
+        common = lcm(*block_weights)
+        block_nums = [s * (common // w) for s, w in zip(sums, block_weights)]
+        den *= common
+        g = gcd(den, *block_nums)  # every block holds an outcome
+        if g != 1:
+            block_nums = [x // g for x in block_nums]
+            den //= g
+        return IntVec(tuple(map(block_nums.__getitem__, labels)), den)
 
-    def dot(self, u, v, space):
+    def dot(self, u, v, space) -> Fraction:
         """E[uv] under the space's weights, one Fraction at the end."""
-        a, da = to_int(u)
-        b, db = (a, da) if v is u else to_int(v)
+        (a, da), (b, db) = u, v
         return Fraction(weighted_dot_int(a, b, space.weights), da * db * space.total)
+
+    def project(self, u, basis, norms2, space) -> IntVec:
+        """The sum over an orthogonal basis of <u, b> / |b|^2 times b.
+
+        One Fraction coefficient per basis vector; the combination is one
+        integer sum over the lcm of their denominators.
+        """
+        coeffs = [self.dot(u, b, space) / (n2 * b.den) for b, n2 in zip(basis, norms2)]
+        den = lcm(*[c.denominator for c in coeffs])
+        nums = [0] * len(u.nums)
+        for c, b in zip(coeffs, basis):
+            m = c.numerator * (den // c.denominator)
+            if m:
+                nums = [x + m * y for x, y in zip(nums, b.nums)]
+        return _intvec(nums, den)
 
     def orthogonalize(self, vectors, space):
         """(basis, norms2): an orthogonal basis of the span and its squared norms."""
-        return exact_orthogonalize(vectors, space.weights, space.total)
+        return exact_orthogonalize([v.nums for v in vectors], space.weights, space.total)
 
-    def rank(self, rows) -> int:
-        return exact_rank(rows)
+    def rank(self, vectors) -> int:
+        return len(row_echelon_int([v.nums for v in vectors])[1])
 
-    def rref(self, rows):
-        """Canonical form of the row space (see ``exact_rref``)."""
-        return exact_rref(rows)
+    def rref(self, vectors):
+        """Canonical form of the span (see ``exact_rref``)."""
+        return exact_rref([v.nums for v in vectors])
+
+
+def _check_exact(t: type, what) -> None:
+    if not issubclass(t, (int, Fraction)):
+        raise ValueError(f"a {t.__name__} {what} in a rational space: use Fractions or ints")
 
 
 class FloatBackend:
     """Floats: entrywise equality within FLOAT_TOL and numerical rank by SVD.
 
-    A space's weights are its probabilities and its total is 1.0, so every
-    method does the float arithmetic of the plain probability formula.
+    A vector is a ``FloatVec``, the tuple of its floats.  A space's weights
+    are its probabilities and its total is 1.0, so every method does the
+    float arithmetic of the plain probability formula.
     """
 
     name = "float"
@@ -266,45 +370,95 @@ class FloatBackend:
             expected *= f / total
         return abs(cell / total - expected) <= self.tol
 
+    def vector(self, values, size) -> FloatVec:
+        """The vector of ``size`` floats or ints; a built ``FloatVec`` passes through."""
+        if type(values) is FloatVec:
+            return values
+        values = tuple(values)
+        if len(values) != size:
+            raise ValueError("value count must equal outcome count")
+        types = set(map(type, values))
+        for t in types:
+            _check_float(t, "value")
+        return FloatVec(values if types == {float} else map(float, values))
+
+    def values(self, u) -> tuple:
+        return tuple(u)
+
+    def add(self, u, v) -> FloatVec:
+        return FloatVec([a + b for a, b in zip(u, v)])
+
+    def sub(self, u, v) -> FloatVec:
+        return FloatVec([a - b for a, b in zip(u, v)])
+
+    def neg(self, u) -> FloatVec:
+        return FloatVec([-a for a in u])
+
+    def mul(self, u, v) -> FloatVec:
+        return FloatVec([a * b for a, b in zip(u, v)])
+
+    def times(self, u, c) -> FloatVec:
+        _check_float(type(c), "scalar")
+        return FloatVec([a * c for a in u])
+
+    def lift(self, u, index) -> FloatVec:
+        return FloatVec(map(u.__getitem__, index))
+
     def equal(self, a, b) -> bool:
         return all(abs(x - y) <= self.tol for x, y in zip(a, b))
 
-    def is_zero(self, values) -> bool:
-        return all(abs(v) <= self.tol for v in values)
+    def is_zero(self, u) -> bool:
+        return all(abs(v) <= self.tol for v in u)
 
-    def levels(self, values):
+    def levels(self, u):
         """Chain sorted values while neighbours are within GROUP_TOL.
 
         Chaining (connected components of the links) keeps the relation
         transitive, which plain thresholding would not.
         """
-        order = sorted(range(len(values)), key=values.__getitem__)
-        labels = [0] * len(values)
+        order = sorted(range(len(u)), key=u.__getitem__)
+        labels = [0] * len(u)
         level = 0
         for prev, cur in zip(order, order[1:]):
-            if not abs(values[cur] - values[prev]) < GROUP_TOL:
+            if not abs(u[cur] - u[prev]) < GROUP_TOL:
                 level += 1
             labels[cur] = level
         return labels
 
-    def block_means(self, labels, block_weights, values, weights):
-        sums = [0] * len(block_weights)
-        for k, p, v in zip(labels, weights, values):
-            sums[k] += p * v
-        return [s / w for s, w in zip(sums, block_weights)]
+    def mean(self, u, space) -> float:
+        return sum(p * v for p, v in zip(space.probs, u))
 
-    def dot(self, u, v, space):
+    def block_means(self, labels, block_weights, u, weights) -> FloatVec:
+        sums = [0] * len(block_weights)
+        for k, p, v in zip(labels, weights, u):
+            sums[k] += p * v
+        avgs = [s / w for s, w in zip(sums, block_weights)]
+        return FloatVec(map(avgs.__getitem__, labels))
+
+    def dot(self, u, v, space) -> float:
         return float(np.dot(np.asarray(space.weights) * np.asarray(u), np.asarray(v)))
+
+    def project(self, u, basis, norms2, space) -> FloatVec:
+        out = [0.0] * len(u)
+        for b, n2 in zip(basis, norms2):
+            c = self.dot(u, b, space) / n2
+            out = [x + y * c for x, y in zip(out, b)]
+        return FloatVec(out)
 
     def orthogonalize(self, vectors, space):
         basis = float_orthonormalize(vectors, space.weights)
-        return [b.tolist() for b in basis], [1.0] * len(basis)
+        return [FloatVec(b.tolist()) for b in basis], [1.0] * len(basis)
 
-    def rank(self, rows) -> int:
-        return float_rank(rows)
+    def rank(self, vectors) -> int:
+        return float_rank(vectors)
 
-    def rref(self, rows):
+    def rref(self, vectors):
         raise ValueError("canonical keys exist only in rational mode")
+
+
+def _check_float(t: type, what) -> None:
+    if issubclass(t, Fraction):
+        raise ValueError(f"a Fraction {what} in a float space: use floats")
 
 
 EXACT = ExactBackend()

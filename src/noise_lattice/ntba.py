@@ -228,7 +228,8 @@ class Restriction:
         """Extend an RV on the quotient to the base space, constant on blocks."""
         if f.space != self.algebra.space:
             raise DomainMismatchError("lift_rv expects an RV on the quotient")
-        return RV(self.quotient.space, tuple(map(f.values.__getitem__, self.quotient.labels)))
+        space = self.quotient.space
+        return RV(space, space.backend.lift(f.vec, self.quotient.labels))
 
 
 def restrict(algebra: NTBA, e: NTBAElement) -> Restriction:

@@ -149,11 +149,11 @@ def _table(space: ProbSpace, labelings) -> dict:
 def sigma_of_rvs(space: ProbSpace, rvs) -> SigmaField:
     """Sigma-field generated by a family of RVs: joint level sets.
 
-    The backend labels the level sets of each RV (exact values, or float
-    values chained within a tolerance); outcomes sharing every label form
-    one block.
+    The backend labels the level sets of each RV (its integer numerators
+    over the common denominator, or float values chained within a
+    tolerance); outcomes sharing every label form one block.
     """
-    return _group(space, [space.backend.levels(f.values) for f in rvs])
+    return _group(space, [space.backend.levels(f.vec) for f in rvs])
 
 
 def sigma_from_rv(f: RV) -> SigmaField:
@@ -213,8 +213,7 @@ def cond_exp(x: SigmaField, f: RV) -> RV:
     """Conditional expectation given x: the block average of f."""
     if x.space != f.space:
         raise DomainMismatchError("sigma-field and RV on different spaces")
-    avgs = x.space.backend.block_means(x.labels, x.weights, f.values, x.space.weights)
-    return RV(x.space, tuple(map(avgs.__getitem__, x.labels)))
+    return RV(x.space, x.space.backend.block_means(x.labels, x.weights, f.vec, x.space.weights))
 
 
 def _cond_independent(x: SigmaField, y: SigmaField, z: SigmaField) -> bool:

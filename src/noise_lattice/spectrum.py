@@ -164,9 +164,9 @@ def _pattern_of(algebra: NTBA, v: RV) -> frozenset | None:
     for k in range(algebra.n_atoms):
         part = algebra.coatom(k).realize()
         img = cond_exp(part, v)
-        if backend.equal(img.values, v.values):
+        if backend.equal(img.vec, v.vec):
             continue
-        if backend.is_zero(img.values):
+        if backend.is_zero(img.vec):
             gen.add(k)
             continue
         return None

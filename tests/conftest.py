@@ -7,9 +7,10 @@ eventually periodic sets one position at a time, the cofinite lattice
 by its (tail, pair indices) case analysis, and block masses, block
 averages, inner products and the product rules summed one outcome at a
 time on the probabilities themselves (Fractions in rational mode) rather
-than on integer weights, and a family of sigma-fields audited by
-recomputing every meet and join it reads.  Tests compare the production
-path against these.
+than on integer weights, random-variable arithmetic, projections and
+spans computed one outcome at a time on the values rather than on integer
+vectors, and a family of sigma-fields audited by recomputing every meet
+and join it reads.  Tests compare the production path against these.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from noise_lattice.cofinite import range_set, tail_set
@@ -108,6 +110,101 @@ def cond_exp_oracle(x: SigmaField, f: RV) -> tuple:
 def dot_oracle(f: RV, g: RV):
     """E[fg] as one sum of p_i f_i g_i."""
     return sum(p * a * b for p, a, b in zip(f.space.probs, f.values, g.values))
+
+
+# The per-outcome forms of the random-variable operations: entrywise on
+# the values (Fractions, or floats in the same arithmetic and order as the
+# library's float route), one outcome and one basis vector at a time.
+
+
+def add_oracle(f: RV, g: RV) -> tuple:
+    return tuple(a + b for a, b in zip(f.values, g.values))
+
+
+def sub_oracle(f: RV, g: RV) -> tuple:
+    return tuple(a - b for a, b in zip(f.values, g.values))
+
+
+def mul_oracle(f: RV, g: RV) -> tuple:
+    return tuple(a * b for a, b in zip(f.values, g.values))
+
+
+def times_oracle(f: RV, c) -> tuple:
+    return tuple(a * c for a in f.values)
+
+
+def neg_oracle(f: RV) -> tuple:
+    return tuple(-a for a in f.values)
+
+
+def mean_oracle(f: RV):
+    return sum(p * v for p, v in zip(f.space.probs, f.values))
+
+
+def inner_oracle(f: RV, g: RV):
+    """E[fg]: the sum of p_i f_i g_i, in float mode numpy's weighted dot."""
+    if f.space.mode == "float":
+        weighted = np.asarray(f.space.probs) * np.asarray(f.values)
+        return float(np.dot(weighted, np.asarray(g.values)))
+    return dot_oracle(f, g)
+
+
+def project_oracle(sub: Subspace, f: RV) -> tuple:
+    """From zero, add <f, b> / |b|^2 times b for one basis vector b at a time."""
+    out = (sub.space.backend.zero,) * sub.space.size
+    for b, n2 in zip(sub.basis, sub.norms2):
+        c = inner_oracle(f, b) / n2
+        out = tuple(o + x * c for o, x in zip(out, b.values))
+    return out
+
+
+def lift_oracle(f: RV, index) -> tuple:
+    """The values of f read at index[i] for every outcome i."""
+    return tuple(f.values[i] for i in index)
+
+
+def gram_schmidt_oracle(vs) -> list:
+    """Unnormalized weighted Gram-Schmidt on Fraction values, zero remainders dropped."""
+    probs = vs[0].space.probs
+
+    def wdot(u, v):
+        return sum(p * a * b for p, a, b in zip(probs, u, v))
+
+    basis = []
+    for v in vs:
+        w = list(v.values)
+        for b in basis:
+            c = wdot(w, b) / wdot(b, b)
+            w = [x - c * y for x, y in zip(w, b)]
+        if any(w):
+            basis.append(w)
+    return basis
+
+
+def rref_oracle(rows) -> tuple:
+    """The reduced row echelon form by Fraction Gauss-Jordan elimination, zero rows dropped."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][c] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return tuple(tuple(r) for r in m[:rank])
+
+
+def level_sets_oracle(space: ProbSpace, rvs) -> SigmaField:
+    """The partition by the tuple of exact values: one block per distinct tuple."""
+    blocks: dict = {}
+    for i, key in enumerate(zip(*(f.values for f in rvs))):
+        blocks.setdefault(key, []).append(i)
+    return partition(space, list(blocks.values()))
 
 
 def cond_independent_oracle(x: SigmaField, y: SigmaField, z: SigmaField) -> bool:
@@ -272,7 +369,7 @@ def kernel_intersection_oracle(B) -> Subspace:
 
 def is_basis(sub: Subspace) -> bool:
     """Whether a subspace's basis vectors are linearly independent."""
-    return sub.space.backend.rank([b.values for b in sub.basis]) == sub.dim
+    return sub.space.backend.rank([b.vec for b in sub.basis]) == sub.dim
 
 
 def canonical_bits(pre, per) -> str:

@@ -76,6 +76,19 @@ def test_natset_matches_tuple_canonical_form(pre, per):
     assert str(cf.natset(pre, per)) == canonical_bits(pre, per)
 
 
+def smallest_rotation_period(bits) -> int:
+    """The least shift d >= 1 whose rotation of the cyclic block is the block."""
+    n = len(bits)
+    return next(d for d in range(1, n + 1) if bits[d:] + bits[:d] == bits)
+
+
+def test_primitive_period_is_the_smallest_rotation_period():
+    for nper in range(1, 13):
+        for per in range(1 << nper):
+            bits = [per >> j & 1 for j in range(nper)]
+            assert cf._primitive(per, nper) == smallest_rotation_period(bits), (per, nper)
+
+
 @given(st.one_of(st.none(), st.integers(1, 30)), natsets)
 @settings(max_examples=300)
 def test_cof_elem_matches_pointwise_oracle(tail, ys):

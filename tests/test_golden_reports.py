@@ -4,8 +4,11 @@
 coordinates: ``mixed2`` (probabilities 1/12 ... 3/8) and ``mixed3`` (1/30
 ... 1/5) in rational mode with mixed denominators, and ``float2`` in float
 mode.  Next to each sit the ``chaos report`` text and the ``spectrum report
---format json`` line, and ``demo.json`` holds ``demo --format json``.  Any
-change to a printed value, a key or the formatting fails here.
+--format json`` line, with the ``chaos report --format json`` line for
+``float2``.  ``coords4.json`` is ``ntba coords 4`` with its ``spectrum
+report --format json`` line, ``demo.json`` holds ``demo --format json``
+and ``check.seed1.cases2.json`` the report of ``check all --seed 1 --cases
+2``.  Any change to a printed value, a key or the formatting fails here.
 """
 
 from pathlib import Path
@@ -23,6 +26,9 @@ CASES = [
         for f in FIXTURES
     ),
     ("demo.json", ["demo", "--format", "json"]),
+    ("float2.chaos.json", ["chaos", "report", str(GOLDEN / "float2.json"), "--format", "json"]),
+    ("coords4.spectrum.json", ["spectrum", "report", str(GOLDEN / "coords4.json"), "--format", "json"]),
+    ("check.seed1.cases2.json", ["check", "all", "--seed", "1", "--cases", "2"]),
 ]
 
 

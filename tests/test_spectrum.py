@@ -88,7 +88,7 @@ def test_eigenspaces_orthogonal_and_complete():
         vecs = [a for p in D.points for a in p.eigenspace.basis]
         for i, a in enumerate(vecs):
             for b in vecs[i + 1 :]:
-                assert B.space.backend.is_zero((inner(a, b),))
+                assert B.space.backend.equal((inner(a, b),), (B.space.backend.zero,))
 
 
 def test_identities_report():
