@@ -5,6 +5,15 @@ runner, checks one algebraic law, and reports failures as small dicts
 (space, partitions, case index) sufficient to reproduce the case.  The
 CLI command ``check all`` runs every suite; the acceptance tests run the
 same functions at their mandated case counts.
+
+Three suites hold the library against dense conditional-expectation
+matrices Q_x built from the blocks alone: the independence criterion
+(Q_x Q_y = Q_y Q_x), the meet as a subspace intersection (the kernel of
+the stacked I - Q_p) and the first chaos (the kernel of the stacked
+I - Q_x - Q_x').  These oracles are integer matrices M over one scale L,
+Q = M / L, summed from the space's integer weights, so they take rational
+spaces only; their ``Fraction`` forms are test oracles in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import cofinite as cf
 from . import instances as inst
@@ -31,6 +41,7 @@ from .finmeas import (
     span_on,
     walsh_character,
 )
+from .kernels import row_echelon_int
 from .linalg import exact_nullspace
 from .ntba import NTBA, coarsen, mk_coordinate_ntba, mk_parity_ntba, validate_family
 from .sigma import (
@@ -139,34 +150,51 @@ def suite_walsh_orthonormal(rng: random.Random, cases: int) -> SuiteResult:
 
 
 def _projection_matrix(part: SigmaField):
-    """Dense conditional-expectation matrix, built directly from blocks."""
+    """Dense conditional-expectation matrix as integers: (M, L) with Q = M / L.
+
+    Rational spaces only; a float space is a ``ValueError``.  Each block
+    weight w_B is summed directly from ``space.weights`` over the block,
+    and L is the lcm of the block weights.  Row i holds w_j * (L / w_B) at
+    each j in the block B of i and 0 elsewhere.  The rows of one block are
+    one shared list, so a caller copies a row before mutating it.
+    """
     space = part.space
-    n = space.size
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for b in part.blocks:
-        mass = sum(space.probs[i] for i in b)
+    if space.mode != "rational":
+        raise ValueError("the dense projection oracle takes rational spaces only")
+    w = space.weights
+    masses = [sum(w[i] for i in b) for b in part.blocks]
+    scale = lcm(*masses)
+    rows = [None] * space.size
+    for b, mass in zip(part.blocks, masses):
+        row = [0] * space.size
+        k = scale // mass
+        for j in b:
+            row[j] = w[j] * k
         for i in b:
-            for j in b:
-                rows[i][j] = space.probs[j] / mass
-    return rows
+            rows[i] = row
+    return rows, scale
 
 
 def _projections_commute(x: SigmaField, y: SigmaField) -> bool:
-    """Q_x Q_y = Q_y Q_x as dense matrix products, by the backend's equality."""
-    qx, qy = _projection_matrix(x), _projection_matrix(y)
+    """Q_x Q_y = Q_y Q_x, compared as the integer products M_x M_y = M_y M_x.
+
+    The scales cancel, because L_x L_y = L_y L_x.
+    """
+    (mx, _), (my, _) = _projection_matrix(x), _projection_matrix(y)
 
     def product(a, b):
         cols = list(zip(*b))
         return [sum(u * v for u, v in zip(row, col) if u and v) for row in a for col in cols]
 
-    return x.space.backend.equal(product(qx, qy), product(qy, qx))
+    return product(mx, my) == product(my, mx)
 
 
 def suite_inf_subspaces(rng: random.Random, cases: int) -> SuiteResult:
     """L2 of a meet equals the intersection of the L2 spaces.
 
     The right side is computed by an independent oracle: the nullspace of
-    the stacked complement projections (I - P_i).
+    the stacked complement projections (I - Q_p), each scaled to the
+    integer rows L_p e_i - M_p[i].
     """
     res = SuiteResult("meet-subspace-intersection", cases)
     for case in range(cases):
@@ -175,10 +203,10 @@ def suite_inf_subspaces(rng: random.Random, cases: int) -> SuiteResult:
         left = subspace_of(inf_family(parts))
         stacked = []
         for p in parts:
-            pm = _projection_matrix(p)
+            pm, scale = _projection_matrix(p)
             for i in range(space.size):
                 row = [-x for x in pm[i]]
-                row[i] += 1
+                row[i] += scale
                 stacked.append(row)
         null = exact_nullspace(stacked)
         dim = space.size if null is None else len(null)
@@ -617,6 +645,24 @@ def suite_k_monotone(rng: random.Random, cases: int) -> SuiteResult:
     return res
 
 
+def _first_chaos_stack(splits, size: int) -> list:
+    """Integer rows of the operators I - Q_x - Q_x' stacked over the splits (x, x').
+
+    The rows of one split are scaled by L = lcm(L_x, L_x'), so row i is
+    L e_i - (L / L_x) M_x[i] - (L / L_x') M_x'[i]; the rank is unchanged.
+    """
+    stacked = []
+    for x, xc in splits:
+        (mx, lx), (mc, lc) = _projection_matrix(x), _projection_matrix(xc)
+        scale = lcm(lx, lc)
+        kx, kc = scale // lx, scale // lc
+        for i in range(size):
+            row = [-kx * a - kc * b for a, b in zip(mx[i], mc[i])]
+            row[i] += scale
+            stacked.append(row)
+    return stacked
+
+
 def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
     """Level 1 of the spectral grading equals the first chaos space.
 
@@ -633,16 +679,9 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
         D = spectral_decompose(B)
         basis = D.levels[1].basis
         splits = [(B.coatom(k).realize(), B.atoms[k]) for k in range(B.n_atoms)]
-        stacked = []
-        for x, xc in splits:
-            qx, qxc = _projection_matrix(x), _projection_matrix(xc)
-            for i in range(space.size):
-                row = [-a - b for a, b in zip(qx[i], qxc[i])]
-                row[i] += 1
-                stacked.append(row)
         backend = space.backend
         rank = backend.rank([f.vec for f in basis])
-        stacked_rank = backend.rank([backend.vector(row, space.size) for row in stacked])
+        stacked_rank = len(row_echelon_int(_first_chaos_stack(splits, space.size))[1])
         ok = rank == len(basis) == space.size - stacked_rank
         ok = ok and all(
             backend.equal(f.vec, (cond_exp(x, f) + cond_exp(xc, f)).vec)

@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = rusub.add_parser("run")
     run.add_argument("--ps", type=_list_of(float), required=True,
                      help="comma-separated inclusion probabilities")
-    run.add_argument("--atoms", type=_list_of(int), default=None,
+    run.add_argument("--atoms", type=_list_of(_int_at_least(1)), default=None,
                      help="comma-separated atom counts")
     run.add_argument("--trials", type=_int_at_least(1), default=100_000)
     run.add_argument("--seed", type=_int_at_least(0), default=0)

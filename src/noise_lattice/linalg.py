@@ -71,11 +71,6 @@ def _intvec(nums, den) -> IntVec:
     return IntVec(tuple(nums), den)
 
 
-def exact_rank(rows) -> int:
-    """The rank of rows of Fractions or ints."""
-    return len(row_echelon_int([to_int(r)[0] for r in rows])[1])
-
-
 def exact_rref(int_rows):
     """Canonical reduced row echelon form over the rationals, of integer rows.
 

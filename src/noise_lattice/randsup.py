@@ -42,6 +42,8 @@ class SampleConfig:
             raise ValueError("at least one level is required")
         if any(not 0.0 < p < 1.0 for p in self.ps):
             raise PreconditionError("each p must lie strictly between 0 and 1")
+        if any(n < 1 for n in self.atom_counts):
+            raise ValueError("each atom count must be at least 1")
         if any(b < a for a, b in zip(self.atom_counts, self.atom_counts[1:])):
             raise ValueError("atom counts must be nondecreasing")
         if self.trials < 1:

@@ -24,7 +24,8 @@ import pytest
 from noise_lattice.cofinite import range_set, tail_set
 from noise_lattice.errors import DomainMismatchError
 from noise_lattice.finmeas import RV, ProbSpace, Subspace, indicator, mk_space, span_on
-from noise_lattice.linalg import exact_nullspace, float_nullspace
+from noise_lattice.kernels import row_echelon_int
+from noise_lattice.linalg import exact_nullspace, float_nullspace, to_int
 from noise_lattice.ntba import FamilyVerdict
 from noise_lattice.sigma import (
     SigmaField,
@@ -179,6 +180,11 @@ def gram_schmidt_oracle(vs) -> list:
         if any(w):
             basis.append(w)
     return basis
+
+
+def exact_rank(rows) -> int:
+    """The rank of rows of Fractions or ints, each row scaled to integers first."""
+    return len(row_echelon_int([to_int(r)[0] for r in rows])[1])
 
 
 def rref_oracle(rows) -> tuple:

@@ -1,0 +1,94 @@
+"""The check suites' integer projection oracles against the Fraction ones.
+
+``checks`` builds each dense conditional-expectation matrix as integers
+M over one scale L, Q = M / L.  These tests hold M, the commuting
+verdict and the rank of the stacked first-chaos operators against the
+``Fraction`` matrices of ``conftest``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from conftest import exact_rank, projection_matrix, projections_commute
+
+from noise_lattice import checks
+from noise_lattice.finmeas import mk_space
+from noise_lattice.instances import (
+    rand_independent_pair,
+    rand_ntba,
+    rand_partition,
+    rand_space,
+)
+from noise_lattice.kernels import row_echelon_int
+from noise_lattice.ntba import mk_parity_ntba
+from noise_lattice.sigma import partition
+
+
+def _three_point_witness():
+    three = mk_space(["a", "b", "c"], [Fraction(1, 3)] * 3)
+    return partition(three, [[0], [1, 2]]), partition(three, [[0, 1], [2]])
+
+
+def _pairs(rng, count):
+    """(x, y) pairs on rational spaces with mixed denominators."""
+    yield _three_point_witness()
+    for case in range(count):
+        if case % 3 == 0:
+            _, x, y = rand_independent_pair(rng)
+        else:
+            space = rand_space(rng, 6)
+            x, y = rand_partition(rng, space), rand_partition(rng, space)
+        yield x, y
+
+
+def test_projection_matrix_is_integer_and_scales_the_fraction_oracle():
+    rng = random.Random(31)
+    fields = [f for pair in _pairs(rng, 100) for f in pair]
+    fields += [B.coatom(k).realize() for B in (mk_parity_ntba(3),) for k in range(3)]
+    for x in fields:
+        m, scale = checks._projection_matrix(x)
+        q = projection_matrix(x)
+        assert type(scale) is int and scale > 0
+        assert all(type(e) is int for row in m for e in row)
+        assert [[scale * e for e in row] for row in q] == m
+
+
+def test_projection_matrix_refuses_float_spaces():
+    space = rand_space(random.Random(0), 4, "float")
+    with pytest.raises(ValueError, match="rational spaces only"):
+        checks._projection_matrix(rand_partition(random.Random(1), space))
+
+
+def test_projections_commute_matches_fraction_oracle():
+    rng = random.Random(32)
+    verdicts = []
+    for x, y in _pairs(rng, 240):
+        verdict = checks._projections_commute(x, y)
+        assert verdict == projections_commute(x, y), (x.blocks, y.blocks)
+        verdicts.append(verdict)
+    assert len(verdicts) >= 200
+    assert verdicts[0] is False  # the three-point witness
+    assert True in verdicts and verdicts.count(False) > 1
+
+
+def test_first_chaos_stack_rank_matches_fraction_elimination():
+    rng = random.Random(33)
+    algebras = [rand_ntba(rng, 64) for _ in range(30)] + [mk_parity_ntba(3)]
+    for B in algebras:
+        splits = [(B.coatom(k).realize(), B.atoms[k]) for k in range(B.n_atoms)]
+        n = B.space.size
+        stacked = checks._first_chaos_stack(splits, n)
+        assert all(type(e) is int for row in stacked for e in row)
+        oracle = []
+        for x, xc in splits:
+            qx, qxc = projection_matrix(x), projection_matrix(xc)
+            for i in range(n):
+                row = [-a - b for a, b in zip(qx[i], qxc[i])]
+                row[i] += 1
+                oracle.append(row)
+        for s, o in zip(stacked, oracle):  # each row a positive multiple of the oracle's
+            assert [a == 0 for a in s] == [b == 0 for b in o]
+            ratios = {Fraction(a) / b for a, b in zip(s, o) if b}
+            assert len(ratios) == 1 and min(ratios) > 0
+        assert len(row_echelon_int(stacked)[1]) == exact_rank(oracle)

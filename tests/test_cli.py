@@ -279,7 +279,6 @@ def test_bad_command_line_values_are_usage_errors(tmp_path, capsys):
         ["randsup", "run", "--ps", "0.5,1.5"],
         ["ntba", "restrict", str(f), ""],
         ["randsup", "run", "--ps", "0.6,0.6"],
-        ["randsup", "run", "--ps", "0.1", "--atoms", "0"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -293,6 +292,13 @@ def test_bad_command_line_values_are_usage_errors(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert f"argument {argv[-2]}" in capsys.readouterr().err
+    for bad in ("0", "-1", "4,0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["randsup", "run", "--ps", "0.1", "--atoms", bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --atoms: must be at least 1, got" in err, err
+        assert "at every level" not in err
 
 
 def test_nonpositive_sizes_are_usage_errors(capsys):

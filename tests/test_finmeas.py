@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import exact_rank
 
 from noise_lattice.errors import CapacityError, DomainMismatchError
 from noise_lattice.finmeas import (
@@ -21,7 +22,6 @@ from noise_lattice.finmeas import (
     walsh_character,
 )
 from noise_lattice.instances import rand_rv, rand_space
-from noise_lattice.linalg import exact_rank
 
 
 def test_dyadic_small():

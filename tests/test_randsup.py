@@ -110,6 +110,9 @@ def test_config_validation():
         SampleConfig((3, 2), (0.1, 0.1), seed=0, trials=10)
     with pytest.raises(ValueError):
         SampleConfig((2, 2), (0.1, 0.1), seed=0, trials=0)
+    for counts in ((0,), (-1,), (0, 2)):
+        with pytest.raises(ValueError, match="atom count must be at least 1"):
+            SampleConfig(counts, (0.1,) * len(counts), seed=0, trials=10)
 
 
 def test_inclusion_decay_default_exponents():
