@@ -79,8 +79,7 @@ def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
     if f.space != algebra.space:
         raise DomainMismatchError("RV lives on a different space")
     space = algebra.space
-    elements = list(algebra.elements())
-    parts = [e.realize() for e in elements]
+    parts = [e.realize() for e in algebra.elements()]
     proj_cache: dict = {}
 
     def q(part: SigmaField) -> RV:
@@ -95,8 +94,8 @@ def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
 
     equal = space.backend.equal
     cond_a = True
-    for e, part in zip(elements, parts):
-        comp = parts[elements.index(e.complement())]
+    for i, part in enumerate(parts):
+        comp = parts[-1 - i]  # elements come by bitmask, so x' is element 2^n - 1 - i
         if not equal(f.vec, (q(part) + q(comp)).vec):
             cond_a = False
             break

@@ -8,11 +8,12 @@ same functions at their mandated case counts.
 
 Three suites hold the library against dense conditional-expectation
 matrices Q_x built from the blocks alone: the independence criterion
-(Q_x Q_y = Q_y Q_x), the meet as a subspace intersection (the kernel of
-the stacked I - Q_p) and the first chaos (the kernel of the stacked
-I - Q_x - Q_x').  These oracles are integer matrices M over one scale L,
-Q = M / L, summed from the space's integer weights, so they take rational
-spaces only; their ``Fraction`` forms are test oracles in
+(Q_x Q_y = Q_y Q_x), the meet as a subspace intersection (L2 of the meet
+has dimension N minus the rank of the stacked I - Q_p, and the stack
+sends each of its basis vectors to 0) and the first chaos (the kernel of
+the stacked I - Q_x - Q_x').  These oracles are integer matrices M over
+one scale L, Q = M / L, summed from the space's integer weights, so they
+take rational spaces only; their ``Fraction`` forms are test oracles in
 ``tests/conftest.py``.
 """
 
@@ -22,14 +23,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import cofinite as cf
 from . import instances as inst
 from . import randsup as rs
 from .chaos import chaos_membership, first_chaos, up_down_roundtrip
 from .finmeas import (
-    RV,
     coordinate_sign,
     indicator,
     inner,
@@ -37,12 +37,12 @@ from .finmeas import (
     mk_space,
     norm2,
     product,
+    space_to_json,
     span,
     span_on,
     walsh_character,
 )
 from .kernels import row_echelon_int
-from .linalg import exact_nullspace
 from .ntba import NTBA, coarsen, mk_coordinate_ntba, mk_parity_ntba, validate_family
 from .sigma import (
     SigmaField,
@@ -80,8 +80,6 @@ class SuiteResult:
 
 
 def _space_witness(space) -> dict:
-    from .finmeas import space_to_json
-
     return space_to_json(space)
 
 
@@ -192,9 +190,11 @@ def _projections_commute(x: SigmaField, y: SigmaField) -> bool:
 def suite_inf_subspaces(rng: random.Random, cases: int) -> SuiteResult:
     """L2 of a meet equals the intersection of the L2 spaces.
 
-    The right side is computed by an independent oracle: the nullspace of
-    the stacked complement projections (I - Q_p), each scaled to the
-    integer rows L_p e_i - M_p[i].
+    The right side is the kernel of an independent oracle: the stacked
+    complement projections (I - Q_p), each scaled to the integer rows
+    L_p e_i - M_p[i].  L2 of the meet is that kernel when N minus the
+    stack's rank is its dimension and the stack sends each of its basis
+    vectors to 0.
     """
     res = SuiteResult("meet-subspace-intersection", cases)
     for case in range(cases):
@@ -208,11 +208,11 @@ def suite_inf_subspaces(rng: random.Random, cases: int) -> SuiteResult:
                 row = [-x for x in pm[i]]
                 row[i] += scale
                 stacked.append(row)
-        null = exact_nullspace(stacked)
-        dim = space.size if null is None else len(null)
-        ok = dim == left.dim
-        if ok and null is not None:
-            ok = all(left.contains(RV(space, tuple(v))) for v in null)
+        rank = len(row_echelon_int(stacked)[1])
+        ok = space.size - rank == left.dim and all(
+            not any(sum(u * v for u, v in zip(row, b.vec.nums)) for row in stacked)
+            for b in left.basis
+        )
         if not ok:
             res.failures.append(
                 {
@@ -450,32 +450,34 @@ def suite_membership_triequivalence(rng: random.Random, cases: int) -> SuiteResu
 
 
 def suite_split_identity(rng: random.Random, cases: int) -> SuiteResult:
-    """Per element x: the split constraint kernel is (H_x - H_0) + (H_x' - H_0)."""
+    """Per element x: the split constraint kernel is (H_x - H_0) + (H_x' - H_0).
+
+    The images (I - Q_x - Q_x') e_i span the operator's range, so N minus
+    their rank is the kernel's dimension; the wanted span is the kernel
+    when it has that dimension and the operator sends each of its basis
+    vectors to 0.
+    """
     res = SuiteResult("pairwise-split-identity", cases)
     for case in range(cases):
         B = inst.rand_ntba(rng, 16)
         space = B.space
         e = inst.rand_element(rng, B)
         x, xc = e.realize(), e.complement().realize()
-        rows = []
+        images = []
         for i in range(space.size):
             ei = indicator(space, [i])
-            img = ei - cond_exp(x, ei) - cond_exp(xc, ei)
-            rows.append(img.values)
-        cols = [[rows[j][i] for j in range(space.size)] for i in range(space.size)]
-        null = exact_nullspace(cols)
-        kernel = (
-            span_on(space, [RV(space, tuple(v)) for v in null])
-            if null is not None
-            else span_on(space, [indicator(space, [i]) for i in range(space.size)])
-        )
+            images.append((ei - cond_exp(x, ei) - cond_exp(xc, ei)).vec)
+        rank = space.backend.rank(images)
         direct = []
         for part in (x, xc):
             for b in part.blocks:
                 ind = indicator(space, b)
                 direct.append(ind - cond_exp(trivial(space), ind))
         want = span_on(space, direct)
-        if not (kernel.dim == want.dim and want.contains_subspace(kernel)):
+        if space.size - rank != want.dim or not all(
+            space.backend.is_zero((b - cond_exp(x, b) - cond_exp(xc, b)).vec)
+            for b in want.basis
+        ):
             res.failures.append(
                 {"case": case, "space": _space_witness(space),
                  "x": _partition_witness(x)}
@@ -600,8 +602,6 @@ def suite_walsh_oracle(rng: random.Random, cases: int) -> SuiteResult:
             if p.k != len(p.generator):
                 res.failures.append({"n": n, "note": "k mismatch"})
         dims = D.level_dims()
-        from math import comb
-
         if dims != {k: comb(n, k) for k in range(n + 1)}:
             res.failures.append({"n": n, "note": "level dims", "dims": dims})
     return res
@@ -610,8 +610,6 @@ def suite_walsh_oracle(rng: random.Random, cases: int) -> SuiteResult:
 def suite_spectral_invariance(rng: random.Random, cases: int) -> SuiteResult:
     """Recoded pair-sign algebras grade exactly like coordinate algebras."""
     res = SuiteResult("spectral-recoding-invariance", cases)
-    from math import comb
-
     for n in (1, 2, 3, 4):
         D = spectral_decompose(mk_parity_ntba(n))
         want = {k: comb(n + 1, k) for k in range(n + 2)}

@@ -19,6 +19,7 @@ from . import randsup as rs
 from .chaos import first_chaos
 from .errors import CapacityError, NoiseLatticeError, PreconditionError
 from .finmeas import (
+    coordinate_sign,
     mk_dyadic,
     mk_space,
     space_from_json,
@@ -53,10 +54,6 @@ EXIT_CAPACITY = 3
 
 class UsageError(Exception):
     """Bad input from the command line or an input file (exit 2)."""
-
-
-def _to_float_space(space):
-    return mk_space(space.outcomes, [float(p) for p in space.probs])
 
 
 def _digest(payload) -> str:
@@ -105,6 +102,14 @@ def _print_tree(node, indent: str) -> None:
                 print(f"{indent}- {v}")
     else:
         print(f"{indent}{node}")
+
+
+def _dyadic_space(args, n: int):
+    """The dyadic space on n coordinates, in the backend that ``--mode`` selects."""
+    space = mk_dyadic(n)
+    if args.mode == "float":
+        space = mk_space(space.outcomes, [float(p) for p in space.probs])
+    return space
 
 
 def _load(path: str, parse):
@@ -167,9 +172,7 @@ def _list_of(convert):
 
 def cmd_space(args) -> int:
     if args.space_cmd == "dyadic":
-        space = mk_dyadic(args.n)
-        if args.mode == "float":
-            space = _to_float_space(space)
+        space = _dyadic_space(args, args.n)
     else:
         space = _load_space(args.file)
     print(json.dumps(space_to_json(space), sort_keys=True))
@@ -193,17 +196,11 @@ def cmd_sigma(args) -> int:
 
 def cmd_ntba(args) -> int:
     if args.ntba_cmd == "coords":
-        space = mk_dyadic(args.n)
-        if args.mode == "float":
-            space = _to_float_space(space)
-        algebra = mk_coordinate_ntba(space)
+        algebra = mk_coordinate_ntba(_dyadic_space(args, args.n))
         print(json.dumps(ntba_to_json(algebra), sort_keys=True))
         return EXIT_OK
     if args.ntba_cmd == "parity":
-        space = mk_dyadic(args.n + 1)
-        if args.mode == "float":
-            space = _to_float_space(space)
-        algebra = mk_parity_ntba(args.n, space)
+        algebra = mk_parity_ntba(args.n, _dyadic_space(args, args.n + 1))
         print(json.dumps(ntba_to_json(algebra), sort_keys=True))
         return EXIT_OK
     if args.ntba_cmd == "validate":
@@ -252,16 +249,14 @@ def cmd_spectrum(args) -> int:
     algebra = _load_ntba(args.file)
     decomp = spectral_decompose(algebra)
     grading = chaos_grading(decomp)
+    atomsets = [e.atomset for e in algebra.elements()]
     points = [
         {
             "generator_atoms": sorted(p.generator),
             "k": p.k,
             "dim": p.eigenspace.dim,
             # membership bit per element, indexed by atomset bitmask
-            "pattern": [
-                int(p.in_spectral_set({i for i in range(algebra.n_atoms) if m >> i & 1}))
-                for m in range(1 << algebra.n_atoms)
-            ],
+            "pattern": [int(p.in_spectral_set(s)) for s in atomsets],
         }
         for p in decomp.points
     ]
@@ -413,8 +408,6 @@ def cmd_check(args) -> int:
 
 def cmd_demo(args) -> int:
     """The sign-product dossier: what finite scale sees of nonclassicality."""
-    from .finmeas import coordinate_sign
-
     h1_dims = {}
     pair_generators_present = True
     for n in range(1, 7):

@@ -70,16 +70,12 @@ class ProbSpace:
 
 
 def mk_space(outcomes, probs) -> ProbSpace:
-    """Build a space from raw lists; Fractions and ints stay exact."""
-    out = []
-    for p in probs:
-        if isinstance(p, float):
-            out.append(p)
-        else:
-            out.append(Fraction(p))
-    if any(isinstance(p, float) for p in out):
-        out = [float(p) for p in out]
-    return ProbSpace(tuple(outcomes), tuple(out))
+    """Build a space from raw lists: floats stay floats, anything else becomes a Fraction.
+
+    A mix of floats and exact values is a ``ValueError`` (``ProbSpace``).
+    """
+    probs = tuple(p if isinstance(p, float) else Fraction(p) for p in probs)
+    return ProbSpace(tuple(outcomes), probs)
 
 
 def mk_dyadic(n: int) -> ProbSpace:
@@ -194,11 +190,9 @@ class Subspace:
     is orthonormal, so its norms are 1.0.
     """
 
-    def __init__(self, space: ProbSpace, basis, norms2=None):
+    def __init__(self, space: ProbSpace, basis, norms2):
         self.space = space
         self.basis = tuple(basis)
-        if norms2 is None:
-            norms2 = (norm2(b) for b in self.basis)
         self.norms2 = tuple(norms2)
         self._rref = None
 
@@ -241,7 +235,7 @@ def span(vs, space: ProbSpace | None = None) -> Subspace:
     if not vs:
         if space is None:
             raise ValueError("empty span needs an explicit space")
-        return Subspace(space, ())
+        return Subspace(space, (), ())
     space = vs[0].space
     for v in vs[1:]:
         _same_space(vs[0], v)

@@ -97,31 +97,6 @@ def exact_rref(int_rows):
     return tuple(IntVec(tuple(r), r[c]) for r, c in zip(work, piv))
 
 
-def exact_nullspace(rows):
-    """Basis of {v : M v = 0} over the rationals, deterministic order.
-
-    One basis vector per free column, with that coordinate set to 1.
-    """
-    int_rows = [to_int(r)[0] for r in rows]
-    int_rows = [r for r in int_rows if any(r)]
-    if not int_rows:
-        return None  # caller interprets: whole space
-    nc = len(int_rows[0])
-    rref = exact_rref(int_rows)
-    piv = [next(c for c, x in enumerate(r.nums) if x) for r in rref]
-    pivset = set(piv)
-    basis = []
-    for free in range(nc):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * nc
-        v[free] = Fraction(1)
-        for r, c in zip(rref, piv):
-            v[c] = -Fraction(r.nums[free], r.den)
-        basis.append(v)
-    return basis
-
-
 def exact_orthogonalize(int_vecs, weights, total):
     """Weighted Gram-Schmidt over the rationals, unnormalized.
 

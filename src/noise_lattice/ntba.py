@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainMismatchError, PreconditionError
-from .finmeas import RV, ProbSpace, mk_space
+from .finmeas import RV, ProbSpace, mk_dyadic, mk_space, space_from_json, space_to_json
 from .sigma import (
     SigmaField,
     _group,
@@ -26,6 +26,8 @@ from .sigma import (
     independent,
     join,
     meet,
+    partition_from_json,
+    partition_to_json,
     trivial,
 )
 
@@ -133,8 +135,6 @@ def mk_parity_ntba(n: int, space: ProbSpace | None = None) -> NTBA:
     atoms plus the last coordinate are mutually independent and generate
     everything, yet the product signs alone do not.
     """
-    from .finmeas import mk_dyadic
-
     if n < 1:
         raise ValueError("n must be >= 1")
     if space is None:
@@ -255,9 +255,6 @@ def restrict(algebra: NTBA, e: NTBAElement) -> Restriction:
 
 
 def ntba_to_json(algebra: NTBA) -> dict:
-    from .finmeas import space_to_json
-    from .sigma import partition_to_json
-
     return {
         "space": space_to_json(algebra.space),
         "atoms": [partition_to_json(a) for a in algebra.atoms],
@@ -265,9 +262,6 @@ def ntba_to_json(algebra: NTBA) -> dict:
 
 
 def ntba_from_json(obj: dict) -> NTBA:
-    from .finmeas import space_from_json
-    from .sigma import partition_from_json
-
     space = space_from_json(obj["space"])
     atoms = [partition_from_json(space, a) for a in obj["atoms"]]
     return NTBA(space, atoms)

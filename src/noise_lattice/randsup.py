@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 
 BLOCK = 4096  # trials per Philox stream
+MAX_LEVEL_ATOMS = 1024  # one level's (BLOCK, n_k) float draw stays within 32 MiB
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,11 @@ class SampleConfig:
             raise ValueError("atom counts must be nondecreasing")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
+        if self.atom_counts[-1] > MAX_LEVEL_ATOMS:
+            raise CapacityError(
+                f"{self.atom_counts[-1]} atoms at one level exceed the guard of "
+                f"{MAX_LEVEL_ATOMS} per level"
+            )
 
 
 def trial_rng(seed: int, block: int) -> np.random.Generator:

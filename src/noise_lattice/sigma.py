@@ -156,10 +156,6 @@ def sigma_of_rvs(space: ProbSpace, rvs) -> SigmaField:
     return _group(space, [space.backend.levels(f.vec) for f in rvs])
 
 
-def sigma_from_rv(f: RV) -> SigmaField:
-    return sigma_of_rvs(f.space, [f])
-
-
 def meet(x: SigmaField, y: SigmaField) -> SigmaField:
     """Intersection sigma-field: components of the shared-outcome graph.
 

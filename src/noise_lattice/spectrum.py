@@ -39,13 +39,6 @@ class SpectralDecomp:
     points: list
     levels: dict = field(default_factory=dict)  # k -> Subspace
 
-    def point_by_generator(self, atomset) -> SpectralPoint | None:
-        key = frozenset(atomset)
-        for p in self.points:
-            if p.generator == key:
-                return p
-        return None
-
     def level_dims(self) -> dict:
         return {k: v.dim for k, v in sorted(self.levels.items())}
 
@@ -99,9 +92,9 @@ def verify_spectral_identities(decomp: SpectralDecomp) -> IdentityReport:
     the elements containing it form a filter.
     """
     algebra = decomp.algebra
-    n = algebra.n_atoms
     failures = []
-    masks = [frozenset(s) for s in _subsets(range(n))]
+    elements = list(algebra.elements())
+    masks = [e.atomset for e in elements]
     spec_sets = {
         m: frozenset(i for i, p in enumerate(decomp.points) if p.in_spectral_set(m))
         for m in masks
@@ -109,16 +102,16 @@ def verify_spectral_identities(decomp: SpectralDecomp) -> IdentityReport:
     for mx, my in itertools.combinations_with_replacement(masks, 2):
         if spec_sets[mx] & spec_sets[my] != spec_sets[mx & my]:
             failures.append(("meet-of-spectral-sets", mx, my))
-    for m in masks:
+    for e in elements:
         vecs = [
             b
-            for i in spec_sets[m]
+            for i in spec_sets[e.atomset]
             for b in decomp.points[i].eigenspace.basis
         ]
-        got = span_on(algebra.space, vecs) if vecs else Subspace(algebra.space, ())
-        want = subspace_of(algebra.element(m).realize())
+        got = span_on(algebra.space, vecs)
+        want = subspace_of(e.realize())
         if not (got.dim == want.dim and want.contains_subspace(got)):
-            failures.append(("spectral-set-subspace", m))
+            failures.append(("spectral-set-subspace", e.atomset))
     for i, p in enumerate(decomp.points):
         containing = [m for m in masks if p.in_spectral_set(m)]
         cset = set(containing)
@@ -130,12 +123,6 @@ def verify_spectral_identities(decomp: SpectralDecomp) -> IdentityReport:
                 if mx & my not in cset:
                     failures.append(("filter-meet", i, mx, my))
     return IdentityReport(not failures, failures)
-
-
-def _subsets(items):
-    items = list(items)
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from noise_lattice.cofinite import range_set, tail_set
 from noise_lattice.errors import DomainMismatchError
 from noise_lattice.finmeas import RV, ProbSpace, Subspace, indicator, mk_space, span_on
 from noise_lattice.kernels import row_echelon_int
-from noise_lattice.linalg import exact_nullspace, float_nullspace, to_int
+from noise_lattice.linalg import exact_rref, float_nullspace, to_int
 from noise_lattice.ntba import FamilyVerdict
 from noise_lattice.sigma import (
     SigmaField,
@@ -203,6 +203,32 @@ def rref_oracle(rows) -> tuple:
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return tuple(tuple(r) for r in m[:rank])
+
+
+def exact_nullspace(rows):
+    """Basis of {v : M v = 0} over the rationals, deterministic order.
+
+    One basis vector per free column, with that coordinate set to 1.  None
+    when every row is zero: the kernel is the whole space.
+    """
+    int_rows = [to_int(r)[0] for r in rows]
+    int_rows = [r for r in int_rows if any(r)]
+    if not int_rows:
+        return None
+    nc = len(int_rows[0])
+    rref = exact_rref(int_rows)
+    piv = [next(c for c, x in enumerate(r.nums) if x) for r in rref]
+    pivset = set(piv)
+    basis = []
+    for free in range(nc):
+        if free in pivset:
+            continue
+        v = [Fraction(0)] * nc
+        v[free] = Fraction(1)
+        for r, c in zip(rref, piv):
+            v[c] = -Fraction(r.nums[free], r.den)
+        basis.append(v)
+    return basis
 
 
 def level_sets_oracle(space: ProbSpace, rvs) -> SigmaField:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import set_partitions
+from conftest import exact_nullspace, set_partitions
 
 from noise_lattice.chaos import (
     atomless_split,
@@ -23,7 +23,6 @@ from noise_lattice.finmeas import (
     span_on,
 )
 from noise_lattice.instances import rand_element, rand_ntba, rand_rv
-from noise_lattice.linalg import exact_nullspace
 from noise_lattice.ntba import NTBA, mk_coordinate_ntba, mk_parity_ntba
 from noise_lattice.sigma import cond_exp, discrete, join, meet, sigma_of_rvs
 

@@ -3,7 +3,9 @@
 ``checks`` builds each dense conditional-expectation matrix as integers
 M over one scale L, Q = M / L.  These tests hold M, the commuting
 verdict and the rank of the stacked first-chaos operators against the
-``Fraction`` matrices of ``conftest``.
+``Fraction`` matrices of ``conftest``.  The two suites that decide a
+kernel by rank and by sending a basis to 0 are also run with one fault
+injected at a time, and each fault must fail some case.
 """
 
 import random
@@ -13,7 +15,7 @@ import pytest
 from conftest import exact_rank, projection_matrix, projections_commute
 
 from noise_lattice import checks
-from noise_lattice.finmeas import mk_space
+from noise_lattice.finmeas import RV, Subspace, indicator, mk_space, norm2
 from noise_lattice.instances import (
     rand_independent_pair,
     rand_ntba,
@@ -92,3 +94,76 @@ def test_first_chaos_stack_rank_matches_fraction_elimination():
             ratios = {Fraction(a) / b for a, b in zip(s, o) if b}
             assert len(ratios) == 1 and min(ratios) > 0
         assert len(row_echelon_int(stacked)[1]) == exact_rank(oracle)
+
+
+def _run_suite(fn, cases):
+    """The suite on the instances that ``check all --seed 1`` draws for it."""
+    return fn(random.Random(f"1:{fn.__name__}"), cases)
+
+
+def test_meet_suite_catches_a_projection_entry_off_by_one(monkeypatch):
+    assert not _run_suite(checks.suite_inf_subspaces, 100).failures
+    original = checks._projection_matrix
+
+    def off_by_one(part):
+        rows, scale = original(part)
+        rows = list(rows)
+        rows[0] = rows[0][:]
+        rows[0][0] += 1
+        return rows, scale
+
+    monkeypatch.setattr(checks, "_projection_matrix", off_by_one)
+    assert _run_suite(checks.suite_inf_subspaces, 100).failures
+
+
+def test_meet_suite_catches_a_dropped_block_indicator(monkeypatch):
+    original = checks.subspace_of
+
+    def dropped(x):
+        sub = original(x)
+        return Subspace(sub.space, sub.basis[1:], sub.norms2[1:])
+
+    monkeypatch.setattr(checks, "subspace_of", dropped)
+    assert _run_suite(checks.suite_inf_subspaces, 100).failures
+
+
+def test_meet_suite_catches_a_basis_vector_outside_the_kernel(monkeypatch):
+    """Same dimension, wrong span: only the sends-to-0 clause sees it."""
+    original = checks.subspace_of
+
+    def moved(x):
+        sub = original(x)
+        first = indicator(sub.space, [0])
+        return Subspace(sub.space, (first, *sub.basis[1:]), (norm2(first), *sub.norms2[1:]))
+
+    monkeypatch.setattr(checks, "subspace_of", moved)
+    assert _run_suite(checks.suite_inf_subspaces, 100).failures
+
+
+def test_split_suite_catches_a_conditional_expectation_off_by_one(monkeypatch):
+    assert not _run_suite(checks.suite_split_identity, 20).failures
+    original = checks.cond_exp
+
+    def off_on_two_blocks(x, f):
+        got = original(x, f)
+        if x.n_blocks != 2:
+            return got
+        values = list(got.values)
+        values[0] += 1
+        return RV(got.space, values)
+
+    monkeypatch.setattr(checks, "cond_exp", off_on_two_blocks)
+    assert _run_suite(checks.suite_split_identity, 20).failures
+
+
+def test_split_suite_catches_a_wanted_vector_outside_the_kernel(monkeypatch):
+    """Same dimension, wrong span: only the sends-to-0 clause sees it."""
+    original = checks.span_on
+
+    def moved(space, vecs):
+        sub = original(space, vecs)
+        first = indicator(space, [0])  # not mean-zero, so never in the kernel
+        return Subspace(space, (first, *sub.basis[1:]), (norm2(first), *sub.norms2[1:]))
+
+    monkeypatch.setattr(checks, "span_on", moved)
+    assert _run_suite(checks.suite_split_identity, 20).failures

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from noise_lattice import checks
+from noise_lattice import randsup as rs
 from noise_lattice.cli import UsageError, _load, main
 from noise_lattice.cofinite import MAX_BITS
 from noise_lattice.errors import NoiseLatticeError
@@ -265,6 +266,35 @@ def test_malformed_input_files_are_usage_errors(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_mixed_probability_file_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "mixed.json"
+    f.write_text(json.dumps({"outcomes": ["a", "b"], "probs": ["1/2", 0.5]}))
+    assert main(["space", "load", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert "all Fractions or all floats" in captured.err
+
+
+def test_randsup_atoms_past_the_level_guard_exit_3(monkeypatch, capsys):
+    drawn = []  # atom counts of the (BLOCK, n) arrays asked for; none is drawn
+
+    def record(n_atoms, p, rng):
+        drawn.append(n_atoms)
+        raise AssertionError(f"asked for a {rs.BLOCK} x {n_atoms} draw")
+
+    monkeypatch.setattr(rs, "sample_element", record)
+    argv = ["randsup", "run", "--ps", "0.1", "--trials", "10"]
+    assert main(argv + ["--atoms", str(rs.MAX_LEVEL_ATOMS + 1)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1, err
+    assert str(rs.MAX_LEVEL_ATOMS) in err
+    assert drawn == []
+    with pytest.raises(AssertionError):
+        main(argv + ["--atoms", str(rs.MAX_LEVEL_ATOMS)])
+    assert drawn == [rs.MAX_LEVEL_ATOMS]
 
 
 def test_bad_command_line_values_are_usage_errors(tmp_path, capsys):

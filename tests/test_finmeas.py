@@ -155,3 +155,6 @@ def test_mixed_probabilities_rejected():
     for probs in ((Fraction(1, 2), 0.5), (0.5, Fraction(1, 2))):
         with pytest.raises(ValueError):
             ProbSpace(("a", "b"), probs)
+    for probs in (("1/2", 0.5), (0.5, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="all Fractions or all floats"):
+            mk_space(["a", "b"], probs)

@@ -35,7 +35,7 @@ from noise_lattice.sigma import (
     lift_partition,
     meet,
     partition,
-    sigma_from_rv,
+    sigma_of_rvs,
     trivial,
 )
 
@@ -51,8 +51,8 @@ def test_coordinate_ntba_shape():
 
 def test_second_ntba_structure_on_same_space():
     s2 = mk_dyadic(2)
-    x1 = sigma_from_rv(coordinate_sign(s2, 1))
-    prod = sigma_from_rv(coordinate_sign(s2, 1) * coordinate_sign(s2, 2))
+    x1 = sigma_of_rvs(s2, [coordinate_sign(s2, 1)])
+    prod = sigma_of_rvs(s2, [coordinate_sign(s2, 1) * coordinate_sign(s2, 2)])
     verdict = validate_family(s2, [trivial(s2), x1, prod, discrete(s2)])
     assert verdict.valid
     B = NTBA(s2, [x1, prod])
@@ -101,7 +101,7 @@ def test_validate_family_rejects_dependent_complement(uniform3):
 
 def test_validate_family_needs_closure():
     s2 = mk_dyadic(2)
-    x1 = sigma_from_rv(coordinate_sign(s2, 1))
+    x1 = sigma_of_rvs(s2, [coordinate_sign(s2, 1)])
     verdict = validate_family(s2, [trivial(s2), x1, discrete(s2)])
     assert verdict == FamilyVerdict(False, "element without complement", (x1,))
 
@@ -194,15 +194,15 @@ def test_parity_ntba_examples():
 
 def test_atoms_must_be_independent():
     s2 = mk_dyadic(2)
-    x1 = sigma_from_rv(coordinate_sign(s2, 1))
+    x1 = sigma_of_rvs(s2, [coordinate_sign(s2, 1)])
     with pytest.raises(ValueError):
         NTBA(s2, [x1, x1])
 
 
 def test_atoms_must_generate():
     s3 = mk_dyadic(3)
-    x1 = sigma_from_rv(coordinate_sign(s3, 1))
-    x2 = sigma_from_rv(coordinate_sign(s3, 2))
+    x1 = sigma_of_rvs(s3, [coordinate_sign(s3, 1)])
+    x2 = sigma_of_rvs(s3, [coordinate_sign(s3, 2)])
     with pytest.raises(ValueError):
         NTBA(s3, [x1, x2])
 
@@ -314,11 +314,11 @@ def test_sign_constructors_match_explicit_atoms():
     for n in (1, 2, 3, 4):
         space = mk_dyadic(n)
         xi = [coordinate_sign(space, k) for k in range(1, n + 1)]
-        assert list(mk_coordinate_ntba(space).atoms) == [sigma_from_rv(f) for f in xi]
+        assert list(mk_coordinate_ntba(space).atoms) == [sigma_of_rvs(space, [f]) for f in xi]
         P = mk_parity_ntba(n)
         xi = [coordinate_sign(P.space, k) for k in range(1, n + 2)]
-        want = [sigma_from_rv(xi[k] * xi[k + 1]) for k in range(n)]
-        assert list(P.atoms) == want + [sigma_from_rv(xi[n])]
+        want = [sigma_of_rvs(P.space, [xi[k] * xi[k + 1]]) for k in range(n)]
+        assert list(P.atoms) == want + [sigma_of_rvs(P.space, [xi[n]])]
 
 
 def test_coordinate_ntba_builds_in_near_linear_time():

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from noise_lattice import randsup
-from noise_lattice.errors import PreconditionError
+from noise_lattice.errors import CapacityError, PreconditionError
 from noise_lattice.randsup import (
     BLOCK,
     SampleConfig,
@@ -113,6 +113,9 @@ def test_config_validation():
     for counts in ((0,), (-1,), (0, 2)):
         with pytest.raises(ValueError, match="atom count must be at least 1"):
             SampleConfig(counts, (0.1,) * len(counts), seed=0, trials=10)
+    SampleConfig((4, 1024), (0.1, 0.1), seed=0, trials=10)  # a (4096, 1024) draw is 32 MiB
+    with pytest.raises(CapacityError, match="guard of 1024 per level"):
+        SampleConfig((4, 1025), (0.1, 0.1), seed=0, trials=10)
 
 
 def test_inclusion_decay_default_exponents():

@@ -31,7 +31,6 @@ from noise_lattice.sigma import (
     meet,
     partition,
     partition_from_json,
-    sigma_from_rv,
     sigma_of,
     sigma_of_rvs,
     sup_family,
@@ -41,7 +40,7 @@ from noise_lattice.sigma import (
 
 
 def sigma_xi(space, k):
-    return sigma_from_rv(coordinate_sign(space, k))
+    return sigma_of_rvs(space, [coordinate_sign(space, k)])
 
 
 def test_meet_examples():
@@ -57,7 +56,7 @@ def test_join_examples():
     x1, x2 = sigma_xi(s2, 1), sigma_xi(s2, 2)
     assert join(x1, x2) == discrete(s2)
     assert join(x1, trivial(s2)) == x1
-    prod = sigma_from_rv(coordinate_sign(s2, 1) * coordinate_sign(s2, 2))
+    prod = sigma_of_rvs(s2, [coordinate_sign(s2, 1) * coordinate_sign(s2, 2)])
     assert join(x1, prod) == discrete(s2)
 
 
@@ -101,7 +100,7 @@ def test_commutes_examples(uniform3):
     x = partition(uniform3, [[0], [1, 2]])
     y = partition(uniform3, [[0, 1], [2]])
     assert not commutes(x, y)
-    prod = sigma_from_rv(coordinate_sign(s2, 1) * coordinate_sign(s2, 2))
+    prod = sigma_of_rvs(s2, [coordinate_sign(s2, 1) * coordinate_sign(s2, 2)])
     assert commutes(x1, prod)
 
 
@@ -162,7 +161,7 @@ def test_independent_examples(uniform3):
     s2 = mk_dyadic(2)
     x1, x2 = sigma_xi(s2, 1), sigma_xi(s2, 2)
     assert independent(x1, x2)
-    prod = sigma_from_rv(coordinate_sign(s2, 1) * coordinate_sign(s2, 2))
+    prod = sigma_of_rvs(s2, [coordinate_sign(s2, 1) * coordinate_sign(s2, 2)])
     assert independent(x1, prod)
     x = partition(uniform3, [[0], [1, 2]])
     y = partition(uniform3, [[0, 1], [2]])
@@ -217,7 +216,7 @@ def test_inf_sup_family():
     assert sup_family(xs) == discrete(s3)
     s2 = mk_dyadic(2)
     x1 = sigma_xi(s2, 1)
-    prod = sigma_from_rv(coordinate_sign(s2, 1) * coordinate_sign(s2, 2))
+    prod = sigma_of_rvs(s2, [coordinate_sign(s2, 1) * coordinate_sign(s2, 2)])
     assert inf_family([x1, prod]) == trivial(s2)
     with pytest.raises(PreconditionError):
         inf_family([])

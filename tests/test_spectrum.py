@@ -96,8 +96,8 @@ def test_identities_report():
     rep = verify_spectral_identities(D)
     assert rep.ok
     # the pattern of the xi_1 point is generated by atom 0
-    p = D.point_by_generator({0})
-    assert p is not None and p.k == 1
+    (p,) = [q for q in D.points if q.generator == {0}]
+    assert p.k == 1
     # the spectral set of the bottom element carries only the constants
     bottom = [q for q in D.points if q.in_spectral_set(frozenset())]
     assert len(bottom) == 1 and bottom[0].k == 0
