@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from . import cofinite as cf
 from . import instances as inst
@@ -664,10 +665,16 @@ def _first_chaos_stack(splits, size: int) -> list:
 def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
     """Level 1 of the spectral grading equals the first chaos space.
 
-    The first chaos is taken from its definition: the common kernel of
-    I - Q_x - Q_x' over the co-atoms x.  Level 1's basis must be linearly
-    independent and as long as the kernel's dimension, N minus the rank of
-    the stacked dense operators, and each of its basis vectors must split,
+    The first chaos is taken from its definition: the kernel K of the
+    stacked dense operators S = [I - Q_x - Q_x'] over the co-atoms x.
+    Level 1's basis must be linearly independent, lie in K (every row of S
+    has zero dot product with every basis vector), and have rank N when
+    stacked on S.  K is the orthogonal complement of the row space of S,
+    so the two meet only in 0, and an independent basis inside K adds its
+    length to the rank of S: given independence and containment, rank N
+    holds iff N - rank(S) == len(basis), that is iff the basis spans K.
+    The basis goes first, so the elimination stops at rank N instead of
+    reading every row of S.  Each basis vector must also split,
     f = Q_x f + Q_x' f, for every co-atom.
     """
     res = SuiteResult("first-level-equals-first-chaos", cases)
@@ -678,9 +685,11 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
         basis = D.levels[1].basis
         splits = [(B.coatom(k).realize(), B.atoms[k]) for k in range(B.n_atoms)]
         backend = space.backend
-        rank = backend.rank([f.vec for f in basis])
-        stacked_rank = len(row_echelon_int(_first_chaos_stack(splits, space.size))[1])
-        ok = rank == len(basis) == space.size - stacked_rank
+        nums = [f.vec.nums for f in basis]
+        stacked = _first_chaos_stack(splits, space.size)
+        ok = backend.rank([f.vec for f in basis]) == len(basis)
+        ok = ok and not any(sum(map(mul, row, v)) for row in stacked for v in nums)
+        ok = ok and len(row_echelon_int(nums + stacked)[1]) == space.size
         ok = ok and all(
             backend.equal(f.vec, (cond_exp(x, f) + cond_exp(xc, f)).vec)
             for f in basis
@@ -781,7 +790,9 @@ def suite_cofinite_truncation(rng: random.Random, cases: int) -> SuiteResult:
 
     Elements with pair indices and tails inside the window realize as
     sigma-fields on the n+1 sign space; the realization must be a lattice
-    embedding.  This is the module's ground-truth oracle.
+    embedding.  This is the module's ground-truth oracle.  Each distinct
+    element is realized once; the partition meet and join run for every
+    case.
     """
     res = SuiteResult("cofinite-truncation-oracle", cases)
     n = 6
@@ -793,12 +804,16 @@ def suite_cofinite_truncation(rng: random.Random, cases: int) -> SuiteResult:
     sign_fields = {j: sigma_of_rvs(space, [g]) for j, g in signs.items()}
     pair_fields = {k: sigma_of_rvs(space, [g]) for k, g in pairs.items()}
     bottom = trivial(space)
+    realized = {}  # the draws repeat few elements, so each is realized once
 
     def realize(e: cf.CofElem) -> SigmaField:
-        fields = [bottom] + [pair_fields[k] for k in e.ys.indices_up_to(n)]
-        if e.tail is not None:
-            fields.extend(sign_fields[j] for j in range(e.tail, n + 2))
-        return sup_family(fields)
+        got = realized.get(e)
+        if got is None:
+            fields = [bottom] + [pair_fields[k] for k in e.ys.indices_up_to(n)]
+            if e.tail is not None:
+                fields.extend(sign_fields[j] for j in range(e.tail, n + 2))
+            got = realized[e] = sup_family(fields)
+        return got
 
     def rand_elem() -> cf.CofElem:
         tail = rng.choice([None, None, rng.randint(1, n + 1)])

@@ -249,6 +249,11 @@ def cmd_spectrum(args) -> int:
     algebra = _load_ntba(args.file)
     decomp = spectral_decompose(algebra)
     grading = chaos_grading(decomp)
+    if args.format == "csv":
+        print("level,dimension")
+        for k, d in sorted(grading.levels.items()):
+            print(f"{k},{d}")
+        return EXIT_OK
     atomsets = [e.atomset for e in algebra.elements()]
     points = [
         {
@@ -265,12 +270,7 @@ def cmd_spectrum(args) -> int:
         "levels": {str(k): d for k, d in grading.levels.items()},
         "classical": grading.classical,
     }
-    if args.format == "csv":
-        print("level,dimension")
-        for k, d in sorted(grading.levels.items()):
-            print(f"{k},{d}")
-    else:
-        _emit(args, _report("spectrum report", ntba_to_json(algebra), results, True))
+    _emit(args, _report("spectrum report", ntba_to_json(algebra), results, True))
     return EXIT_OK
 
 

@@ -23,7 +23,10 @@ An index set is an eventually periodic bit string, held as two integer
 masks: a preperiod and one period, bit i-1 of a mask standing for its
 i-th position.  Union, intersection and complement are a few shifts,
 rotations and repetitions of those integers and one bitwise operation,
-never a loop over positions.  No set may need more than
+never a loop over positions.  A finite or cofinite set, which is every
+index set of B, combines as one signed integer: its two's-complement
+bits run on as zeros or ones past the preperiod, so union and
+intersection are one ``|`` or ``&``.  No set may need more than
 ``MAX_BITS`` mask bits in its preperiod and period together (a finite
 set up to k, or a tail t(k), takes k); a larger position, step or period
 raises ``CapacityError``.
@@ -170,12 +173,22 @@ class NatSet:
     def _combine(self, other: "NatSet", op, absorbing: int) -> "NatSet":
         """Apply a bitwise op to both sets over max(npre) and lcm(nper) bits.
 
-        When one set's period is the single bit that absorbs the op (1 for
-        union, 0 for intersection), so is the result's: both sets are then
-        read over max(npre) bits only, whatever the other period.  That
-        needs no guard, since each operand already has npre + nper <=
+        A finite or cofinite set (period one bit) is one two's-complement
+        integer, pre | -(per << npre), its ones or zeros running on forever,
+        so two of them combine in one op; a negative result is cofinite,
+        its preperiod ending at its last zero.  When one set's period is
+        the single bit that absorbs the op (1 for union, 0 for
+        intersection), so is the result's: both sets are then read over
+        max(npre) bits only, whatever the other period.  Neither route
+        needs a guard, since each operand already has npre + nper <=
         MAX_BITS.
         """
+        if self.nper == other.nper == 1:
+            m = op(self.pre | -(self.per << self.npre), other.pre | -(other.per << other.npre))
+            if m >= 0:
+                return _finite(m)
+            keep = (~m).bit_length()
+            return NatSet(m & _ones(keep), keep, 1, 1)
         npre = max(self.npre, other.npre)
         if (1, absorbing) in ((self.nper, self.per), (other.nper, other.per)):
             return _canon(op(self._prefix(npre), other._prefix(npre)), npre, absorbing, 1)

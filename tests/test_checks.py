@@ -3,9 +3,10 @@
 ``checks`` builds each dense conditional-expectation matrix as integers
 M over one scale L, Q = M / L.  These tests hold M, the commuting
 verdict and the rank of the stacked first-chaos operators against the
-``Fraction`` matrices of ``conftest``.  The two suites that decide a
+``Fraction`` matrices of ``conftest``.  The three suites that decide a
 kernel by rank and by sending a basis to 0 are also run with one fault
-injected at a time, and each fault must fail some case.
+injected at a time, and each fault must fail some case.  The truncation
+suite must realize each distinct element once.
 """
 
 import random
@@ -167,3 +168,103 @@ def test_split_suite_catches_a_wanted_vector_outside_the_kernel(monkeypatch):
 
     monkeypatch.setattr(checks, "span_on", moved)
     assert _run_suite(checks.suite_split_identity, 20).failures
+
+
+def _with_level_one(monkeypatch, change):
+    """Run the first-level suite with level 1's basis replaced by ``change(sub)``."""
+    original = checks.spectral_decompose
+
+    def changed(B):
+        D = original(B)
+        sub = D.levels[1]
+        D.levels[1] = Subspace(sub.space, *change(sub))
+        return D
+
+    monkeypatch.setattr(checks, "spectral_decompose", changed)
+    return _run_suite(checks.suite_first_level_is_h1, 30)
+
+
+def test_first_level_suite_catches_a_dropped_basis_vector(monkeypatch):
+    res = _with_level_one(monkeypatch, lambda sub: (sub.basis[1:], sub.norms2[1:]))
+    assert res.failures
+
+
+def test_first_level_suite_catches_a_basis_vector_outside_the_kernel(monkeypatch):
+    def moved(sub):
+        first = indicator(sub.space, [0])
+        return (first, *sub.basis[1:]), (norm2(first), *sub.norms2[1:])
+
+    assert _with_level_one(monkeypatch, moved).failures
+
+
+def test_first_level_suite_catches_a_projection_entry_off_by_one(monkeypatch):
+    assert not _run_suite(checks.suite_first_level_is_h1, 30).failures
+    original = checks._projection_matrix
+
+    def off_by_one(part):
+        rows, scale = original(part)
+        rows = list(rows)
+        rows[0] = rows[0][:]
+        rows[0][0] += 1
+        return rows, scale
+
+    monkeypatch.setattr(checks, "_projection_matrix", off_by_one)
+    assert _run_suite(checks.suite_first_level_is_h1, 30).failures
+
+
+def test_first_level_rank_clauses_agree_with_the_kernel_dimension():
+    """Independence, containment and rank N of [basis; stack] against the
+    old clause N - rank(stack) == len(basis), on the seed-1 instances and on
+    their level-1 bases with a vector dropped or moved out of the kernel.
+
+    The two agree where the basis lies in the kernel; a moved vector keeps
+    the dimension, so only the new clauses see it."""
+    rng = random.Random("1:suite_first_level_is_h1")
+    verdicts = []
+    for _ in range(30):
+        B = rand_ntba(rng, 64)
+        space = B.space
+        basis = list(checks.spectral_decompose(B).levels[1].basis)
+        splits = [(B.coatom(k).realize(), B.atoms[k]) for k in range(B.n_atoms)]
+        stacked = checks._first_chaos_stack(splits, space.size)
+        stacked_rank = exact_rank(stacked)
+        for variant, inside in (
+            (basis, True),
+            (basis[1:], True),
+            ([indicator(space, [0]), *basis[1:]], False),
+        ):
+            nums = [f.vec.nums for f in variant]
+            independent = exact_rank(nums) == len(nums)
+            contained = all(
+                sum(a * b for a, b in zip(row, v)) == 0 for row in stacked for v in nums
+            )
+            new = independent and contained and exact_rank(nums + stacked) == space.size
+            old = independent and space.size - stacked_rank == len(nums)
+            assert contained == inside
+            assert new == (old and inside)
+            verdicts.append(new)
+    assert verdicts.count(True) == 30
+
+
+def test_truncation_suite_realizes_each_element_once(monkeypatch):
+    """``sup_family`` runs once per distinct element the suite realizes:
+    the drawn pairs, their meets and their joins."""
+    seen, calls = set(), []
+    for name in ("cof_elem", "cof_meet", "cof_join"):
+        original = getattr(checks.cf, name)
+
+        def recording(*args, _original=original):
+            e = _original(*args)
+            seen.add(e)
+            return e
+
+        monkeypatch.setattr(checks.cf, name, recording)
+    original_sup = checks.sup_family
+
+    def counting(fields):
+        calls.append(None)
+        return original_sup(fields)
+
+    monkeypatch.setattr(checks, "sup_family", counting)
+    assert not _run_suite(checks.suite_cofinite_truncation, 300).failures
+    assert len(calls) == len(seen) < 4 * 300

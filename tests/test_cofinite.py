@@ -5,6 +5,7 @@ import io
 import itertools
 import random
 import time
+from operator import and_, or_
 
 import pytest
 from conftest import (
@@ -33,6 +34,10 @@ def _tail_and_ys(e) -> tuple:
 bit_lists = st.lists(st.integers(0, 1), max_size=12)
 period_lists = st.lists(st.integers(0, 1), min_size=1, max_size=12)
 natsets = st.builds(cf.natset, bit_lists, period_lists)
+# finite and cofinite sets, past one 64-bit word
+period_one = st.builds(
+    cf.natset, st.lists(st.integers(0, 1), max_size=80), st.sampled_from([[0], [1]])
+)
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +66,18 @@ def test_set_ops_match_pointwise_semantics(a, b):
     assert str(u) == pointwise_binop(a, b, lambda p, q: p | q)
     assert str(i) == pointwise_binop(a, b, lambda p, q: p & q)
     assert str(c) == pointwise_binop(a, a, lambda p, _: 1 - p)
+
+
+@given(period_one, st.one_of(period_one, natsets))
+@settings(max_examples=300)
+def test_period_one_sets_match_pointwise_semantics(a, b):
+    """The signed-integer route, against the per-bit route both ways round."""
+    for s, t in ((a, b), (b, a)):
+        assert str(s.union(t)) == pointwise_binop(s, t, or_)
+        assert str(s.intersect(t)) == pointwise_binop(s, t, and_)
+    c = a.complement()
+    assert str(c) == canonical_bits([1 - a.bit(p) for p in range(1, a.npre + 1)], [1 - a.per])
+    assert c.complement() == a
 
 
 @given(natsets, natsets)
@@ -103,9 +120,14 @@ def _check_against_case_oracles(a, b):
 
 
 def test_lattice_ops_match_case_oracles_exhaustively():
+    """Every index set here is finite or cofinite; the case oracles combine
+    sets through the library, so the sets are also read bit by bit."""
     probe = cf.bounded_elements(4, 5)
     for a, b in itertools.product(probe, repeat=2):
         _check_against_case_oracles(a, b)
+        s, t = a.index_set, b.index_set
+        assert str(s.union(t)) == pointwise_binop(s, t, or_)
+        assert str(s.intersect(t)) == pointwise_binop(s, t, and_)
 
 
 elems = st.one_of(

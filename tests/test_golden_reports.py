@@ -6,9 +6,12 @@ coordinates: ``mixed2`` (probabilities 1/12 ... 3/8) and ``mixed3`` (1/30
 mode.  Next to each sit the ``chaos report`` text and the ``spectrum report
 --format json`` line, with the ``chaos report --format json`` line for
 ``float2``.  ``coords4.json`` is ``ntba coords 4`` with its ``spectrum
-report --format json`` line, ``demo.json`` holds ``demo --format json``
-and ``check.seed1.cases2.json`` the report of ``check all --seed 1 --cases
-2``.  Any change to a printed value, a key or the formatting fails here.
+report --format json`` line, and ``coords4`` and ``mixed3`` also have
+their ``spectrum report --format csv`` text.  ``demo.json`` holds ``demo
+--format json``, ``check.seed1.cases2.json`` the report of ``check all
+--seed 1 --cases 2`` and ``check.seed1.json`` the full default ``check
+all --seed 1``.  Any change to a printed value, a key or the formatting
+fails here.
 """
 
 from pathlib import Path
@@ -28,7 +31,12 @@ CASES = [
     ("demo.json", ["demo", "--format", "json"]),
     ("float2.chaos.json", ["chaos", "report", str(GOLDEN / "float2.json"), "--format", "json"]),
     ("coords4.spectrum.json", ["spectrum", "report", str(GOLDEN / "coords4.json"), "--format", "json"]),
+    *(
+        (f"{f}.spectrum.csv", ["spectrum", "report", str(GOLDEN / f"{f}.json"), "--format", "csv"])
+        for f in ("coords4", "mixed3")
+    ),
     ("check.seed1.cases2.json", ["check", "all", "--seed", "1", "--cases", "2"]),
+    ("check.seed1.json", ["check", "all", "--seed", "1"]),
 ]
 
 
