@@ -162,12 +162,8 @@ def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
     )
 
 
-def up_down_roundtrip(
-    algebra: NTBA, e: NTBAElement, chaos: ChaosResult | None = None
-) -> bool:
-    """Project the first chaos by Q_x, regenerate, and compare with x."""
-    if chaos is None:
-        chaos = first_chaos(algebra)
+def up_down_roundtrip(algebra: NTBA, e: NTBAElement, chaos: ChaosResult) -> bool:
+    """Project the first chaos of the algebra by Q_x, regenerate, and compare with x."""
     if not chaos.classical:
         raise PreconditionError("the round trip needs a classical algebra")
     x = e.realize()

@@ -188,6 +188,27 @@ def _projections_commute(x: SigmaField, y: SigmaField) -> bool:
     return product(mx, my) == product(my, mx)
 
 
+def _operator_stack(groups, size: int) -> list:
+    """Integer rows of the operators I - sum_{q in g} Q_q, stacked over the groups g.
+
+    The rows of one group are scaled by L = lcm of its L_q, so row i is
+    L e_i - sum_q (L / L_q) M_q[i]; the rank is unchanged.  A one-field
+    group gives the rows L_p e_i - M_p[i] of I - Q_p.
+    """
+    stacked = []
+    for group in groups:
+        mats, scales = zip(*map(_projection_matrix, group))
+        scale = lcm(*scales)
+        ks = [scale // lq for lq in scales]
+        for i in range(size):
+            row = [0] * size
+            for m, k in zip(mats, ks):
+                row = [r - k * a for r, a in zip(row, m[i])]
+            row[i] += scale
+            stacked.append(row)
+    return stacked
+
+
 def suite_inf_subspaces(rng: random.Random, cases: int) -> SuiteResult:
     """L2 of a meet equals the intersection of the L2 spaces.
 
@@ -202,13 +223,7 @@ def suite_inf_subspaces(rng: random.Random, cases: int) -> SuiteResult:
         space = inst.rand_space(rng, 5)
         parts = [inst.rand_partition(rng, space) for _ in range(rng.randint(2, 3))]
         left = subspace_of(inf_family(parts))
-        stacked = []
-        for p in parts:
-            pm, scale = _projection_matrix(p)
-            for i in range(space.size):
-                row = [-x for x in pm[i]]
-                row[i] += scale
-                stacked.append(row)
+        stacked = _operator_stack([(p,) for p in parts], space.size)
         rank = len(row_echelon_int(stacked)[1])
         ok = space.size - rank == left.dim and all(
             not any(sum(u * v for u, v in zip(row, b.vec.nums)) for row in stacked)
@@ -644,24 +659,6 @@ def suite_k_monotone(rng: random.Random, cases: int) -> SuiteResult:
     return res
 
 
-def _first_chaos_stack(splits, size: int) -> list:
-    """Integer rows of the operators I - Q_x - Q_x' stacked over the splits (x, x').
-
-    The rows of one split are scaled by L = lcm(L_x, L_x'), so row i is
-    L e_i - (L / L_x) M_x[i] - (L / L_x') M_x'[i]; the rank is unchanged.
-    """
-    stacked = []
-    for x, xc in splits:
-        (mx, lx), (mc, lc) = _projection_matrix(x), _projection_matrix(xc)
-        scale = lcm(lx, lc)
-        kx, kc = scale // lx, scale // lc
-        for i in range(size):
-            row = [-kx * a - kc * b for a, b in zip(mx[i], mc[i])]
-            row[i] += scale
-            stacked.append(row)
-    return stacked
-
-
 def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
     """Level 1 of the spectral grading equals the first chaos space.
 
@@ -686,7 +683,7 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
         splits = [(B.coatom(k).realize(), B.atoms[k]) for k in range(B.n_atoms)]
         backend = space.backend
         nums = [f.vec.nums for f in basis]
-        stacked = _first_chaos_stack(splits, space.size)
+        stacked = _operator_stack(splits, space.size)
         ok = backend.rank([f.vec for f in basis]) == len(basis)
         ok = ok and not any(sum(map(mul, row, v)) for row in stacked for v in nums)
         ok = ok and len(row_echelon_int(nums + stacked)[1]) == space.size

@@ -157,6 +157,8 @@ def coordinate_sign(space: ProbSpace, k: int) -> RV:
     plus, minus = space.backend.coerce(1), space.backend.coerce(-1)
     vals = []
     for o in space.outcomes:
+        if not 1 <= k <= len(o):
+            raise ValueError(f"coordinate k={k} is not in 1..{len(o)}: outcomes have {len(o)} signs")
         ch = o[k - 1]
         if ch not in "+-":
             raise ValueError("coordinate_sign needs sign-string outcome ids")
@@ -263,9 +265,6 @@ class SpaceProduct:
     left: ProbSpace
     right: ProbSpace
     space: ProbSpace
-
-    def index(self, ia: int, ib: int) -> int:
-        return ia * self.right.size + ib
 
     def lift_left(self, f: RV) -> RV:
         if f.space != self.left:

@@ -25,12 +25,16 @@ def rand_space(rng, max_size: int = 5, mode: str = "rational") -> ProbSpace:
     return mk_space(outcomes, [w / total for w in weights])
 
 
-def rand_partition(rng, space: ProbSpace) -> SigmaField:
-    n = space.size
-    n_blocks = rng.randint(1, n)
-    labels = list(range(n_blocks)) + [rng.randrange(n_blocks) for _ in range(n - n_blocks)]
+def _rand_onto(rng, n: int) -> list:
+    """A random labeling of n slots onto 0, ..., k-1 (every label used), k in 1..n."""
+    k = rng.randint(1, n)
+    labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
     rng.shuffle(labels)
-    return _group(space, [labels])
+    return labels
+
+
+def rand_partition(rng, space: ProbSpace) -> SigmaField:
+    return _group(space, [_rand_onto(rng, space.size)])
 
 
 def rand_rv(rng, space: ProbSpace, zero_mean: bool = False) -> RV:
@@ -44,9 +48,9 @@ def rand_rv(rng, space: ProbSpace, zero_mean: bool = False) -> RV:
     return f
 
 
-def rand_independent_pair(rng, mode: str = "rational"):
+def rand_independent_pair(rng):
     """(space, x, y) with x, y independent by the product construction."""
-    prod = product(rand_space(rng, 4, mode), rand_space(rng, 4, mode))
+    prod = product(rand_space(rng, 4), rand_space(rng, 4))
     x = lift_partition(prod, rand_partition(rng, prod.left), "left")
     y = lift_partition(prod, rand_partition(rng, prod.right), "right")
     return prod, x, y
@@ -92,11 +96,7 @@ def rand_element(rng, algebra: NTBA):
 
 def rand_atom_groups(rng, algebra: NTBA) -> list:
     """A random partition of the atom indices into nonempty groups."""
-    n = algebra.n_atoms
-    n_groups = rng.randint(1, n)
-    labels = list(range(n_groups)) + [rng.randrange(n_groups) for _ in range(n - n_groups)]
-    rng.shuffle(labels)
     groups: dict = {}
-    for i, lab in enumerate(labels):
+    for i, lab in enumerate(_rand_onto(rng, algebra.n_atoms)):
         groups.setdefault(lab, []).append(i)
     return list(groups.values())

@@ -3,6 +3,8 @@
 The atoms are mutually independent sigma-fields whose join is the discrete
 sigma-field; every element is the join of a subset of atoms, so the
 element lattice is the powerset Boolean algebra on the atom indices.
+Their mutual independence is the product-law walk of ``sigma.independent``
+and ``sigma.commutes`` (``sigma._product_problem``) over the atom blocks.
 ``validate_family`` audits an arbitrary family of sigma-fields against the
 defining conditions instead (sublattice, distributivity, complements,
 independence) and reports the first failure with a witness.  It computes
@@ -15,13 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 from .errors import DomainMismatchError, PreconditionError
 from .finmeas import RV, ProbSpace, mk_dyadic, mk_space, space_from_json, space_to_json
 from .sigma import (
     SigmaField,
     _group,
-    _table,
+    _product_problem,
     discrete,
     independent,
     join,
@@ -55,16 +58,11 @@ class NTBA:
         for a in self.atoms:
             if a.n_blocks == 1:
                 return "atoms must differ from the trivial sigma-field"
-        joint = _table(self.space, [a.labels for a in self.atoms])
-        is_product, total = self.space.backend.is_product, self.space.total
-        # an absent cell is a structural zero against a positive product, so
-        # the lexicographic walk stops within the present cells plus one
-        for key in itertools.product(*(range(a.n_blocks) for a in self.atoms)):
-            got = joint.get(key)
-            factors = [a.weights[bi] for a, bi in zip(self.atoms, key)]
-            if got is None or not is_product(got, factors, total):
-                return f"atoms are not mutually independent at block tuple {key}"
-        if len(joint) != self.space.size:
+        key = _product_problem(self.atoms)
+        if key is not None:
+            return f"atoms are not mutually independent at block tuple {key}"
+        # every cell is present, so the join has one block per block tuple
+        if prod(a.n_blocks for a in self.atoms) != self.space.size:
             return "the join of the atoms is not the discrete sigma-field"
         return None
 

@@ -13,15 +13,16 @@ them on first read.  One first-seen numbering builds every field:
 ``partition`` (the one check of blocks from outside), ``trivial``,
 ``discrete``, every join (one grouping of the outcomes by their tuple of
 labels) and the meet (one union-find over the blocks of both fields).
-Independence and commuting are one test: x and y are conditionally
-independent given a z below both iff, within every z-block c, every
-x-block a and y-block b in c satisfy P(a & b | c) = P(a | c) P(b | c):
-in rational mode one integer cross-multiplication of block weights, in
-float mode a comparison on the scale of probabilities.  A pair that does
-not meet at all is a structural zero and fails at once, so the test is
-linear in the outcomes.  Independence is this test given the trivial
-field; the projections Q_x and Q_y commute iff it holds given x ^ y (the
-classical criterion).
+Independence, commuting and an atom presentation's mutual independence
+are one walk (``_product_problem``): fields are independent given a c
+below all of them iff, within every c-block, each tuple of their blocks
+satisfies P(a_1 & ... & a_n | c) = P(a_1 | c) ... P(a_n | c), in
+rational mode by integer cross-multiplication of block weights, in float
+mode on the scale of probabilities.  A tuple that does not meet is a
+structural zero and fails at once, so the walk is linear in the
+outcomes.  Independence and ``ntba.NTBA``'s atoms take it with no c;
+Q_x and Q_y commute iff x and y pass it given x ^ y (the classical
+criterion).
 """
 
 from __future__ import annotations
@@ -138,14 +139,6 @@ def _group(space: ProbSpace, labelings) -> SigmaField:
     return _number(space, zip(*labelings) if labelings else itertools.repeat((), space.size))
 
 
-def _table(space: ProbSpace, labelings) -> dict:
-    """The contingency table: label tuple -> weight, for the present cells only."""
-    table: dict = {}
-    for key, w in zip(zip(*labelings), space.weights):
-        table[key] = table.get(key, 0) + w
-    return table
-
-
 def sigma_of_rvs(space: ProbSpace, rvs) -> SigmaField:
     """Sigma-field generated by a family of RVs: joint level sets.
 
@@ -212,36 +205,41 @@ def cond_exp(x: SigmaField, f: RV) -> RV:
     return RV(x.space, x.space.backend.block_means(x.labels, x.weights, f.vec, x.space.weights))
 
 
-def _cond_independent(x: SigmaField, y: SigmaField, z: SigmaField) -> bool:
-    """Whether x and y are conditionally independent given z, with z <= x, y.
+def _product_problem(fields, given=None):
+    """The first block tuple at which the fields fail the product law, or None.
 
-    The present cells of the contingency table are the blocks of x v y.
-    Within each z-block c, every x-block a and y-block b in c must meet, and
-    the law given c must be a product: P(a & b | c) = P(a | c) P(b | c),
-    decided by the backend (``is_product``) on the block weights.  In
-    rational mode that is the integer comparison w_ab w_c = w_a w_b; in float
-    mode conditioning on c keeps the compared values on the scale of
-    probabilities however small P(c) is.  An absent cell is a structural
-    zero against P(a) P(b) > 0, so the loop stops at the first one and never
-    visits more than the present cells plus one.
+    The present cells of the contingency table are the blocks of the
+    fields' join.  With no ``given`` the walk runs over every tuple of
+    block labels in lexicographic order; given a field c below all the
+    fields, it runs within each c-block over the tuples of blocks inside
+    it and asks the law given c.  The backend decides each cell
+    (``is_product``) on the block weights.  An absent cell is a structural
+    zero against a positive product, so the walk stops at the first one.
     """
-    _chk(x, y)
-    table = _table(x.space, [x.labels, y.labels])
-    xs_in = [[] for _ in range(z.n_blocks)]
-    ys_in = [[] for _ in range(z.n_blocks)]
-    for part, inside in ((x, xs_in), (y, ys_in)):
-        # z <= part, so each part-block lies in one z-block; the dict keeps
-        # the part-blocks in label order
-        for k, c in dict(zip(part.labels, z.labels)).items():
-            inside[c].append((k, part.weights[k]))
-    is_product = x.space.backend.is_product
-    for c, wc in enumerate(z.weights):
-        for a, wa in xs_in[c]:
-            for b, wb in ys_in[c]:
-                wab = table.get((a, b))
-                if wab is None or not is_product(wab, (wa, wb), wc):
-                    return False
-    return True
+    space = fields[0].space
+    for f in fields[1:]:
+        _chk(fields[0], f)
+    table: dict = {}
+    for key, w in zip(zip(*(f.labels for f in fields)), space.weights):
+        table[key] = table.get(key, 0) + w
+    if given is None:
+        groups = [(space.total, [range(f.n_blocks) for f in fields])]
+    else:
+        # given <= f, so each f-block lies in one given-block; the dict keeps
+        # the f-blocks in label order
+        inside = [[[] for _ in range(given.n_blocks)] for _ in fields]
+        for f, blocks in zip(fields, inside):
+            for k, c in dict(zip(f.labels, given.labels)).items():
+                blocks[c].append(k)
+        groups = zip(given.weights, zip(*inside))
+    is_product = space.backend.is_product
+    weights = [f.weights for f in fields]
+    for total, blocks in groups:
+        for key in itertools.product(*blocks):
+            cell = table.get(key)
+            if cell is None or not is_product(cell, [w[k] for w, k in zip(weights, key)], total):
+                return key
+    return None
 
 
 def commutes(x: SigmaField, y: SigmaField) -> bool:
@@ -249,12 +247,12 @@ def commutes(x: SigmaField, y: SigmaField) -> bool:
 
     They do iff x and y are conditionally independent given x ^ y.
     """
-    return _cond_independent(x, y, meet(x, y))
+    return _product_problem([x, y], meet(x, y)) is None
 
 
 def independent(x: SigmaField, y: SigmaField) -> bool:
     """Product rule on all block pairs; blocks generate, so this suffices."""
-    return _cond_independent(x, y, trivial(x.space))
+    return _product_problem([x, y]) is None
 
 
 def subspace_of(x: SigmaField) -> Subspace:

@@ -81,7 +81,7 @@ def test_first_chaos_stack_rank_matches_fraction_elimination():
     for B in algebras:
         splits = [(B.coatom(k).realize(), B.atoms[k]) for k in range(B.n_atoms)]
         n = B.space.size
-        stacked = checks._first_chaos_stack(splits, n)
+        stacked = checks._operator_stack(splits, n)
         assert all(type(e) is int for row in stacked for e in row)
         oracle = []
         for x, xc in splits:
@@ -226,7 +226,7 @@ def test_first_level_rank_clauses_agree_with_the_kernel_dimension():
         space = B.space
         basis = list(checks.spectral_decompose(B).levels[1].basis)
         splits = [(B.coatom(k).realize(), B.atoms[k]) for k in range(B.n_atoms)]
-        stacked = checks._first_chaos_stack(splits, space.size)
+        stacked = checks._operator_stack(splits, space.size)
         stacked_rank = exact_rank(stacked)
         for variant, inside in (
             (basis, True),

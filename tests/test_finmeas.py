@@ -121,6 +121,15 @@ def test_product_capacity_guard():
         product(big, mk_dyadic(2))
 
 
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_coordinate_sign_rejects_a_missing_coordinate(k):
+    space = mk_dyadic(2)
+    with pytest.raises(ValueError, match=rf"k={k} is not in 1\.\.2"):
+        coordinate_sign(space, k)
+    with pytest.raises(ValueError, match=rf"k={k} is not in 1\.\.2"):
+        walsh_character(space, [k])
+
+
 def test_walsh_characters_orthonormal():
     for n in (1, 2, 3):
         space = mk_dyadic(n)

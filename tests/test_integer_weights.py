@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from noise_lattice.finmeas import RV, inner, mk_space
 from noise_lattice.linalg import to_int
 from noise_lattice.ntba import NTBA
-from noise_lattice.sigma import _cond_independent, cond_exp, meet, partition, trivial
+from noise_lattice.sigma import _product_problem, cond_exp, meet, partition, trivial
 
 
 def masses(min_size, max_size):
@@ -111,7 +111,7 @@ def test_block_sums_match_the_fraction_oracles(case):
 def test_product_rule_verdicts_match_the_fraction_oracle(case):
     space, x, y, _, _ = case
     for z in (trivial(space), meet(x, y)):
-        assert _cond_independent(x, y, z) == cond_independent_oracle(x, y, z)
+        assert (_product_problem([x, y], z) is None) == cond_independent_oracle(x, y, z)
 
 
 @st.composite

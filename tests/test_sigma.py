@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import join_oracle, mat_mul, meet_oracle, projection_matrix, projections_commute
 
+from noise_lattice import ntba, sigma
 from noise_lattice.errors import DomainMismatchError, PreconditionError
 from noise_lattice.finmeas import (
     constant,
@@ -19,7 +20,7 @@ from noise_lattice.finmeas import (
     span,
 )
 from noise_lattice.instances import rand_partition, rand_rv, rand_space
-from noise_lattice.ntba import mk_coordinate_ntba
+from noise_lattice.ntba import NTBA, mk_coordinate_ntba
 from noise_lattice.sigma import (
     SigmaField,
     cond_exp,
@@ -326,3 +327,25 @@ def test_partition_loader_parses_or_rejects(v):
     assert f.blocks == tuple(sorted((tuple(sorted(b)) for b in v), key=lambda b: b[0]))
     assert partition(space, f.blocks) == f
     assert SigmaField(space, f.labels) == f
+
+
+def test_independence_commuting_and_atoms_take_the_one_product_walk(monkeypatch):
+    calls = []
+    walk = sigma._product_problem
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(sigma, "_product_problem", counted)
+    monkeypatch.setattr(ntba, "_product_problem", counted)
+    s2 = mk_dyadic(2)
+    x1, x2 = sigma_xi(s2, 1), sigma_xi(s2, 2)
+    for call in (
+        lambda: independent(x1, x2),
+        lambda: commutes(x1, x2),
+        lambda: NTBA(s2, [x1, x2]),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
