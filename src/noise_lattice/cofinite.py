@@ -17,7 +17,9 @@ pair (tailed, index set): the set of pair indices it holds, and whether it
 also holds a whole tail.  A tailed element's set is cofinite; the flag is
 the gap between sup_k y(k) = (False, N) and t(1) = (True, N).  Meet and
 join act on both parts at once, the complement in B flips both, and
-equality is syntactic.
+equality is syntactic.  Sets and elements are immutable tuples of their
+canonical fields, so comparing and hashing them are tuple comparison and
+hashing.
 
 An index set is an eventually periodic bit string, held as two integer
 masks: a preperiod and one period, bit i-1 of a mask standing for its
@@ -38,6 +40,7 @@ import re
 from dataclasses import dataclass
 from math import lcm
 from operator import and_, or_
+from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError, UnsupportedSequenceError
 
@@ -102,15 +105,15 @@ def _text(mask: int, n: int) -> str:
     return bin(mask | 1 << n)[3:][::-1]
 
 
-@dataclass(frozen=True)
-class NatSet:
+class NatSet(NamedTuple):
     """An eventually periodic set of positive integers, as two bit masks.
 
     Bit i-1 of ``pre`` holds position i for i = 1..npre; after that the
     ``nper`` bits of ``per`` repeat forever, bit j holding the positions
     npre + 1 + j + c*nper.  The canonical form (primitive period, shortest
-    preperiod) is unique, so dataclass equality decides set equality.
-    Construct through ``natset`` or the set builders below.
+    preperiod) is unique, so equality of the four canonical fields decides
+    set equality, and equal sets hash alike.  Construct through ``natset``
+    or the set builders below.
     """
 
     pre: int
@@ -186,7 +189,7 @@ class NatSet:
         if self.nper == other.nper == 1:
             m = op(self.pre | -(self.per << self.npre), other.pre | -(other.per << other.npre))
             if m >= 0:
-                return _finite(m)
+                return NatSet(m, m.bit_length(), 0, 1)
             keep = (~m).bit_length()
             return NatSet(m & _ones(keep), keep, 1, 1)
         npre = max(self.npre, other.npre)
@@ -289,25 +292,30 @@ def progression(step: int, offset: int = 0) -> NatSet:
 # Elements of the algebra, its closure, and the lattice operations
 
 
-@dataclass(frozen=True)
-class CofElem:
+class _CofFields(NamedTuple):
+    tailed: bool
+    index_set: NatSet
+
+
+class CofElem(_CofFields):
     """Canonical element: a tail flag plus the set of pair indices it holds.
 
     ``index_set`` holds k when the element contains y(k), and a tail t(m)
     counts as every k >= m, so a tailed element's index set is cofinite;
     ``tailed`` says whether the element holds a whole tail.  The flag is the
     gap between the two: (False, N) is sup_k y(k), strictly below
-    (True, N) = t(1) = 1.  The pair is unique, so dataclass equality decides
-    element equality.  The element is in the algebra B iff it is tailed or
-    its index set is finite.
+    (True, N) = t(1) = 1.  The pair is unique, so equality of the two
+    canonical fields decides element equality, and equal elements hash
+    alike.  The element is in the algebra B iff it is tailed or its index
+    set is finite.
     """
 
-    tailed: bool
-    index_set: NatSet
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tailed and not self.index_set.is_cofinite:
+    def __new__(cls, tailed: bool, index_set: NatSet):
+        if tailed and not index_set.is_cofinite:
             raise ValueError("a tailed element needs a cofinite index set")
+        return tuple.__new__(cls, (tailed, index_set))
 
     @property
     def tail(self) -> int | None:
@@ -352,11 +360,11 @@ def cof_meet(a: CofElem, b: CofElem) -> CofElem:
     tail m past both preperiods (t(k) = y(k) v ... v y(m-1) v t(m)), each
     element is a join of generators, and the meet keeps the shared ones.
     """
-    return CofElem(a.tailed and b.tailed, a.index_set.intersect(b.index_set))
+    return CofElem(a.tailed and b.tailed, a.index_set._combine(b.index_set, and_, 0))
 
 
 def cof_join(a: CofElem, b: CofElem) -> CofElem:
-    return CofElem(a.tailed or b.tailed, a.index_set.union(b.index_set))
+    return CofElem(a.tailed or b.tailed, a.index_set._combine(b.index_set, or_, 1))
 
 
 def cof_leq(a: CofElem, b: CofElem) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .errors import CapacityError, DomainMismatchError
@@ -52,9 +53,10 @@ class ProbSpace:
             raise ValueError("outcome identifiers must be unique")
         backend = linalg.backend_of(self.probs)
         object.__setattr__(self, "backend", backend)
-        if any(p <= 0 for p in self.probs):
-            raise ValueError("probabilities must be strictly positive")
         weights, total = backend.scale(self.probs)
+        # not min(weights): a float NaN first would hide a later negative
+        if any(w <= 0 for w in weights):
+            raise ValueError("probabilities must be strictly positive")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "total", total)
         if not backend.sums_to_one(weights, total):
@@ -279,15 +281,35 @@ class SpaceProduct:
         return RV(self.space, self.space.backend.lift(g.vec, index))
 
 
-def product(a: ProbSpace, b: ProbSpace) -> SpaceProduct:
-    """Cartesian product space; probabilities multiply, inner products factor."""
-    if a.size * b.size > MAX_OUTCOMES:
+def product_space(factors) -> ProbSpace:
+    """The product of n factor spaces, built in one step.
+
+    Outcome (o_1, ..., o_n) is the text "o_1,...,o_n", listed with the
+    first factor slowest, so outcome index i has the outcome index of
+    factor k as digit k of i in the mixed radix of the factor sizes.  Its
+    probability is prod(w_k) / prod(W_k) over the factors' weights and
+    totals: one Fraction of two integers in rational mode, and in float
+    mode the probabilities multiplied left to right, the same floats as
+    nested two-factor products.
+    """
+    factors = tuple(factors)
+    if prod(f.size for f in factors) > MAX_OUTCOMES:
         raise CapacityError("product space exceeds the outcome guard")
-    if a.backend is not b.backend:
+    backend = factors[0].backend
+    if any(f.backend is not backend for f in factors):
         raise DomainMismatchError("cannot mix rational and float factors")
-    outcomes = tuple(f"{oa},{ob}" for oa in a.outcomes for ob in b.outcomes)
-    probs = tuple(pa * pb for pa in a.probs for pb in b.probs)
-    return SpaceProduct(a, b, ProbSpace(outcomes, probs))
+    outcomes = tuple(map(",".join, itertools.product(*(f.outcomes for f in factors))))
+    total = prod(f.total for f in factors)
+    weights = itertools.product(*(f.weights for f in factors))
+    return ProbSpace(outcomes, tuple(backend.ratio(prod(w), total) for w in weights))
+
+
+def product(a: ProbSpace, b: ProbSpace) -> SpaceProduct:
+    """The product of two spaces (``product_space``) with the factor embeddings.
+
+    Probabilities multiply and inner products factor.
+    """
+    return SpaceProduct(a, b, product_space((a, b)))
 
 
 def space_to_json(space: ProbSpace) -> dict:

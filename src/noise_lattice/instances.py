@@ -3,16 +3,18 @@
 Everything takes a ``random.Random`` so the check runner and the tests can
 reproduce any failure from (seed, case index) alone.  Independent pairs
 and mutually independent atom families are built on product spaces, where
-independence holds by construction.
+independence holds by construction.  There is one product rule,
+``finmeas.product_space``, which builds the product of n factors at once;
+an atom family takes factor k's coordinate as atom k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .finmeas import ProbSpace, RV, constant, mk_space, product
+from .finmeas import ProbSpace, RV, constant, mk_space, product, product_space
 from .ntba import NTBA
-from .sigma import SigmaField, _group, discrete, lift_partition
+from .sigma import SigmaField, _group, lift_partition
 
 
 def rand_space(rng, max_size: int = 5, mode: str = "rational") -> ProbSpace:
@@ -78,14 +80,14 @@ def rand_ntba(rng, max_outcomes: int = 64, mode: str = "rational") -> NTBA:
         else:
             probs = [w / tw for w in weights]
         factors.append(mk_space([f"f{i}" for i in range(s)], probs))
-    space = factors[0]
-    lifted = [discrete(space)]
-    for nxt in factors[1:]:
-        prod = product(space, nxt)
-        lifted = [lift_partition(prod, p, "left") for p in lifted]
-        lifted.append(lift_partition(prod, discrete(nxt), "right"))
-        space = prod.space
-    return NTBA(space, lifted)
+    space = product_space(factors)
+    # atom k labels outcome i by digit k of i in the mixed radix of the sizes
+    atoms = []
+    stride = space.size
+    for s in sizes:
+        stride //= s
+        atoms.append(_group(space, [[i // stride % s for i in range(space.size)]]))
+    return NTBA(space, atoms)
 
 
 def rand_element(rng, algebra: NTBA):

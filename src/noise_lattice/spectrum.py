@@ -144,12 +144,14 @@ def chaos_grading(decomp: SpectralDecomp) -> GradingReport:
     return GradingReport(dims, True)
 
 
-def _pattern_of(algebra: NTBA, v: RV) -> frozenset | None:
-    """Generator atomset of the joint eigenspace containing v, if any."""
-    backend = algebra.space.backend
+def _pattern_of(coatoms, v: RV) -> frozenset | None:
+    """Generator atomset of the joint eigenspace containing v, if any.
+
+    ``coatoms`` holds the realized co-atom fields, co-atom k at index k.
+    """
+    backend = v.space.backend
     gen = set()
-    for k in range(algebra.n_atoms):
-        part = algebra.coatom(k).realize()
+    for k, part in enumerate(coatoms):
         img = cond_exp(part, v)
         if backend.equal(img.vec, v.vec):
             continue
@@ -174,6 +176,7 @@ def k_restriction_additivity(algebra: NTBA, e: NTBAElement) -> bool:
     r2 = restrict(algebra, e.complement())
     d1 = spectral_decompose(r1.algebra)
     d2 = spectral_decompose(r2.algebra)
+    coatoms = [algebra.coatom(k).realize() for k in range(algebra.n_atoms)]
     total = 0
     for p1 in d1.points:
         for p2 in d2.points:
@@ -183,7 +186,7 @@ def k_restriction_additivity(algebra: NTBA, e: NTBAElement) -> bool:
             for b1 in p1.eigenspace.basis:
                 for b2 in p2.eigenspace.basis:
                     w = r1.lift_rv(b1) * r2.lift_rv(b2)
-                    gen = _pattern_of(algebra, w)
+                    gen = _pattern_of(coatoms, w)
                     if gen is None or gen != expected_gen:
                         return False
                     if len(gen) != p1.k + p2.k:

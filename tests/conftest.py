@@ -9,8 +9,10 @@ averages, inner products and the product rules summed one outcome at a
 time on the probabilities themselves (Fractions in rational mode) rather
 than on integer weights, random-variable arithmetic, projections and
 spans computed one outcome at a time on the values rather than on integer
-vectors, and a family of sigma-fields audited by recomputing every meet
-and join it reads.  Tests compare the production path against these.
+vectors, a family of sigma-fields audited by recomputing every meet
+and join it reads, and product spaces and random atom families built by
+chaining two-factor products.  Tests compare the production path against
+these.
 """
 
 import itertools
@@ -23,16 +25,25 @@ import pytest
 
 from noise_lattice.cofinite import range_set, tail_set
 from noise_lattice.errors import DomainMismatchError
-from noise_lattice.finmeas import RV, ProbSpace, Subspace, indicator, mk_space, span_on
+from noise_lattice.finmeas import (
+    RV,
+    ProbSpace,
+    SpaceProduct,
+    Subspace,
+    indicator,
+    mk_space,
+    span_on,
+)
 from noise_lattice.kernels import row_echelon_int
 from noise_lattice.linalg import exact_rref, float_nullspace, to_int
-from noise_lattice.ntba import FamilyVerdict
+from noise_lattice.ntba import NTBA, FamilyVerdict
 from noise_lattice.sigma import (
     SigmaField,
     cond_exp,
     discrete,
     independent,
     join,
+    lift_partition,
     meet,
     partition,
     trivial,
@@ -336,6 +347,50 @@ def scan_family_oracle(space: ProbSpace, elems) -> FamilyVerdict:
                 False, "complement pair not independent", (x, comp)
             )
     return FamilyVerdict(True)
+
+
+def product_oracle(a: ProbSpace, b: ProbSpace) -> SpaceProduct:
+    """The product of two spaces, each probability the product pa * pb of the factors'."""
+    outcomes = tuple(f"{oa},{ob}" for oa in a.outcomes for ob in b.outcomes)
+    probs = tuple(pa * pb for pa in a.probs for pb in b.probs)
+    return SpaceProduct(a, b, ProbSpace(outcomes, probs))
+
+
+def rand_ntba_chained(rng, max_outcomes: int = 64, mode: str = "rational") -> NTBA:
+    """``instances.rand_ntba`` by two-factor products, one factor at a time.
+
+    The same draws in the same order; after each product the atoms so far
+    are lifted from the left factor and the new factor's discrete field
+    from the right.
+    """
+    sizes = []
+    total = 1
+    n_factors = rng.randint(1, 4)
+    for _ in range(n_factors):
+        s = rng.randint(2, 4)
+        if total * s > max_outcomes:
+            break
+        sizes.append(s)
+        total *= s
+    if not sizes:
+        sizes = [2]
+    factors = []
+    for s in sizes:
+        weights = [rng.randint(1, 9) for _ in range(s)]
+        tw = sum(weights)
+        if mode == "rational":
+            probs = [Fraction(w, tw) for w in weights]
+        else:
+            probs = [w / tw for w in weights]
+        factors.append(mk_space([f"f{i}" for i in range(s)], probs))
+    space = factors[0]
+    lifted = [discrete(space)]
+    for nxt in factors[1:]:
+        prod = product_oracle(space, nxt)
+        lifted = [lift_partition(prod, p, "left") for p in lifted]
+        lifted.append(lift_partition(prod, discrete(nxt), "right"))
+        space = prod.space
+    return NTBA(space, lifted)
 
 
 def mat_mul(a, b):

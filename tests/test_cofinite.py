@@ -152,6 +152,32 @@ def test_tailed_element_needs_cofinite_index_set():
     assert cf.ys_elem(cf.FULL_SET) != cf.ONE
 
 
+def test_sets_and_elements_are_immutable():
+    s, e = cf.finite_set([2, 5]), cf.x(3)
+    for value, name in ((s, "pre"), (s, "nper"), (e, "tailed"), (e, "index_set")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        e.extra = 1
+
+
+@given(natsets, natsets)
+def test_equal_canonical_values_hash_alike(a, b):
+    # the same set from a longer, unreduced description
+    h = a.npre
+    rebuilt = cf.natset(
+        [a.bit(p) for p in range(1, h + 1)], [a.bit(p) for p in range(h + 1, h + 1 + 2 * a.nper)]
+    )
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    # the same element reached by two routes
+    ea, eb = cf.ys_elem(a), cf.ys_elem(b)
+    for left, right in (
+        (cf.cof_join(cf.x(3), ea), cf.cof_join(ea, cf.x(3))),
+        (cf.cof_meet(ea, eb), cf.cof_meet(eb, ea)),
+    ):
+        assert left == right and hash(left) == hash(right)
+
+
 def test_long_period_union_is_word_operations():
     a, b = cf.progression(1021), cf.progression(1019, 1)
     start = time.perf_counter()

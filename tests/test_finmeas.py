@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import exact_rank
+from conftest import exact_rank, product_oracle
 
 from noise_lattice.errors import CapacityError, DomainMismatchError
 from noise_lattice.finmeas import (
@@ -16,6 +16,7 @@ from noise_lattice.finmeas import (
     mk_dyadic,
     mk_space,
     product,
+    product_space,
     span,
     space_from_json,
     space_to_json,
@@ -48,6 +49,25 @@ def test_space_validation():
         mk_space(["a", "b"], [Fraction(0), Fraction(1)])
     with pytest.raises(ValueError):
         mk_space(["a", "b"], [0.5, 0.4])
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        (Fraction(0), Fraction(1)),
+        (Fraction(-1, 2), Fraction(3, 2)),
+        (0.0, 1.0),
+        (-0.5, 1.5),
+        # NaN compares false both ways, so the negative after it must still be seen
+        (float("nan"), -0.5, 1.5),
+    ],
+)
+def test_nonpositive_probabilities_are_rejected(probs):
+    outcomes = [f"w{i}" for i in range(len(probs))]
+    with pytest.raises(ValueError, match="^probabilities must be strictly positive$"):
+        mk_space(outcomes, probs)
+    with pytest.raises(ValueError, match="^probabilities must be strictly positive$"):
+        space_from_json({"outcomes": outcomes, "probs": list(probs)})
 
 
 def test_inner_basic():
@@ -119,6 +139,42 @@ def test_product_capacity_guard():
     big = mk_dyadic(20)
     with pytest.raises(CapacityError):
         product(big, mk_dyadic(2))
+    with pytest.raises(CapacityError):
+        product_space([mk_dyadic(10), mk_dyadic(1), mk_dyadic(10)])
+
+
+def test_product_space_rejects_mixed_modes():
+    exact, floats = mk_dyadic(1), mk_space(["a", "b"], [0.25, 0.75])
+    with pytest.raises(DomainMismatchError):
+        product_space([exact, exact, floats])
+    with pytest.raises(DomainMismatchError):
+        product(floats, exact)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_product_matches_the_pairwise_product(mode):
+    """Equal outcomes and probabilities, floats to the bit, on random factors."""
+    rng = random.Random(29)
+    for _ in range(100):
+        a, b = rand_space(rng, 5, mode), rand_space(rng, 5, mode)
+        got, want = product(a, b), product_oracle(a, b)
+        assert got.space.outcomes == want.space.outcomes
+        assert got.space.probs == want.space.probs
+        assert (got.left, got.right) == (a, b)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_n_fold_product_matches_nested_pairwise_products(mode):
+    rng = random.Random(31)
+    for n in range(1, 5):
+        for _ in range(25):
+            factors = [rand_space(rng, 4, mode) for _ in range(n)]
+            nested = factors[0]
+            for f in factors[1:]:
+                nested = product_oracle(nested, f).space
+            got = product_space(factors)
+            assert got.outcomes == nested.outcomes
+            assert got.probs == nested.probs
 
 
 @pytest.mark.parametrize("k", [0, -1, 3])

@@ -10,8 +10,11 @@ report --format json`` line, and ``coords4`` and ``mixed3`` also have
 their ``spectrum report --format csv`` text.  ``demo.json`` holds ``demo
 --format json``, ``check.seed1.cases2.json`` the report of ``check all
 --seed 1 --cases 2`` and ``check.seed1.json`` the full default ``check
-all --seed 1``.  Any change to a printed value, a key or the formatting
-fails here.
+all --seed 1``.  ``cofinite.demo.json`` and ``cofinite.demo.txt`` hold
+``cofinite demo`` in both formats and ``cofinite.eval.*.json`` the
+``cofinite eval`` line of three elements, so a symbolic value that reached
+a report unformatted would show.  Any change to a printed value, a key or
+the formatting fails here.
 """
 
 from pathlib import Path
@@ -35,6 +38,11 @@ CASES = [
         (f"{f}.spectrum.csv", ["spectrum", "report", str(GOLDEN / f"{f}.json"), "--format", "csv"])
         for f in ("coords4", "mixed3")
     ),
+    ("cofinite.demo.json", ["cofinite", "demo", "--format", "json"]),
+    ("cofinite.demo.txt", ["cofinite", "demo"]),
+    ("cofinite.eval.tail3-evens.json", ["cofinite", "eval", "x3|Y(2k)"]),
+    ("cofinite.eval.periodic.json", ["cofinite", "eval", "Y{01;110}"]),
+    ("cofinite.eval.finite-tail9.json", ["cofinite", "eval", "y1|y4|x9"]),
     ("check.seed1.cases2.json", ["check", "all", "--seed", "1", "--cases", "2"]),
     ("check.seed1.json", ["check", "all", "--seed", "1"]),
 ]

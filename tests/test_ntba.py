@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import scan_family_oracle
+from conftest import rand_ntba_chained, scan_family_oracle
 
 from noise_lattice import ntba
 from noise_lattice.errors import PreconditionError
@@ -358,3 +358,17 @@ def test_random_ntbas_fully_independent():
             for a, bi in zip(B.atoms, combo):
                 want *= a.masses[bi]
             assert got == want
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_rand_ntba_matches_chained_two_factor_products(mode):
+    """One product step gives the chained build's space and atoms, from the same draws."""
+    for seed in range(200):
+        max_outcomes = (8, 16, 32, 64)[seed % 4]
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        got = rand_ntba(rng, max_outcomes, mode)
+        want = rand_ntba_chained(oracle_rng, max_outcomes, mode)
+        assert got.space.outcomes == want.space.outcomes
+        assert got.space.probs == want.space.probs
+        assert got.atoms == want.atoms
+        assert rng.random() == oracle_rng.random()

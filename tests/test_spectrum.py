@@ -81,9 +81,10 @@ def test_eigenspaces_orthogonal_and_complete():
     for B in algebras:
         D = spectral_decompose(B)
         assert sum(p.eigenspace.dim for p in D.points) == B.space.size
+        coatoms = [B.coatom(k).realize() for k in range(B.n_atoms)]
         for p in D.points:
             for a in p.eigenspace.basis:
-                assert _pattern_of(B, a) == p.generator
+                assert _pattern_of(coatoms, a) == p.generator
         # every pair of basis vectors, within one point or across two
         vecs = [a for p in D.points for a in p.eigenspace.basis]
         for i, a in enumerate(vecs):
