@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, DomainMismatchError, PreconditionError
 from .finmeas import RV, Subspace, direct_sum, norm2, span_on
 from .ntba import NTBA, NTBAElement
-from .sigma import SigmaField, cond_exp, discrete, join, meet, sigma_of_rvs, trivial
+from .sigma import SigmaField, cond_exp, discrete, sigma_of_rvs, trivial
 
 
 @dataclass
@@ -73,48 +73,30 @@ class MembershipReport:
 def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
     """Evaluate the three equivalent membership conditions independently.
 
-    The conditions must agree; disagreement means the library itself is
+    Element i (by atom bitmask) stands for the join of its atoms.  The
+    constructor has certified the atoms independent and joining to the
+    discrete field, so meets and joins of elements are the intersections
+    and unions of their atom sets: x ^ y is element i & j, x v y is i | j
+    and x' is full ^ i.  Each element is projected once, 2^n ``cond_exp``
+    calls in all, and no sigma-field meet or join is computed.  The
+    conditions must agree; disagreement means the library itself is
     inconsistent and raises rather than returning a verdict.
     """
     if f.space != algebra.space:
         raise DomainMismatchError("RV lives on a different space")
-    space = algebra.space
-    parts = [e.realize() for e in algebra.elements()]
-    proj_cache: dict = {}
+    backend = algebra.space.backend
+    equal = backend.equal
+    q = [cond_exp(e.realize(), f) for e in algebra.elements()]
+    full = len(q) - 1
+    pairs = list(itertools.combinations_with_replacement(range(len(q)), 2))
 
-    def q(part: SigmaField) -> RV:
-        got = proj_cache.get(part)
-        if got is None:
-            got = cond_exp(part, f)
-            proj_cache[part] = got
-        return got
-
-    top = discrete(space)
-    bot = trivial(space)
-
-    equal = space.backend.equal
-    cond_a = True
-    for i, part in enumerate(parts):
-        comp = parts[-1 - i]  # elements come by bitmask, so x' is element 2^n - 1 - i
-        if not equal(f.vec, (q(part) + q(comp)).vec):
-            cond_a = False
-            break
-
-    cond_b = True
-    for px, py in itertools.combinations_with_replacement(parts, 2):
-        if meet(px, py) != bot:
-            continue
-        if not equal(q(join(px, py)).vec, (q(px) + q(py)).vec):
-            cond_b = False
-            break
-
-    cond_c = space.backend.is_zero(q(bot).vec)
-    if cond_c:
-        for px, py in itertools.combinations_with_replacement(parts, 2):
-            lhs = q(join(px, py)) + q(meet(px, py))
-            if not equal(lhs.vec, (q(px) + q(py)).vec):
-                cond_c = False
-                break
+    cond_a = all(equal(f.vec, (q[i] + q[full ^ i]).vec) for i in range(len(q)))
+    cond_b = all(
+        equal(q[i | j].vec, (q[i] + q[j]).vec) for i, j in pairs if i & j == 0
+    )
+    cond_c = backend.is_zero(q[0].vec) and all(
+        equal((q[i | j] + q[i & j]).vec, (q[i] + q[j]).vec) for i, j in pairs
+    )
 
     if not (cond_a == cond_b == cond_c):
         raise ConsistencyError(

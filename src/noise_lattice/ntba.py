@@ -5,12 +5,17 @@ sigma-field; every element is the join of a subset of atoms, so the
 element lattice is the powerset Boolean algebra on the atom indices.
 Their mutual independence is the product-law walk of ``sigma.independent``
 and ``sigma.commutes`` (``sigma._product_problem``) over the atom blocks.
+Once the constructor has passed, the meet and join of the elements for
+atom sets S and T are the elements for S & T and S | T, so no caller
+recomputes that lattice from sigma-fields.
 ``validate_family`` audits an arbitrary family of sigma-fields against the
 defining conditions instead (sublattice, distributivity, complements,
-independence) and reports the first failure with a witness.  It computes
-``meet`` and ``join`` once per pair of its F distinct members, F(F-1)/2
-of each, into an index table over the family; distributivity and the
-complement search are lookups in that table.
+independence) and reports the first failure with a witness; it is the
+general-family audit and the independent oracle of the
+``ntba-constructions`` suite.  It computes ``meet`` and ``join`` once per
+pair of its F distinct members, F(F-1)/2 of each, into an index table
+over the family; distributivity and the complement search are lookups
+in that table.
 """
 
 from __future__ import annotations
@@ -166,7 +171,10 @@ def validate_family(space: ProbSpace, elems) -> FamilyVerdict:
     itself, since both operations are idempotent on canonical labels).
     Distributivity and the complement search are then table lookups.
     Triples are checked exhaustively for families of at most 64 elements,
-    and on 1000 deterministically seeded samples above that.
+    and on 1000 deterministically seeded samples above that, so a valid
+    verdict on a larger family is not a proof of distributivity.  For the
+    elements of an ``NTBA`` the constructor already decides the lattice;
+    this is the audit for a family given only as sigma-fields.
     """
     import random
 

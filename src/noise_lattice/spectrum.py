@@ -46,21 +46,20 @@ class SpectralDecomp:
 def spectral_decompose(algebra: NTBA) -> SpectralDecomp:
     """Every joint eigenspace, built from products of the atoms' bases.
 
-    Points are ordered by their membership bits, atom 0 first.  A point's
-    basis is that of the point without its last atom times the last
-    atom's vectors; the squared norms multiply because the atoms are
-    independent.
+    Point p has atom k in its generator when bit n-1-k of p is set, so the
+    points come in ``itertools.product((0, 1), repeat=n)`` order, atom 0
+    first.  A point's basis is that of the point without its last atom,
+    ``points[p & (p - 1)]``, times the last atom's vectors; the squared
+    norms multiply because the atoms are independent.
     """
     space = algebra.space
     n = algebra.n_atoms
     bases = atom_bases(algebra)
-    built = {}
     points = []
-    for bits in itertools.product((0, 1), repeat=n):
-        gen = [k for k in range(n) if bits[k]]
+    for p in range(1 << n):
+        gen = [k for k in range(n) if p >> (n - 1 - k) & 1]
         if gen:
-            last = gen[-1]
-            rest, atom = built[bits[:last] + (0,) + bits[last + 1 :]], bases[last]
+            rest, atom = points[p & (p - 1)].eigenspace, bases[gen[-1]]
             eigenspace = Subspace(
                 space,
                 [u * v for u in rest.basis for v in atom.basis],
@@ -68,7 +67,6 @@ def spectral_decompose(algebra: NTBA) -> SpectralDecomp:
             )
         else:
             eigenspace = Subspace(space, [constant(space, 1)], [space.backend.one])
-        built[bits] = eigenspace
         points.append(SpectralPoint(eigenspace, frozenset(gen), len(gen)))
     levels = {
         k: direct_sum(space, [p.eigenspace for p in points if p.k == k])

@@ -10,21 +10,24 @@ time on the probabilities themselves (Fractions in rational mode) rather
 than on integer weights, random-variable arithmetic, projections and
 spans computed one outcome at a time on the values rather than on integer
 vectors, a family of sigma-fields audited by recomputing every meet
-and join it reads, and product spaces and random atom families built by
-chaining two-factor products.  Tests compare the production path against
-these.
+and join it reads, first-chaos membership decided on sigma-field meets
+and joins rather than on atom bitmasks, and product spaces and random
+atom families built by chaining two-factor products.  Tests compare the
+production path against these.
 """
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
 
+from noise_lattice.chaos import MembershipReport
 from noise_lattice.cofinite import range_set, tail_set
-from noise_lattice.errors import DomainMismatchError
+from noise_lattice.errors import ConsistencyError, DomainMismatchError
 from noise_lattice.finmeas import (
     RV,
     ProbSpace,
@@ -347,6 +350,75 @@ def scan_family_oracle(space: ProbSpace, elems) -> FamilyVerdict:
                 False, "complement pair not independent", (x, comp)
             )
     return FamilyVerdict(True)
+
+
+def membership_oracle(algebra: NTBA, f: RV) -> MembershipReport:
+    """``chaos.chaos_membership`` by sigma-field meets and joins.
+
+    Evaluates the three equivalent membership conditions independently,
+    over the realized elements, with ``meet`` and ``join`` for every pair.
+
+    The conditions must agree; disagreement means the library itself is
+    inconsistent and raises rather than returning a verdict.
+    """
+    if f.space != algebra.space:
+        raise DomainMismatchError("RV lives on a different space")
+    space = algebra.space
+    parts = [e.realize() for e in algebra.elements()]
+    proj_cache: dict = {}
+
+    def q(part: SigmaField) -> RV:
+        got = proj_cache.get(part)
+        if got is None:
+            got = cond_exp(part, f)
+            proj_cache[part] = got
+        return got
+
+    top = discrete(space)
+    bot = trivial(space)
+
+    equal = space.backend.equal
+    cond_a = True
+    for i, part in enumerate(parts):
+        comp = parts[-1 - i]  # elements come by bitmask, so x' is element 2^n - 1 - i
+        if not equal(f.vec, (q(part) + q(comp)).vec):
+            cond_a = False
+            break
+
+    cond_b = True
+    for px, py in itertools.combinations_with_replacement(parts, 2):
+        if meet(px, py) != bot:
+            continue
+        if not equal(q(join(px, py)).vec, (q(px) + q(py)).vec):
+            cond_b = False
+            break
+
+    cond_c = space.backend.is_zero(q(bot).vec)
+    if cond_c:
+        for px, py in itertools.combinations_with_replacement(parts, 2):
+            lhs = q(join(px, py)) + q(meet(px, py))
+            if not equal(lhs.vec, (q(px) + q(py)).vec):
+                cond_c = False
+                break
+
+    if not (cond_a == cond_b == cond_c):
+        raise ConsistencyError(
+            f"membership conditions disagree: {cond_a}, {cond_b}, {cond_c}"
+        )
+    return MembershipReport(cond_a, cond_a, cond_b, cond_c)
+
+
+def rebind_everywhere(monkeypatch, fn, replacement) -> None:
+    """Replace every binding of ``fn`` in the library's loaded modules.
+
+    The library imports names with ``from .x import y``, so one function
+    is bound in several module namespaces; each is patched by identity.
+    """
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("noise_lattice"):
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, replacement)
 
 
 def product_oracle(a: ProbSpace, b: ProbSpace) -> SpaceProduct:

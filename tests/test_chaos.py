@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import exact_nullspace, set_partitions
+from conftest import exact_nullspace, membership_oracle, rebind_everywhere, set_partitions
 
+from noise_lattice import sigma
 from noise_lattice.chaos import (
     atomless_split,
     chaos_membership,
@@ -120,6 +121,49 @@ def test_membership_tri_equivalence_on_random_inputs():
         f = rand_rv(rng, B.space, zero_mean=True)
         rep = chaos_membership(B, f)  # raises on any disagreement
         assert rep.cond_pairwise_split == rep.cond_disjoint_additive == rep.cond_modular
+
+
+def test_membership_flags_match_the_lattice_oracle():
+    """All four flags equal the meet/join oracle's, on members and non-members."""
+    rng = random.Random(47)
+    non_members = 0
+    for case in range(200):
+        B = rand_ntba(rng, 16, mode="float" if case % 2 else "rational")
+        for f in first_chaos(B).h1.basis:
+            rep = chaos_membership(B, f)
+            assert rep.member and rep == membership_oracle(B, f)
+        f = rand_rv(rng, B.space, zero_mean=True)
+        rep = chaos_membership(B, f)
+        assert rep == membership_oracle(B, f)
+        non_members += not rep.member
+    assert non_members > 100
+
+
+def test_membership_projects_each_element_once_and_never_meets_or_joins(monkeypatch):
+    rng = random.Random(49)
+    cases = []
+    for mode in ("rational", "float"):
+        for _ in range(10):
+            B = rand_ntba(rng, 16, mode=mode)
+            cases.append((B, rand_rv(rng, B.space, zero_mean=True)))
+            cases.append((B, first_chaos(B).h1.basis[0]))
+
+    def refuse(*args):
+        raise AssertionError("a sigma-field meet or join was computed")
+
+    projected = []
+
+    def counted(x, f, cond_exp=sigma.cond_exp):
+        projected.append(x)
+        return cond_exp(x, f)
+
+    rebind_everywhere(monkeypatch, sigma.meet, refuse)
+    rebind_everywhere(monkeypatch, sigma.join, refuse)
+    rebind_everywhere(monkeypatch, sigma.cond_exp, counted)
+    for B, f in cases:
+        projected.clear()
+        chaos_membership(B, f)
+        assert len(projected) == 1 << B.n_atoms
 
 
 def test_split_identity_per_element():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -10,14 +11,24 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from conftest import rebind_everywhere
 
 from noise_lattice import checks
 from noise_lattice import randsup as rs
 from noise_lattice.cli import UsageError, _load, main
 from noise_lattice.cofinite import MAX_BITS
 from noise_lattice.errors import NoiseLatticeError
-from noise_lattice.finmeas import space_from_json
-from noise_lattice.ntba import ntba_from_json
+from noise_lattice.finmeas import mk_dyadic, mk_space, space_from_json
+from noise_lattice.instances import rand_ntba
+from noise_lattice.ntba import (
+    NTBA,
+    mk_coordinate_ntba,
+    mk_parity_ntba,
+    ntba_from_json,
+    ntba_to_json,
+    validate_family,
+)
+from noise_lattice.sigma import partition_from_json, partition_to_json
 
 RUN = [sys.executable, "-m", "noise_lattice.cli"]
 
@@ -98,6 +109,94 @@ def test_ntba_validate_rejects_bad_input(tmp_path, capsys):
     f.write_text(json.dumps(bad))
     assert main(["ntba", "validate", str(f)]) == 1
     assert json.loads(capsys.readouterr().out)["valid"] is False
+
+
+def _dyadic(n: int, mode: str):
+    space = mk_dyadic(n)
+    return space if mode == "rational" else mk_space(space.outcomes, [float(p) for p in space.probs])
+
+
+def _perturbed_float(rng) -> dict:
+    """A float presentation of 3 or 4 atoms, each probability moved by up to 1e-9.
+
+    The offsets of a random product algebra's probabilities sum to zero,
+    so the space stays valid; the atoms then often fail the product law
+    within the float tolerance, sometimes pass it, and sometimes pass it
+    while a complement pair, whose blocks add up several offsets, fails.
+    """
+    B = rand_ntba(rng, 64, mode="float")
+    while B.n_atoms < 3:
+        B = rand_ntba(rng, 64, mode="float")
+    offsets = [rng.uniform(-1e-9, 1e-9) for _ in B.space.probs]
+    mean = sum(offsets) / len(offsets)
+    probs = [p + d - mean for p, d in zip(B.space.probs, offsets)]
+    return {
+        "space": {"outcomes": list(B.space.outcomes), "probs": probs},
+        "atoms": [partition_to_json(a) for a in B.atoms],
+    }
+
+
+def _family_audit_output(obj: dict):
+    """The (stdout, exit code) that ``validate_family`` on the realized family implies."""
+    space = space_from_json(obj["space"])
+    try:
+        algebra = NTBA(space, [partition_from_json(space, a) for a in obj["atoms"]])
+    except ValueError as exc:
+        return json.dumps({"valid": False, "reason": str(exc)}) + "\n", 1
+    verdict = validate_family(space, [e.realize() for e in algebra.elements()])
+    payload = {"valid": verdict.valid, "reason": verdict.reason}
+    return json.dumps(payload, sort_keys=True) + "\n", 0 if verdict.valid else 1
+
+
+def test_ntba_validate_matches_the_family_audit(tmp_path, capsys):
+    presentations = [
+        ntba_to_json(build)
+        for mode in ("rational", "float")
+        for n in range(1, 8)
+        for build in (
+            mk_coordinate_ntba(_dyadic(n, mode)),
+            mk_parity_ntba(n, _dyadic(n + 1, mode)),
+        )
+    ]
+    rng = random.Random(3)
+    presentations += [
+        ntba_to_json(rand_ntba(rng, 64, mode=("rational", "float")[i % 2])) for i in range(40)
+    ]
+    presentations += [_perturbed_float(rng) for _ in range(80)]
+    f = tmp_path / "b.json"
+    reasons = set()
+    for obj in presentations:
+        f.write_text(json.dumps(obj))
+        code = main(["ntba", "validate", str(f)])
+        out = capsys.readouterr().out
+        assert (out, code) == _family_audit_output(obj)
+        reasons.add(json.loads(out)["reason"].split(" at ")[0] if code else None)
+    assert reasons == {
+        None,
+        "atoms are not mutually independent",
+        "complement pair not independent",
+    }
+
+
+def test_ntba_validate_never_audits_the_family(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("validate_family was called")
+
+    rebind_everywhere(monkeypatch, validate_family, refuse)
+    golden = Path(__file__).parent / "golden"
+    f = tmp_path / "p3.json"
+    f.write_text(json.dumps(ntba_to_json(mk_parity_ntba(3))))
+    for path, code, out in (
+        (f, 0, '{"reason": null, "valid": true}\n'),
+        (golden / "float2.json", 0, '{"reason": null, "valid": true}\n'),
+        (
+            golden / "float-perturbed.json",
+            1,
+            '{"reason": "complement pair not independent", "valid": false}\n',
+        ),
+    ):
+        assert main(["ntba", "validate", str(path)]) == code
+        assert capsys.readouterr().out == out
 
 
 def test_chaos_report_json(tmp_path, capsys):

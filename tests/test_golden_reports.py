@@ -13,8 +13,12 @@ their ``spectrum report --format csv`` text.  ``demo.json`` holds ``demo
 all --seed 1``.  ``cofinite.demo.json`` and ``cofinite.demo.txt`` hold
 ``cofinite demo`` in both formats and ``cofinite.eval.*.json`` the
 ``cofinite eval`` line of three elements, so a symbolic value that reached
-a report unformatted would show.  Any change to a printed value, a key or
-the formatting fails here.
+a report unformatted would show.  ``*.validate.json`` hold the ``ntba
+validate`` line of ``coords4``, ``float2`` and ``float-perturbed``, a
+float algebra whose atoms pass the product law within the tolerance but
+one of whose complement pairs does not, so its verdict is invalid.  Each
+case carries its exit code.  Any change to a printed value, a key, the
+formatting or an exit code fails here.
 """
 
 from pathlib import Path
@@ -26,29 +30,33 @@ from noise_lattice.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = ("mixed2", "mixed3", "float2")
 CASES = [
-    *((f"{f}.chaos.txt", ["chaos", "report", str(GOLDEN / f"{f}.json")]) for f in FIXTURES),
+    *((f"{f}.chaos.txt", ["chaos", "report", str(GOLDEN / f"{f}.json")], 0) for f in FIXTURES),
     *(
-        (f"{f}.spectrum.json", ["spectrum", "report", str(GOLDEN / f"{f}.json"), "--format=json"])
+        (f"{f}.spectrum.json", ["spectrum", "report", str(GOLDEN / f"{f}.json"), "--format=json"], 0)
         for f in FIXTURES
     ),
-    ("demo.json", ["demo", "--format", "json"]),
-    ("float2.chaos.json", ["chaos", "report", str(GOLDEN / "float2.json"), "--format", "json"]),
-    ("coords4.spectrum.json", ["spectrum", "report", str(GOLDEN / "coords4.json"), "--format", "json"]),
+    ("demo.json", ["demo", "--format", "json"], 0),
+    ("float2.chaos.json", ["chaos", "report", str(GOLDEN / "float2.json"), "--format", "json"], 0),
+    ("coords4.spectrum.json", ["spectrum", "report", str(GOLDEN / "coords4.json"), "--format", "json"], 0),
     *(
-        (f"{f}.spectrum.csv", ["spectrum", "report", str(GOLDEN / f"{f}.json"), "--format", "csv"])
+        (f"{f}.spectrum.csv", ["spectrum", "report", str(GOLDEN / f"{f}.json"), "--format", "csv"], 0)
         for f in ("coords4", "mixed3")
     ),
-    ("cofinite.demo.json", ["cofinite", "demo", "--format", "json"]),
-    ("cofinite.demo.txt", ["cofinite", "demo"]),
-    ("cofinite.eval.tail3-evens.json", ["cofinite", "eval", "x3|Y(2k)"]),
-    ("cofinite.eval.periodic.json", ["cofinite", "eval", "Y{01;110}"]),
-    ("cofinite.eval.finite-tail9.json", ["cofinite", "eval", "y1|y4|x9"]),
-    ("check.seed1.cases2.json", ["check", "all", "--seed", "1", "--cases", "2"]),
-    ("check.seed1.json", ["check", "all", "--seed", "1"]),
+    ("cofinite.demo.json", ["cofinite", "demo", "--format", "json"], 0),
+    ("cofinite.demo.txt", ["cofinite", "demo"], 0),
+    ("cofinite.eval.tail3-evens.json", ["cofinite", "eval", "x3|Y(2k)"], 0),
+    ("cofinite.eval.periodic.json", ["cofinite", "eval", "Y{01;110}"], 0),
+    ("cofinite.eval.finite-tail9.json", ["cofinite", "eval", "y1|y4|x9"], 0),
+    ("check.seed1.cases2.json", ["check", "all", "--seed", "1", "--cases", "2"], 0),
+    ("check.seed1.json", ["check", "all", "--seed", "1"], 0),
+    *(
+        (f"{f}.validate.json", ["ntba", "validate", str(GOLDEN / f"{f}.json")], code)
+        for f, code in (("coords4", 0), ("float2", 0), ("float-perturbed", 1))
+    ),
 ]
 
 
-@pytest.mark.parametrize("golden, argv", CASES, ids=[c[0] for c in CASES])
-def test_report_matches_golden_text(golden, argv, capsys):
-    assert main(argv) == 0
+@pytest.mark.parametrize("golden, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden_text(golden, argv, code, capsys):
+    assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")

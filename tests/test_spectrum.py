@@ -1,16 +1,19 @@
 """Joint eigenspace decomposition, grading, and the related identities."""
 
+import itertools
+import json
 import random
 from math import comb
 
 import pytest
 from conftest import is_basis, kernel_intersection_oracle
 
+from noise_lattice.cli import main
 from noise_lattice.errors import PreconditionError
 from noise_lattice.finmeas import inner, mk_dyadic, mk_space, walsh_character
 from noise_lattice.instances import rand_ntba
-from noise_lattice.ntba import NTBA, coarsen, mk_coordinate_ntba, mk_parity_ntba
-from noise_lattice.sigma import discrete, sigma_of_rvs, subspace_of, trivial
+from noise_lattice.ntba import NTBA, coarsen, mk_coordinate_ntba, mk_parity_ntba, ntba_to_json
+from noise_lattice.sigma import _group, discrete, sigma_of_rvs, subspace_of, trivial
 from noise_lattice.spectrum import (
     _pattern_of,
     chaos_grading,
@@ -178,15 +181,45 @@ def test_sigma_tower():
 
 
 def test_point_order_is_canonical():
-    D = spectral_decompose(mk_coordinate_ntba(mk_dyadic(3)))
-    n = D.algebra.n_atoms
-    bits = [tuple(1 if i in p.generator else 0 for i in range(n)) for p in D.points]
-    assert bits == sorted(bits)  # membership bits in atom order
+    """Points come in ``itertools.product((0, 1), repeat=n)`` order of membership bits."""
+    for n in range(1, 8):
+        D = spectral_decompose(mk_coordinate_ntba(mk_dyadic(n)))
+        want = [
+            frozenset(k for k in range(n) if bits[k])
+            for bits in itertools.product((0, 1), repeat=n)
+        ]
+        assert [p.generator for p in D.points] == want
     # rebuilding gives the identical order
-    D2 = spectral_decompose(mk_coordinate_ntba(mk_dyadic(3)))
-    assert [sorted(p.generator) for p in D.points] == [
-        sorted(p.generator) for p in D2.points
-    ]
+    D2 = spectral_decompose(mk_coordinate_ntba(mk_dyadic(7)))
+    assert [p.generator for p in D.points] == [p.generator for p in D2.points]
+
+
+def _shuffled_outcomes(B: NTBA, rng) -> NTBA:
+    """The same algebra with its outcomes listed in a random order."""
+    order = list(range(B.space.size))
+    rng.shuffle(order)
+    space = mk_space([B.space.outcomes[i] for i in order], [B.space.probs[i] for i in order])
+    return NTBA(space, [_group(space, [[a.labels[i] for i in order]]) for a in B.atoms])
+
+
+def test_json_pattern_matches_the_atomset_oracle(tmp_path, capsys):
+    rng = random.Random(56)
+    algebras = [mk_coordinate_ntba(mk_dyadic(n)) for n in range(1, 6)]
+    algebras += [mk_parity_ntba(n) for n in range(1, 5)]
+    B = rand_ntba(rng, 64)
+    while B.n_atoms < 3:
+        B = rand_ntba(rng, 64)
+    algebras.append(_shuffled_outcomes(B, rng))
+    f = tmp_path / "b.json"
+    for B in algebras:
+        f.write_text(json.dumps(ntba_to_json(B)))
+        assert main(["spectrum", "report", str(f), "--format", "json"]) == 0
+        points = json.loads(capsys.readouterr().out)["results"]["points"]
+        D = spectral_decompose(B)
+        assert len(points) == len(D.points)
+        for got, p in zip(points, D.points):
+            assert got["generator_atoms"] == sorted(p.generator)
+            assert got["pattern"] == [int(p.generator <= e.atomset) for e in B.elements()]
 
 
 def test_sign_pairing_sigma_from_levels():
