@@ -187,11 +187,12 @@ class NatSet(NamedTuple):
         MAX_BITS.
         """
         if self.nper == other.nper == 1:
+            # canonical by construction: built as a tuple, past namedtuple's __new__
             m = op(self.pre | -(self.per << self.npre), other.pre | -(other.per << other.npre))
             if m >= 0:
-                return NatSet(m, m.bit_length(), 0, 1)
+                return tuple.__new__(NatSet, (m, m.bit_length(), 0, 1))
             keep = (~m).bit_length()
-            return NatSet(m & _ones(keep), keep, 1, 1)
+            return tuple.__new__(NatSet, (m & _ones(keep), keep, 1, 1))
         npre = max(self.npre, other.npre)
         if (1, absorbing) in ((self.nper, self.per), (other.nper, other.per)):
             return _canon(op(self._prefix(npre), other._prefix(npre)), npre, absorbing, 1)
@@ -292,6 +293,9 @@ def progression(step: int, offset: int = 0) -> NatSet:
 # Elements of the algebra, its closure, and the lattice operations
 
 
+_TAILED_NEEDS_COFINITE = "a tailed element needs a cofinite index set"
+
+
 class _CofFields(NamedTuple):
     tailed: bool
     index_set: NatSet
@@ -314,7 +318,7 @@ class CofElem(_CofFields):
 
     def __new__(cls, tailed: bool, index_set: NatSet):
         if tailed and not index_set.is_cofinite:
-            raise ValueError("a tailed element needs a cofinite index set")
+            raise ValueError(_TAILED_NEEDS_COFINITE)
         return tuple.__new__(cls, (tailed, index_set))
 
     @property
@@ -359,12 +363,23 @@ def cof_meet(a: CofElem, b: CofElem) -> CofElem:
     Rewritten over the independent generators y(1), ..., y(m-1), t(m) at a
     tail m past both preperiods (t(k) = y(k) v ... v y(m-1) v t(m)), each
     element is a join of generators, and the meet keeps the shared ones.
+    The result is built as a tuple, past ``CofElem.__new__``, with its one
+    check inline.
     """
-    return CofElem(a.tailed and b.tailed, a.index_set._combine(b.index_set, and_, 0))
+    tailed = a.tailed and b.tailed
+    s = a.index_set._combine(b.index_set, and_, 0)
+    if tailed and (s.per, s.nper) != (1, 1):
+        raise ValueError(_TAILED_NEEDS_COFINITE)
+    return tuple.__new__(CofElem, (tailed, s))
 
 
 def cof_join(a: CofElem, b: CofElem) -> CofElem:
-    return CofElem(a.tailed or b.tailed, a.index_set._combine(b.index_set, or_, 1))
+    """Lattice join, built like ``cof_meet``'s result."""
+    tailed = a.tailed or b.tailed
+    s = a.index_set._combine(b.index_set, or_, 1)
+    if tailed and (s.per, s.nper) != (1, 1):
+        raise ValueError(_TAILED_NEEDS_COFINITE)
+    return tuple.__new__(CofElem, (tailed, s))
 
 
 def cof_leq(a: CofElem, b: CofElem) -> bool:

@@ -18,16 +18,15 @@ products and comparisons of probabilities and of values are then Python
 only for a scalar handed back (a block mass, an inner product, a mean, a
 projection coefficient) or when a vector's values are read.  A float vector
 is a ``FloatVec``, the tuple of its floats; the float backend uses the
-probabilities themselves as weights, with W = 1.0, and numpy.  The two
-never mix: each backend refuses the other's numbers.
+probabilities themselves as weights, with W = 1.0, and numpy, which it
+imports on first use, so a rational computation never loads numpy.  The
+two never mix: each backend refuses the other's numbers.
 """
 
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 from .kernels import orthogonalize_int, row_echelon_int, strip_gcd, weighted_dot_int
 
@@ -112,6 +111,8 @@ def exact_orthogonalize(int_vecs, weights, total):
 
 def float_orthonormalize(vectors, weights):
     """Modified Gram-Schmidt with weighted inner product; drops near-zeros."""
+    import numpy as np
+
     w = np.asarray(weights, dtype=float)
     basis = []
     for v in vectors:
@@ -133,6 +134,8 @@ def _svd_cutoff(s, shape) -> float:
 
 
 def float_rank(rows) -> int:
+    import numpy as np
+
     m = np.asarray(rows, dtype=float)
     if m.size == 0:
         return 0
@@ -141,6 +144,8 @@ def float_rank(rows) -> int:
 
 
 def float_nullspace(rows):
+    import numpy as np
+
     m = np.asarray(rows, dtype=float)
     if m.size == 0:
         return None
@@ -406,6 +411,8 @@ class FloatBackend:
         return FloatVec(map(avgs.__getitem__, labels))
 
     def dot(self, u, v, space) -> float:
+        import numpy as np
+
         return float(np.dot(np.asarray(space.weights) * np.asarray(u), np.asarray(v)))
 
     def project(self, u, basis, norms2, space) -> FloatVec:

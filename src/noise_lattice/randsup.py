@@ -14,14 +14,15 @@ is drawn in full, one ``(BLOCK, n_k)`` uniform array per level in level
 order, and trial t is row t mod 4096 of block t div 4096.  So trial t
 depends only on the seed, t and the levels, never on the trial count;
 rows past the trial count are dropped.
+
+numpy is imported on first use, by the functions that draw or count, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CapacityError, PreconditionError
 
@@ -58,6 +59,8 @@ class SampleConfig:
 
 def trial_rng(seed: int, block: int) -> np.random.Generator:
     """The counter-based stream of one block of trials: Philox keyed by (seed, block)."""
+    import numpy as np
+
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     )
@@ -87,6 +90,8 @@ def run_join_process(cfg: SampleConfig, sampler=None) -> list:
     replaces the per-level block draw (same signature as sample_element);
     the test hook for forcing degenerate draws.
     """
+    import numpy as np
+
     draw = sampler or sample_element
     out = []
     for rng, rows in _blocks(cfg.seed, cfg.trials):
@@ -124,6 +129,8 @@ def check_union_bound(cfg: SampleConfig, atom: int) -> None:
 
 def union_bound_report(cfg: SampleConfig, atom: int) -> UnionBoundReport:
     """Estimate Pr[atom <= Y_n] and compare with 1 - prod(1-p_k) <= sum p_k."""
+    import numpy as np
+
     check_union_bound(cfg, atom)
     hits = 0
     for rng, rows in _blocks(cfg.seed, cfg.trials):
@@ -150,6 +157,8 @@ def union_bound_report(cfg: SampleConfig, atom: int) -> UnionBoundReport:
 
 def element_counts(n_atoms: int, p: float, seed: int, trials: int) -> np.ndarray:
     """Histogram of sampled elements over all 2^n atom subsets (bitmask order)."""
+    import numpy as np
+
     counts = np.zeros(1 << n_atoms, dtype=np.int64)
     weights = 1 << np.arange(n_atoms, dtype=np.int64)
     for rng, rows in _blocks(seed, trials):
@@ -182,6 +191,8 @@ def _chi2_sf(x: float, k: int) -> float:
 
 def element_distribution_pvalue(n_atoms: int, p: float, seed: int, trials: int):
     """Chi-square p-value of the sampled histogram against p^k (1-p)^(n-k)."""
+    import numpy as np
+
     counts = element_counts(n_atoms, p, seed, trials)
     expected = np.array(
         [

@@ -34,6 +34,8 @@ from functools import cached_property
 from .errors import DomainMismatchError, PreconditionError
 from .finmeas import RV, ProbSpace, Subspace, indicator
 
+_NOT_CANONICAL = "labels must number the blocks 0, 1, ... in the order of their least outcome"
+
 
 @dataclass(frozen=True)
 class SigmaField:
@@ -55,9 +57,7 @@ class SigmaField:
         object.__setattr__(self, "labels", labels)
         first_seen = tuple(dict.fromkeys(labels))
         if len(labels) != self.space.size or first_seen != tuple(range(len(first_seen))):
-            raise ValueError(
-                "labels must number the blocks 0, 1, ... in the order of their least outcome"
-            )
+            raise ValueError(_NOT_CANONICAL)
 
     @cached_property
     def n_blocks(self) -> int:
@@ -98,10 +98,16 @@ def _number(space: ProbSpace, keys) -> SigmaField:
     """The field whose blocks are the outcomes sharing a key (one per outcome).
 
     Keys are numbered in the order they are first seen, so the labels come
-    out canonical; each key is hashed once.
+    out canonical; each key is hashed once.  Canonical by construction, the
+    field is built past ``__post_init__``'s check of its labels.
     """
     index: dict = {}
-    return SigmaField(space, tuple([index.setdefault(k, len(index)) for k in keys]))
+    labels = tuple([index.setdefault(k, len(index)) for k in keys])
+    if len(labels) != space.size:
+        raise ValueError(_NOT_CANONICAL)
+    field = object.__new__(SigmaField)
+    field.__dict__.update(space=space, labels=labels)
+    return field
 
 
 def partition(space: ProbSpace, blocks) -> SigmaField:

@@ -143,13 +143,32 @@ def test_lattice_ops_match_case_oracles(a, b):
 
 
 def test_tailed_element_needs_cofinite_index_set():
-    for s in (cf.EMPTY_SET, cf.finite_set([1, 4]), cf.progression(2)):
-        with pytest.raises(ValueError):
+    for s in (cf.EMPTY_SET, cf.finite_set([1]), cf.finite_set([1, 4]), cf.progression(2)):
+        with pytest.raises(ValueError, match="cofinite index set"):
             cf.CofElem(True, s)
     assert cf.CofElem(True, cf.tail_set(3)) == cf.x(3)
     # the gap: sup_k y(k) and t(1) share the index set and differ in the flag
     assert cf.ys_elem(cf.FULL_SET).index_set == cf.ONE.index_set
     assert cf.ys_elem(cf.FULL_SET) != cf.ONE
+
+
+def _rebuilt(e):
+    """The element built again through the public constructors, from its bits."""
+    s, h = e.index_set, e.index_set.npre
+    bits = cf.natset(
+        [s.bit(p) for p in range(1, h + 1)], [s.bit(p) for p in range(h + 1, h + 1 + s.nper)]
+    )
+    return cf.CofElem(e.tailed, bits)
+
+
+def test_meet_and_join_build_exact_canonical_values():
+    probe = cf.bounded_elements(6, 7)
+    for a, b in itertools.product(probe, repeat=2):
+        for e in (cf.cof_meet(a, b), cf.cof_join(a, b)):
+            assert type(e) is cf.CofElem and type(e.index_set) is cf.NatSet
+            again = _rebuilt(e)
+            assert e == again and hash(e) == hash(again)
+            assert e.index_set == again.index_set and hash(e.index_set) == hash(again.index_set)
 
 
 def test_sets_and_elements_are_immutable():

@@ -1,31 +1,117 @@
-"""The library imports only its declared dependencies.
+"""The library imports only its declared dependencies, and numpy only when used.
 
 ``scipy`` is a test dependency: importing it costs about a second and
 more than doubles the peak memory of ``check all``, so no module under
 ``src/noise_lattice`` may import it, not even inside a function.
+
+numpy is needed only by float-mode spaces and by sampling (``randsup``,
+which ``check all`` runs), so no module imports it at module level: the
+functions that use it import it on first use, and a rational command
+starts without it.  The cold-start tests run the golden reports in fresh
+interpreters and check that the rational ones never load numpy.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from test_golden_reports import CASES, GOLDEN
 
 import noise_lattice
 
 SRC = Path(noise_lattice.__file__).parent
 
 
-def _imported_modules(tree: ast.AST):
-    for node in ast.walk(tree):
+def _imported_modules(nodes):
+    for node in nodes:
         if isinstance(node, ast.Import):
             yield node.lineno, [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             yield node.lineno, [node.module]
 
 
+def _run_on_import(node: ast.AST):
+    """The nodes run when the module is imported: all but those inside functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_on_import(child)
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _is(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
 def test_library_never_imports_scipy():
     found = [
         f"{path.name}:{lineno}"
         for path in sorted(SRC.glob("*.py"))
-        for lineno, names in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
-        if any(name == "scipy" or name.startswith("scipy.") for name in names)
+        for lineno, names in _imported_modules(ast.walk(_tree(path)))
+        if any(_is(name, "scipy") for name in names)
     ]
     assert not found, f"scipy imported by the library: {found}"
+
+
+def test_no_module_imports_numpy_at_module_level():
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, names in _imported_modules(_run_on_import(_tree(path)))
+        if any(_is(name, "numpy") for name in names)
+    ]
+    assert not found, f"numpy imported at module level: {found}"
+
+
+# Runs golden cases (name, argv, exit code; JSON on stdin) in this fresh
+# interpreter and prints the names that differ and whether numpy got loaded.
+CHILD = """
+import contextlib, io, json, sys
+from pathlib import Path
+from noise_lattice.cli import main
+golden = Path(sys.argv[1])
+mismatched = []
+for name, argv, code in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = main(argv)
+    if got != code or out.getvalue() != (golden / name).read_text(encoding="utf-8"):
+        mismatched.append(name)
+print(json.dumps({"mismatched": mismatched, "numpy": "numpy" in sys.modules}))
+"""
+
+FLOAT = [c for c in CASES if c[0].startswith("float")]
+RATIONAL = [c for c in CASES if not c[0].startswith(("float", "check."))]
+
+
+def _fresh_run(cases) -> dict:
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), path]))}
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, str(GOLDEN)],
+        input=json.dumps(cases),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def test_rational_reports_start_without_numpy():
+    names = {c[0] for c in RATIONAL}
+    assert {"coords4.validate.json", "demo.json", "cofinite.demo.txt", "mixed3.chaos.txt"} <= names
+    assert _fresh_run(RATIONAL) == {"mismatched": [], "numpy": False}
+
+
+def test_float_reports_and_check_all_load_numpy_on_first_use():
+    check = [c for c in CASES if c[0] == "check.seed1.cases2.json"]
+    assert len(FLOAT) >= 4 and len(check) == 1
+    assert _fresh_run(FLOAT + check) == {"mismatched": [], "numpy": True}

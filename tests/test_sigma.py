@@ -286,6 +286,23 @@ def test_labels_must_be_canonical(uniform3):
     assert SigmaField(uniform3, (0, 1, 0)) == partition(uniform3, [[1], [2, 0]])
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_numbering_builds_the_field_the_checked_constructor_builds(mode):
+    rng = random.Random(23)
+    for _ in range(200):
+        space = rand_space(rng, 6, mode)
+        keys = [rng.choice("abcd") for _ in range(space.size)]
+        got = sigma._number(space, keys)
+        checked = SigmaField(space, got.labels)
+        assert type(got) is SigmaField
+        assert got == checked and hash(got) == hash(checked)
+        assert got.labels == checked.labels and got.blocks == checked.blocks
+        # the labels are the keys' first-seen numbering
+        assert got.blocks == tuple(
+            tuple(i for i in range(space.size) if keys[i] == k) for k in dict.fromkeys(keys)
+        )
+
+
 @st.composite
 def shuffled_partitions(draw, size):
     """A partition of range(size): its outcomes shuffled, then cut into runs."""

@@ -1,9 +1,10 @@
 """Every sigma-field is built by ``sigma``'s one first-seen numbering.
 
-``sigma._number`` is the only caller of the ``SigmaField`` constructor,
-and no other module calls either of them: outside ``sigma`` a field comes
-from ``partition``, ``trivial``, ``discrete``, a join or a meet, so its
-labels are canonical by construction.
+``sigma._number`` is the only place that builds a ``SigmaField`` (it
+numbers the labels first-seen, so it skips the constructor's check of
+them), and no other module builds one or calls ``_number``: outside
+``sigma`` a field comes from ``partition``, ``trivial``, ``discrete``, a
+join or a meet, so its labels are canonical by construction.
 """
 
 import ast
@@ -16,7 +17,11 @@ ROUTE = ("SigmaField", "_number")
 
 
 def _called(node) -> str:
+    """The name called; ``object.__new__(C)`` and ``C.__new__(C)`` count as building C."""
     func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "__new__" and node.args:
+        built = node.args[0]
+        return built.id if isinstance(built, ast.Name) else ""
     if isinstance(func, ast.Name):
         return func.id
     if isinstance(func, ast.Attribute):
