@@ -113,13 +113,13 @@ def suite_product_inner(rng: random.Random, cases: int) -> SuiteResult:
     res = SuiteResult("product-embedding-isometry", cases)
     for case in range(cases):
         prod = product(inst.rand_space(rng, 4), inst.rand_space(rng, 4))
-        f1, f2 = (inst.rand_rv(rng, prod.left) for _ in range(2))
-        g1, g2 = (inst.rand_rv(rng, prod.right) for _ in range(2))
+        f1, f2 = (inst.rand_rv(rng, prod.factors[0]) for _ in range(2))
+        g1, g2 = (inst.rand_rv(rng, prod.factors[1]) for _ in range(2))
         ok = (
-            inner(prod.lift_left(f1), prod.lift_left(f2)) == inner(f1, f2)
-            and inner(prod.lift_right(g1), prod.lift_right(g2)) == inner(g1, g2)
-            and inner(prod.lift_left(f1) * prod.lift_right(g1),
-                      prod.lift_left(f2) * prod.lift_right(g2))
+            inner(prod.lift(0, f1), prod.lift(0, f2)) == inner(f1, f2)
+            and inner(prod.lift(1, g1), prod.lift(1, g2)) == inner(g1, g2)
+            and inner(prod.lift(0, f1) * prod.lift(1, g1),
+                      prod.lift(0, f2) * prod.lift(1, g2))
             == inner(f1, f2) * inner(g1, g2)
         )
         if not ok:
@@ -283,12 +283,12 @@ def suite_indep_lattice_identities(rng: random.Random, cases: int) -> SuiteResul
     res = SuiteResult("independent-quadruple-identities", cases)
     for case in range(cases):
         prod, x_full, y_full = inst.rand_independent_pair(rng)
-        u1 = inst.lift_partition(prod, inst.rand_partition(rng, prod.left), "left")
-        u2 = inst.lift_partition(prod, inst.rand_partition(rng, prod.left), "left")
-        v1 = inst.lift_partition(prod, inst.rand_partition(rng, prod.right), "right")
-        v2 = inst.lift_partition(prod, inst.rand_partition(rng, prod.right), "right")
-        x = inst.lift_partition(prod, discrete(prod.left), "left")
-        ycap = inst.lift_partition(prod, discrete(prod.right), "right")
+        u1 = inst.lift_partition(prod, inst.rand_partition(rng, prod.factors[0]), 0)
+        u2 = inst.lift_partition(prod, inst.rand_partition(rng, prod.factors[0]), 0)
+        v1 = inst.lift_partition(prod, inst.rand_partition(rng, prod.factors[1]), 1)
+        v2 = inst.lift_partition(prod, inst.rand_partition(rng, prod.factors[1]), 1)
+        x = inst.lift_partition(prod, discrete(prod.factors[0]), 0)
+        ycap = inst.lift_partition(prod, discrete(prod.factors[1]), 1)
         ok = meet(join(u1, v1), join(u2, v2)) == join(meet(u1, u2), meet(v1, v2))
         ok = ok and meet(join(u1, v1), x) == u1
         ok = ok and meet(join(u1, v1), ycap) == v1
@@ -321,10 +321,10 @@ def suite_product_membership(rng: random.Random, cases: int) -> SuiteResult:
     res = SuiteResult("product-membership", cases)
     for case in range(cases):
         prod, _, _ = inst.rand_independent_pair(rng)
-        x = inst.lift_partition(prod, discrete(prod.left), "left")
-        y = inst.lift_partition(prod, discrete(prod.right), "right")
-        u = inst.lift_partition(prod, inst.rand_partition(rng, prod.left), "left")
-        v = inst.lift_partition(prod, inst.rand_partition(rng, prod.right), "right")
+        x = inst.lift_partition(prod, discrete(prod.factors[0]), 0)
+        y = inst.lift_partition(prod, discrete(prod.factors[1]), 1)
+        u = inst.lift_partition(prod, inst.rand_partition(rng, prod.factors[0]), 0)
+        v = inst.lift_partition(prod, inst.rand_partition(rng, prod.factors[1]), 1)
         z = join(u, v)
         if join(meet(x, z), meet(y, z)) != z:
             res.failures.append({"case": case, "space": _space_witness(prod.space)})

@@ -32,6 +32,7 @@ from .ntba import (
     mk_parity_ntba,
     ntba_from_json,
     ntba_to_json,
+    presentation_from_json,
     restrict,
 )
 from .sigma import (
@@ -78,10 +79,10 @@ def _emit(args, report: dict) -> None:
         _emit_text(report)
 
 
-def _emit_text(report: dict, indent: str = "") -> None:
-    print(f"{indent}command: {report['command']}")
-    _print_tree(report["results"], indent + "  ")
-    print(f"{indent}passed: {report['passed']}")
+def _emit_text(report: dict) -> None:
+    print(f"command: {report['command']}")
+    _print_tree(report["results"], "  ")
+    print(f"passed: {report['passed']}")
 
 
 def _print_tree(node, indent: str) -> None:
@@ -134,12 +135,6 @@ def _load_ntba(path: str):
 
 def _load_partition(space, path: str):
     return _load(path, lambda obj: partition_from_json(space, obj))
-
-
-def _atom_presentation(obj):
-    """(space, atoms) of an algebra file, before the atoms are validated."""
-    space = space_from_json(obj["space"])
-    return space, [partition_from_json(space, a) for a in obj["atoms"]]
 
 
 def _int_at_least(low: int):
@@ -203,7 +198,7 @@ def cmd_ntba(args) -> int:
         print(json.dumps(ntba_to_json(algebra), sort_keys=True))
         return EXIT_OK
     if args.ntba_cmd == "validate":
-        space, atoms = _load(args.file, _atom_presentation)
+        space, atoms = _load(args.file, presentation_from_json)
         try:
             algebra = NTBA(space, atoms)
         except ValueError as exc:

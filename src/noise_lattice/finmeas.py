@@ -1,4 +1,5 @@
-"""Finite probability spaces, random variables, and spanned subspaces.
+"""Finite probability spaces, random variables, spanned subspaces, and
+n-fold products with their coordinate maps.
 
 A space carries either exact-rational probabilities (the default for
 dyadic constructions) or float probabilities.  It picks the matching
@@ -8,7 +9,10 @@ backend also scales the probabilities once into the weights that the
 inner loops sum: integers over one common total in rational mode.  A
 random variable holds the backend's vector of its values (integers over
 one denominator in rational mode), so its arithmetic, inner products,
-projections and spans are backend methods on those vectors.
+projections and spans are backend methods on those vectors.  A product
+of n factors (``product``) carries one coordinate map per factor, from
+the product's outcome indices to that factor's; every pull-back from a
+factor, of a random variable or of a partition, reads that map.
 """
 
 from __future__ import annotations
@@ -262,37 +266,36 @@ def direct_sum(space: ProbSpace, parts) -> Subspace:
 
 @dataclass(frozen=True)
 class SpaceProduct:
-    """Product of two spaces together with the factor embeddings."""
+    """The product of n factor spaces with its coordinate maps.
 
-    left: ProbSpace
-    right: ProbSpace
+    ``coords[k][i]`` is the outcome index in ``factors[k]`` of outcome i
+    of ``space``: digit k of i in the mixed radix of the factor sizes,
+    the first factor slowest.
+    """
+
+    factors: tuple
     space: ProbSpace
+    coords: tuple
 
-    def lift_left(self, f: RV) -> RV:
-        if f.space != self.left:
-            raise DomainMismatchError("lift_left expects an RV on the left factor")
-        index = [ia for ia in range(self.left.size) for _ in range(self.right.size)]
-        return RV(self.space, self.space.backend.lift(f.vec, index))
-
-    def lift_right(self, g: RV) -> RV:
-        if g.space != self.right:
-            raise DomainMismatchError("lift_right expects an RV on the right factor")
-        index = [ib for _ in range(self.left.size) for ib in range(self.right.size)]
-        return RV(self.space, self.space.backend.lift(g.vec, index))
+    def lift(self, k: int, f: RV) -> RV:
+        """An RV on factor k, pulled back to the product through coordinate k."""
+        if f.space != self.factors[k]:
+            raise DomainMismatchError(f"lift expects an RV on factor {k}")
+        return RV(self.space, self.space.backend.lift(f.vec, self.coords[k]))
 
 
-def product_space(factors) -> ProbSpace:
-    """The product of n factor spaces, built in one step.
+def product(*factors: ProbSpace) -> SpaceProduct:
+    """The product of n factor spaces with its coordinate maps, built in one step.
 
     Outcome (o_1, ..., o_n) is the text "o_1,...,o_n", listed with the
-    first factor slowest, so outcome index i has the outcome index of
-    factor k as digit k of i in the mixed radix of the factor sizes.  Its
-    probability is prod(w_k) / prod(W_k) over the factors' weights and
-    totals: one Fraction of two integers in rational mode, and in float
-    mode the probabilities multiplied left to right, the same floats as
-    nested two-factor products.
+    first factor slowest (``SpaceProduct.coords``).  Its probability is
+    prod(w_k) / prod(W_k) over the factors' weights and totals: one
+    Fraction of two integers in rational mode, and in float mode the
+    probabilities multiplied left to right, the same floats as nested
+    two-factor products.  Probabilities multiply, so inner products factor.
     """
-    factors = tuple(factors)
+    if not factors:
+        raise ValueError("a product needs at least one factor")
     if prod(f.size for f in factors) > MAX_OUTCOMES:
         raise CapacityError("product space exceeds the outcome guard")
     backend = factors[0].backend
@@ -301,15 +304,9 @@ def product_space(factors) -> ProbSpace:
     outcomes = tuple(map(",".join, itertools.product(*(f.outcomes for f in factors))))
     total = prod(f.total for f in factors)
     weights = itertools.product(*(f.weights for f in factors))
-    return ProbSpace(outcomes, tuple(backend.ratio(prod(w), total) for w in weights))
-
-
-def product(a: ProbSpace, b: ProbSpace) -> SpaceProduct:
-    """The product of two spaces (``product_space``) with the factor embeddings.
-
-    Probabilities multiply and inner products factor.
-    """
-    return SpaceProduct(a, b, product_space((a, b)))
+    space = ProbSpace(outcomes, tuple(backend.ratio(prod(w), total) for w in weights))
+    coords = tuple(zip(*itertools.product(*(range(f.size) for f in factors))))
+    return SpaceProduct(factors, space, coords)
 
 
 def space_to_json(space: ProbSpace) -> dict:

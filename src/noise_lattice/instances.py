@@ -4,27 +4,28 @@ Everything takes a ``random.Random`` so the check runner and the tests can
 reproduce any failure from (seed, case index) alone.  Independent pairs
 and mutually independent atom families are built on product spaces, where
 independence holds by construction.  There is one product rule,
-``finmeas.product_space``, which builds the product of n factors at once;
-an atom family takes factor k's coordinate as atom k.
+``finmeas.product``, which builds the product of n factors at once with
+its coordinate maps; an atom family takes coordinate k's field as atom k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .finmeas import ProbSpace, RV, constant, mk_space, product, product_space
+from .finmeas import ProbSpace, RV, constant, mk_space, product
 from .ntba import NTBA
 from .sigma import SigmaField, _group, lift_partition
 
 
-def rand_space(rng, max_size: int = 5, mode: str = "rational") -> ProbSpace:
-    n = rng.randint(2, max_size)
+def _rand_weighted(rng, n: int, prefix: str, mode: str) -> ProbSpace:
+    """n outcomes named prefix0, prefix1, ... with random weights 1..9."""
     weights = [rng.randint(1, 9) for _ in range(n)]
-    total = sum(weights)
-    outcomes = [f"w{i}" for i in range(n)]
-    if mode == "rational":
-        return mk_space(outcomes, [Fraction(w, total) for w in weights])
-    return mk_space(outcomes, [w / total for w in weights])
+    total = Fraction(sum(weights)) if mode == "rational" else sum(weights)
+    return mk_space([f"{prefix}{i}" for i in range(n)], [w / total for w in weights])
+
+
+def rand_space(rng, max_size: int = 5, mode: str = "rational") -> ProbSpace:
+    return _rand_weighted(rng, rng.randint(2, max_size), "w", mode)
 
 
 def _rand_onto(rng, n: int) -> list:
@@ -53,8 +54,8 @@ def rand_rv(rng, space: ProbSpace, zero_mean: bool = False) -> RV:
 def rand_independent_pair(rng):
     """(space, x, y) with x, y independent by the product construction."""
     prod = product(rand_space(rng, 4), rand_space(rng, 4))
-    x = lift_partition(prod, rand_partition(rng, prod.left), "left")
-    y = lift_partition(prod, rand_partition(rng, prod.right), "right")
+    x = lift_partition(prod, rand_partition(rng, prod.factors[0]), 0)
+    y = lift_partition(prod, rand_partition(rng, prod.factors[1]), 1)
     return prod, x, y
 
 
@@ -71,23 +72,9 @@ def rand_ntba(rng, max_outcomes: int = 64, mode: str = "rational") -> NTBA:
         total *= s
     if not sizes:
         sizes = [2]
-    factors = []
-    for s in sizes:
-        weights = [rng.randint(1, 9) for _ in range(s)]
-        tw = sum(weights)
-        if mode == "rational":
-            probs = [Fraction(w, tw) for w in weights]
-        else:
-            probs = [w / tw for w in weights]
-        factors.append(mk_space([f"f{i}" for i in range(s)], probs))
-    space = product_space(factors)
-    # atom k labels outcome i by digit k of i in the mixed radix of the sizes
-    atoms = []
-    stride = space.size
-    for s in sizes:
-        stride //= s
-        atoms.append(_group(space, [[i // stride % s for i in range(space.size)]]))
-    return NTBA(space, atoms)
+    prod = product(*(_rand_weighted(rng, s, "f", mode) for s in sizes))
+    atoms = [_group(prod.space, [coord]) for coord in prod.coords]
+    return NTBA(prod.space, atoms)
 
 
 def rand_element(rng, algebra: NTBA):

@@ -90,6 +90,10 @@ class NTBA:
             yield self.element(i for i in range(n) if mask >> i & 1)
 
     def coatom(self, k: int) -> "NTBAElement":
+        """The element of every atom but atom k (0-based)."""
+        if not 0 <= k < self.n_atoms:
+            n = self.n_atoms
+            raise ValueError(f"atom k={k} is not in 0..{n - 1}: the algebra has {n} atoms")
         return self.element(i for i in range(self.n_atoms) if i != k)
 
 
@@ -267,10 +271,14 @@ def ntba_to_json(algebra: NTBA) -> dict:
     }
 
 
-def ntba_from_json(obj: dict) -> NTBA:
+def presentation_from_json(obj: dict):
+    """(space, atoms) of an algebra file, before the atoms are certified."""
     space = space_from_json(obj["space"])
-    atoms = [partition_from_json(space, a) for a in obj["atoms"]]
-    return NTBA(space, atoms)
+    return space, [partition_from_json(space, a) for a in obj["atoms"]]
+
+
+def ntba_from_json(obj: dict) -> NTBA:
+    return NTBA(*presentation_from_json(obj))
 
 
 def coarsen(algebra: NTBA, groups) -> NTBA:

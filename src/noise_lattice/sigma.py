@@ -277,20 +277,11 @@ def sigma_of(v: Subspace) -> SigmaField:
     return sigma_of_rvs(v.space, v.basis)
 
 
-def lift_partition(prod, part: SigmaField, side: str) -> SigmaField:
-    """Embed a factor sigma-field into a product space (see finmeas.product)."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    factor = prod.left if side == "left" else prod.right
-    if part.space != factor:
-        raise DomainMismatchError(f"partition is not on the {side} factor")
-    lab = part.labels
-    labels = [  # outcome (ia, ib) of the product has index ia * right.size + ib
-        lab[ia if side == "left" else ib]
-        for ia in range(prod.left.size)
-        for ib in range(prod.right.size)
-    ]
-    return _group(prod.space, [labels])
+def lift_partition(prod, part: SigmaField, k: int) -> SigmaField:
+    """A field on factor k of ``finmeas.product``, pulled back through coordinate k."""
+    if part.space != prod.factors[k]:
+        raise DomainMismatchError(f"partition is not on factor {k}")
+    return _number(prod.space, map(part.labels.__getitem__, prod.coords[k]))
 
 
 def partition_to_json(x: SigmaField) -> dict:

@@ -422,18 +422,26 @@ def rebind_everywhere(monkeypatch, fn, replacement) -> None:
 
 
 def product_oracle(a: ProbSpace, b: ProbSpace) -> SpaceProduct:
-    """The product of two spaces, each probability the product pa * pb of the factors'."""
+    """The product of two spaces, each probability the product pa * pb of the factors'.
+
+    Outcome (ia, ib) has index ia * b.size + ib; the coordinate lists are
+    written out from that.
+    """
     outcomes = tuple(f"{oa},{ob}" for oa in a.outcomes for ob in b.outcomes)
     probs = tuple(pa * pb for pa in a.probs for pb in b.probs)
-    return SpaceProduct(a, b, ProbSpace(outcomes, probs))
+    coords = (
+        tuple(ia for ia in range(a.size) for _ in range(b.size)),
+        tuple(ib for _ in range(a.size) for ib in range(b.size)),
+    )
+    return SpaceProduct((a, b), ProbSpace(outcomes, probs), coords)
 
 
 def rand_ntba_chained(rng, max_outcomes: int = 64, mode: str = "rational") -> NTBA:
     """``instances.rand_ntba`` by two-factor products, one factor at a time.
 
     The same draws in the same order; after each product the atoms so far
-    are lifted from the left factor and the new factor's discrete field
-    from the right.
+    are lifted from factor 0 and the new factor's discrete field from
+    factor 1.
     """
     sizes = []
     total = 1
@@ -459,8 +467,8 @@ def rand_ntba_chained(rng, max_outcomes: int = 64, mode: str = "rational") -> NT
     lifted = [discrete(space)]
     for nxt in factors[1:]:
         prod = product_oracle(space, nxt)
-        lifted = [lift_partition(prod, p, "left") for p in lifted]
-        lifted.append(lift_partition(prod, discrete(nxt), "right"))
+        lifted = [lift_partition(prod, p, 0) for p in lifted]
+        lifted.append(lift_partition(prod, discrete(nxt), 1))
         space = prod.space
     return NTBA(space, lifted)
 

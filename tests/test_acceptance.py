@@ -140,12 +140,12 @@ def test_criterion_05_independent_quadruples():
     ok = True
     for _ in range(200):
         prod, _, _ = rand_independent_pair(rng)
-        x = lift_partition(prod, discrete(prod.left), "left")
-        y = lift_partition(prod, discrete(prod.right), "right")
-        u1 = lift_partition(prod, rand_partition(rng, prod.left), "left")
-        u2 = lift_partition(prod, rand_partition(rng, prod.left), "left")
-        v1 = lift_partition(prod, rand_partition(rng, prod.right), "right")
-        v2 = lift_partition(prod, rand_partition(rng, prod.right), "right")
+        x = lift_partition(prod, discrete(prod.factors[0]), 0)
+        y = lift_partition(prod, discrete(prod.factors[1]), 1)
+        u1 = lift_partition(prod, rand_partition(rng, prod.factors[0]), 0)
+        u2 = lift_partition(prod, rand_partition(rng, prod.factors[0]), 0)
+        v1 = lift_partition(prod, rand_partition(rng, prod.factors[1]), 1)
+        v2 = lift_partition(prod, rand_partition(rng, prod.factors[1]), 1)
         ok = ok and meet(join(u1, v1), join(u2, v2)) == join(
             meet(u1, u2), meet(v1, v2)
         )

@@ -199,6 +199,19 @@ def test_ntba_validate_never_audits_the_family(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == out
 
 
+def test_reports_accept_a_float_file_that_validate_rejects(capsys):
+    """The reports need the atoms certified; only validate adds the complement pass."""
+    path = str(Path(__file__).parent / "golden" / "float-perturbed.json")
+    for argv in (
+        ["chaos", "report", path],
+        ["spectrum", "report", path],
+        ["ntba", "restrict", path, "0"],
+    ):
+        assert main(argv) == 0, argv
+    assert main(["ntba", "validate", path]) == 1
+    capsys.readouterr()
+
+
 def test_chaos_report_json(tmp_path, capsys):
     main(["ntba", "coords", "2"])
     f = tmp_path / "b.json"

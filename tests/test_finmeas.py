@@ -1,10 +1,11 @@
 """Spaces, random variables, inner products, spans, products."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import exact_rank, product_oracle
+from conftest import exact_rank, lift_oracle, product_oracle
 
 from noise_lattice.errors import CapacityError, DomainMismatchError
 from noise_lattice.finmeas import (
@@ -16,7 +17,6 @@ from noise_lattice.finmeas import (
     mk_dyadic,
     mk_space,
     product,
-    product_space,
     span,
     space_from_json,
     space_to_json,
@@ -127,11 +127,11 @@ def test_product_of_uniform_halves_is_dyadic2():
 
 def test_product_embeddings_are_isometric():
     prod = product(mk_dyadic(1), mk_dyadic(1))
-    x1 = coordinate_sign(prod.left, 1)
-    lifted = prod.lift_left(x1)
+    x1 = coordinate_sign(prod.factors[0], 1)
+    lifted = prod.lift(0, x1)
     assert inner(lifted, lifted) == 1
-    g = coordinate_sign(prod.right, 1)
-    both = prod.lift_left(x1) * prod.lift_right(g)
+    g = coordinate_sign(prod.factors[1], 1)
+    both = prod.lift(0, x1) * prod.lift(1, g)
     assert inner(both, both) == inner(x1, x1) * inner(g, g) == 1
 
 
@@ -140,13 +140,13 @@ def test_product_capacity_guard():
     with pytest.raises(CapacityError):
         product(big, mk_dyadic(2))
     with pytest.raises(CapacityError):
-        product_space([mk_dyadic(10), mk_dyadic(1), mk_dyadic(10)])
+        product(mk_dyadic(10), mk_dyadic(1), mk_dyadic(10))
 
 
 def test_product_space_rejects_mixed_modes():
     exact, floats = mk_dyadic(1), mk_space(["a", "b"], [0.25, 0.75])
     with pytest.raises(DomainMismatchError):
-        product_space([exact, exact, floats])
+        product(exact, exact, floats)
     with pytest.raises(DomainMismatchError):
         product(floats, exact)
 
@@ -160,7 +160,8 @@ def test_product_matches_the_pairwise_product(mode):
         got, want = product(a, b), product_oracle(a, b)
         assert got.space.outcomes == want.space.outcomes
         assert got.space.probs == want.space.probs
-        assert (got.left, got.right) == (a, b)
+        assert got.factors == (a, b)
+        assert got.coords == want.coords
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -172,9 +173,56 @@ def test_n_fold_product_matches_nested_pairwise_products(mode):
             nested = factors[0]
             for f in factors[1:]:
                 nested = product_oracle(nested, f).space
-            got = product_space(factors)
+            got = product(*factors).space
             assert got.outcomes == nested.outcomes
             assert got.probs == nested.probs
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_coords_are_the_digits_of_the_outcome_index(mode):
+    """coords[k][i] is component k of the i-th tuple of ``itertools.product`` order."""
+    rng = random.Random(37)
+    for n in range(1, 5):
+        for _ in range(25):
+            factors = [rand_space(rng, 4, mode) for _ in range(n)]
+            prod = product(*factors)
+            digits = list(itertools.product(*(range(f.size) for f in factors)))
+            assert len(prod.coords) == n
+            for i, d in enumerate(digits):
+                assert tuple(c[i] for c in prod.coords) == d
+                want = ",".join(f.outcomes[j] for f, j in zip(factors, d))
+                assert prod.space.outcomes[i] == want
+            assert all(len(c) == prod.space.size for c in prod.coords)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_lift_reads_the_coordinate_map(mode):
+    """On 3- and 4-factor products, lift(k, f) is the per-outcome pull-back."""
+    rng = random.Random(41)
+    for n in (3, 4):
+        for _ in range(20):
+            factors = [rand_space(rng, 3, mode) for _ in range(n)]
+            prod = product(*factors)
+            digits = list(itertools.product(*(range(f.size) for f in factors)))
+            for k, f in enumerate(factors):
+                g = rand_rv(rng, f)
+                got = prod.lift(k, g)
+                assert got.space == prod.space
+                assert got.values == lift_oracle(g, [d[k] for d in digits])
+
+
+def test_lift_rejects_an_rv_on_another_factor():
+    a, b = mk_dyadic(1), mk_space(["x", "y", "z"], ["1/3", "1/3", "1/3"])
+    prod = product(a, b, a)
+    with pytest.raises(DomainMismatchError):
+        prod.lift(1, coordinate_sign(a, 1))
+    with pytest.raises(DomainMismatchError):
+        prod.lift(0, constant(prod.space, 1))
+
+
+def test_product_needs_a_factor():
+    with pytest.raises(ValueError, match="at least one factor"):
+        product()
 
 
 @pytest.mark.parametrize("k", [0, -1, 3])

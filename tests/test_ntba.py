@@ -9,10 +9,11 @@ import pytest
 from conftest import rand_ntba_chained, scan_family_oracle
 
 from noise_lattice import ntba
-from noise_lattice.errors import PreconditionError
+from noise_lattice.errors import DomainMismatchError, PreconditionError
 from noise_lattice.finmeas import coordinate_sign, mk_dyadic, mk_space, product
 from noise_lattice.instances import (
     rand_atom_groups,
+    rand_space,
     rand_element,
     rand_ntba,
     rand_partition,
@@ -137,7 +138,7 @@ def oracle_families():
     B = mk_coordinate_ntba(mk_dyadic(4))
     prod = product(m3_space, B.space)
     yield prod.space, [
-        join(lift_partition(prod, x, "left"), lift_partition(prod, e.realize(), "right"))
+        join(lift_partition(prod, x, 0), lift_partition(prod, e.realize(), 1))
         for x in m3
         for e in B.elements()
     ]
@@ -372,3 +373,47 @@ def test_rand_ntba_matches_chained_two_factor_products(mode):
         assert got.space.probs == want.space.probs
         assert got.atoms == want.atoms
         assert rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_rand_ntba_atoms_are_the_coordinate_fields_of_its_product(mode):
+    for seed in range(200):
+        B = rand_ntba(random.Random(seed), (8, 16, 32, 64)[seed % 4], mode)
+        sizes = [a.n_blocks for a in B.atoms]
+        uniform = [mk_space([f"f{j}" for j in range(s)], [Fraction(1, s)] * s) for s in sizes]
+        shape = product(*uniform)
+        assert B.space.outcomes == shape.space.outcomes
+        assert tuple(a.labels for a in B.atoms) == shape.coords
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_lift_partition_reads_the_coordinate_map(mode):
+    """On 3- and 4-factor products the lifted blocks are the per-outcome oracle's."""
+    rng = random.Random(43)
+    for n in (3, 4):
+        for _ in range(20):
+            factors = [rand_space(rng, 3, mode) for _ in range(n)]
+            prod = product(*factors)
+            digits = list(itertools.product(*(range(f.size) for f in factors)))
+            for k, f in enumerate(factors):
+                x = rand_partition(rng, f)
+                blocks: dict = {}
+                for i, d in enumerate(digits):
+                    blocks.setdefault(x.labels[d[k]], []).append(i)
+                assert lift_partition(prod, x, k) == partition(prod.space, list(blocks.values()))
+
+
+def test_lift_partition_rejects_a_field_on_another_factor():
+    a, b = mk_dyadic(1), mk_dyadic(2)
+    prod = product(a, b, a)
+    with pytest.raises(DomainMismatchError):
+        lift_partition(prod, discrete(a), 1)
+    with pytest.raises(DomainMismatchError):
+        lift_partition(prod, discrete(b), 2)
+
+
+@pytest.mark.parametrize("k", [-1, 3, 4])
+def test_coatom_rejects_a_missing_atom(k):
+    B = mk_coordinate_ntba(mk_dyadic(3))
+    with pytest.raises(ValueError, match=rf"k={k} is not in 0\.\.2: the algebra has 3 atoms"):
+        B.coatom(k)

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import join_oracle, mat_mul, meet_oracle, projection_matrix, projections_commute
+from conftest import (
+    cond_independent_oracle,
+    join_oracle,
+    mat_mul,
+    meet_oracle,
+    projection_matrix,
+    projections_commute,
+    set_partitions,
+)
 
 from noise_lattice import ntba, sigma
 from noise_lattice.errors import DomainMismatchError, PreconditionError
@@ -116,6 +124,47 @@ def test_commutes_against_dense_matrix_oracle(uniform3):
         space = rand_space(rng, 5, "float")
         x, y = rand_partition(rng, space), rand_partition(rng, space)
         assert commutes(x, y) == projections_commute(x, y)
+
+
+FIVE_OUTCOME_MEASURES = {
+    "uniform": [Fraction(1, 5)] * 5,
+    "dyadic": [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 16)],
+    "skewed": [Fraction(1, 3), Fraction(1, 6), Fraction(1, 9), Fraction(2, 9), Fraction(1, 6)],
+    "dyadic-float": [0.5, 0.25, 0.125, 0.0625, 0.0625],
+}
+
+
+def test_every_pair_of_five_outcome_partitions_matches_the_oracles():
+    """All 52 x 52 ordered pairs of partitions of five outcomes, on four measures.
+
+    meet and join do not depend on the measure and are checked once per
+    pair; independence and commuting are checked on every measure, and
+    commuting against the dense matrices on the skewed measure, once per
+    unordered pair.
+    """
+    groupings = list(set_partitions(list(range(5))))
+    assert len(groupings) == 52
+    meet_blocks, dense = {}, {}
+    for name, probs in FIVE_OUTCOME_MEASURES.items():
+        space = mk_space([f"o{i}" for i in range(5)], probs)
+        fields = [partition(space, g) for g in groupings]
+        bottom = trivial(space)
+        for i, x in enumerate(fields):
+            for j, y in enumerate(fields):
+                case = (name, x.blocks, y.blocks)
+                if (i, j) not in meet_blocks:
+                    m = meet_oracle(x, y)
+                    assert meet(x, y) == m, case
+                    assert join(x, y) == join_oracle(x, y), case
+                    meet_blocks[i, j] = m.blocks
+                m = partition(space, meet_blocks[i, j])
+                assert independent(x, y) == cond_independent_oracle(x, y, bottom), case
+                assert commutes(x, y) == cond_independent_oracle(x, y, m), case
+                if name == "skewed":  # Q_x Q_y = Q_y Q_x is symmetric in x and y
+                    key = (min(i, j), max(i, j))
+                    if key not in dense:
+                        dense[key] = projections_commute(x, y)
+                    assert commutes(x, y) == dense[key], case
 
 
 def test_commutes_on_small_meet_blocks_in_both_backends():
