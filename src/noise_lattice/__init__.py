@@ -57,7 +57,6 @@ from .sigma import (
 from .spectrum import (
     SpectralDecomp,
     SpectralPoint,
-    chaos_grading,
     k_restriction_additivity,
     sigma_tower_check,
     spectral_decompose,

@@ -80,10 +80,6 @@ class SuiteResult:
         return not self.failures
 
 
-def _space_witness(space) -> dict:
-    return space_to_json(space)
-
-
 def _partition_witness(part: SigmaField) -> list:
     return [list(b) for b in part.blocks]
 
@@ -103,7 +99,7 @@ def suite_span_rank(rng: random.Random, cases: int) -> SuiteResult:
         want = space.backend.rank([v.vec for v in vs])
         if got != want:
             res.failures.append(
-                {"case": case, "space": _space_witness(space), "got": got, "want": want}
+                {"case": case, "space": space_to_json(space), "got": got, "want": want}
             )
     return res
 
@@ -123,7 +119,7 @@ def suite_product_inner(rng: random.Random, cases: int) -> SuiteResult:
             == inner(f1, f2) * inner(g1, g2)
         )
         if not ok:
-            res.failures.append({"case": case, "space": _space_witness(prod.space)})
+            res.failures.append({"case": case, "space": space_to_json(prod.space)})
     return res
 
 
@@ -233,7 +229,7 @@ def suite_inf_subspaces(rng: random.Random, cases: int) -> SuiteResult:
             res.failures.append(
                 {
                     "case": case,
-                    "space": _space_witness(space),
+                    "space": space_to_json(space),
                     "parts": [_partition_witness(p) for p in parts],
                 }
             )
@@ -270,7 +266,7 @@ def suite_independence_criterion(rng: random.Random, cases: int) -> SuiteResult:
             res.failures.append(
                 {
                     "case": case,
-                    "space": _space_witness(space),
+                    "space": space_to_json(space),
                     "x": _partition_witness(xx),
                     "y": _partition_witness(yy),
                 }
@@ -293,7 +289,7 @@ def suite_indep_lattice_identities(rng: random.Random, cases: int) -> SuiteResul
         ok = ok and meet(join(u1, v1), x) == u1
         ok = ok and meet(join(u1, v1), ycap) == v1
         if not ok:
-            res.failures.append({"case": case, "space": _space_witness(prod.space)})
+            res.failures.append({"case": case, "space": space_to_json(prod.space)})
     return res
 
 
@@ -311,7 +307,7 @@ def suite_projection_laws(rng: random.Random, cases: int) -> SuiteResult:
         ok = ok and sigma_of(subspace_of(x)) == x
         if not ok:
             res.failures.append(
-                {"case": case, "space": _space_witness(space), "x": _partition_witness(x)}
+                {"case": case, "space": space_to_json(space), "x": _partition_witness(x)}
             )
     return res
 
@@ -327,7 +323,7 @@ def suite_product_membership(rng: random.Random, cases: int) -> SuiteResult:
         v = inst.lift_partition(prod, inst.rand_partition(rng, prod.factors[1]), 1)
         z = join(u, v)
         if join(meet(x, z), meet(y, z)) != z:
-            res.failures.append({"case": case, "space": _space_witness(prod.space)})
+            res.failures.append({"case": case, "space": space_to_json(prod.space)})
     return res
 
 
@@ -376,7 +372,7 @@ def suite_ntba_constructions(rng: random.Random, cases: int) -> SuiteResult:
             ok = ok and independent(p1, comp)
             if not ok:
                 res.failures.append(
-                    {"case": case, "space": _space_witness(B.space),
+                    {"case": case, "space": space_to_json(B.space),
                      "atoms": [_partition_witness(a) for a in B.atoms]}
                 )
     return res
@@ -403,7 +399,7 @@ def suite_generated_atoms(rng: random.Random, cases: int) -> SuiteResult:
             if set(x) & set(y)
         }
         if got != want:
-            res.failures.append({"case": case, "space": _space_witness(B.space)})
+            res.failures.append({"case": case, "space": space_to_json(B.space)})
     return res
 
 
@@ -439,7 +435,7 @@ def suite_superadditivity(rng: random.Random, cases: int) -> SuiteResult:
         rhs = norm2(cond_exp(join(x, y), f)) + norm2(cond_exp(meet(x, y), f))
         if lhs > rhs:
             res.failures.append(
-                {"case": case, "space": _space_witness(B.space),
+                {"case": case, "space": space_to_json(B.space),
                  "x": _partition_witness(x), "y": _partition_witness(y)}
             )
     return res
@@ -495,7 +491,7 @@ def suite_split_identity(rng: random.Random, cases: int) -> SuiteResult:
             for b in want.basis
         ):
             res.failures.append(
-                {"case": case, "space": _space_witness(space),
+                {"case": case, "space": space_to_json(space),
                  "x": _partition_witness(x)}
             )
     return res
@@ -520,7 +516,7 @@ def suite_chaos_additivity(rng: random.Random, cases: int) -> SuiteResult:
             rhs = cond_exp(x, b) + cond_exp(yy, b)
             if lhs.vec != rhs.vec:
                 res.failures.append(
-                    {"case": case, "space": _space_witness(B.space)}
+                    {"case": case, "space": space_to_json(B.space)}
                 )
                 break
     return res
@@ -534,7 +530,7 @@ def suite_classicality(rng: random.Random, cases: int) -> SuiteResult:
         cr = first_chaos(B)
         if not cr.classical or cr.black:
             res.failures.append(
-                {"case": case, "space": _space_witness(B.space),
+                {"case": case, "space": space_to_json(B.space),
                  "atoms": [_partition_witness(a) for a in B.atoms]}
             )
     return res
@@ -555,7 +551,7 @@ def suite_up_down(rng: random.Random, cases: int) -> SuiteResult:
         for e in B.elements():
             if not up_down_roundtrip(B, e, cr):
                 res.failures.append(
-                    {"space": _space_witness(B.space),
+                    {"space": space_to_json(B.space),
                      "atoms": [_partition_witness(a) for a in B.atoms],
                      "element": sorted(e.atomset)}
                 )
@@ -572,7 +568,7 @@ def suite_presentation_invariance(rng: random.Random, cases: int) -> SuiteResult
         B2 = NTBA(B.space, [B.atoms[i] for i in order])
         a, b = first_chaos(B).h1, first_chaos(B2).h1
         if not (a.dim == b.dim and a.contains_subspace(b)):
-            res.failures.append({"case": case, "space": _space_witness(B.space)})
+            res.failures.append({"case": case, "space": space_to_json(B.space)})
     return res
 
 
@@ -596,7 +592,7 @@ def suite_spectral_complete(rng: random.Random, cases: int) -> SuiteResult:
             ok = verify_spectral_identities(D).ok
         if not ok:
             res.failures.append(
-                {"case": case, "space": _space_witness(B.space),
+                {"case": case, "space": space_to_json(B.space),
                  "atoms": [_partition_witness(a) for a in B.atoms]}
             )
     return res
@@ -652,7 +648,7 @@ def suite_k_monotone(rng: random.Random, cases: int) -> SuiteResult:
             ]
             if len(hit) != 1 or hit[0].k > p.k:
                 res.failures.append(
-                    {"case": case, "space": _space_witness(B.space),
+                    {"case": case, "space": space_to_json(B.space),
                      "generator": sorted(p.generator)}
                 )
                 break
@@ -694,7 +690,7 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
         )
         if not ok:
             res.failures.append(
-                {"case": case, "space": _space_witness(space),
+                {"case": case, "space": space_to_json(space),
                  "atoms": [_partition_witness(a) for a in B.atoms]}
             )
     return res
@@ -714,7 +710,7 @@ def suite_k_additivity(rng: random.Random, cases: int) -> SuiteResult:
         e = B.element(idxs[:k])
         if not k_restriction_additivity(B, e):
             res.failures.append(
-                {"case": done, "space": _space_witness(B.space),
+                {"case": done, "space": space_to_json(B.space),
                  "element": sorted(e.atomset)}
             )
         done += 1
@@ -731,7 +727,7 @@ def suite_sigma_tower(rng: random.Random, cases: int) -> SuiteResult:
     for B in algebras:
         if not sigma_tower_check(spectral_decompose(B)):
             res.failures.append(
-                {"space": _space_witness(B.space),
+                {"space": space_to_json(B.space),
                  "atoms": [_partition_witness(a) for a in B.atoms]}
             )
     return res
@@ -1019,7 +1015,7 @@ def run_all(seed: int, cases: int | None = None, inject_fault: bool = False) -> 
             fault.failures.append(
                 {
                     "case": 0,
-                    "space": _space_witness(skew),
+                    "space": space_to_json(skew),
                     "x": _partition_witness(x),
                     "y": _partition_witness(y),
                     "note": "probability flipped by the fault hook",

@@ -78,8 +78,12 @@ class ProbSpace:
 def mk_space(outcomes, probs) -> ProbSpace:
     """Build a space from raw lists: floats stay floats, anything else becomes a Fraction.
 
-    A mix of floats and exact values is a ``ValueError`` (``ProbSpace``).
+    A mix of floats and exact values is a ``ValueError`` (``ProbSpace``), and
+    so is a boolean, which ``Fraction`` would read as 0 or 1.
     """
+    probs = tuple(probs)
+    if any(isinstance(p, bool) for p in probs):
+        raise ValueError("probabilities must be numbers, not booleans")
     probs = tuple(p if isinstance(p, float) else Fraction(p) for p in probs)
     return ProbSpace(tuple(outcomes), probs)
 
@@ -277,9 +281,16 @@ class SpaceProduct:
     space: ProbSpace
     coords: tuple
 
+    def factor(self, k: int) -> ProbSpace:
+        """Factor k (0-based); an index outside 0..n-1 is a ``ValueError``."""
+        n = len(self.factors)
+        if not 0 <= k < n:
+            raise ValueError(f"factor k={k} is not in 0..{n - 1}: the product has {n} factors")
+        return self.factors[k]
+
     def lift(self, k: int, f: RV) -> RV:
         """An RV on factor k, pulled back to the product through coordinate k."""
-        if f.space != self.factors[k]:
+        if f.space != self.factor(k):
             raise DomainMismatchError(f"lift expects an RV on factor {k}")
         return RV(self.space, self.space.backend.lift(f.vec, self.coords[k]))
 

@@ -117,16 +117,6 @@ class NTBAElement:
     def join(self, other: "NTBAElement") -> "NTBAElement":
         return NTBAElement(self.algebra, self.atomset | other.atomset)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NTBAElement)
-            and self.algebra is other.algebra
-            and self.atomset == other.atomset
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.atomset))
-
 
 def mk_coordinate_ntba(space: ProbSpace) -> NTBA:
     """Atoms sigma(xi_1), ..., sigma(xi_n) on a dyadic space."""

@@ -83,22 +83,19 @@ def _blocks(seed: int, trials: int):
         yield trial_rng(seed, block), min(BLOCK, trials - block * BLOCK)
 
 
-def run_join_process(cfg: SampleConfig, sampler=None) -> list:
+def run_join_process(cfg: SampleConfig) -> list:
     """Per trial, the increasing chain of cumulative joins Y_1 <= Y_2 <= ...
 
-    Returned as a list of tuples of frozensets of atom indices.  ``sampler``
-    replaces the per-level block draw (same signature as sample_element);
-    the test hook for forcing degenerate draws.
+    Returned as a list of tuples of frozensets of atom indices.
     """
     import numpy as np
 
-    draw = sampler or sample_element
     out = []
     for rng, rows in _blocks(cfg.seed, cfg.trials):
         acc = np.zeros((BLOCK, cfg.atom_counts[-1]), dtype=bool)
         levels = []
         for n_atoms, p in zip(cfg.atom_counts, cfg.ps):
-            acc[:, :n_atoms] |= draw(n_atoms, p, rng)
+            acc[:, :n_atoms] |= sample_element(n_atoms, p, rng)
             levels.append(acc[:rows].copy())
         for chain in zip(*levels):
             out.append(tuple(frozenset(np.flatnonzero(y).tolist()) for y in chain))

@@ -279,7 +279,7 @@ def sigma_of(v: Subspace) -> SigmaField:
 
 def lift_partition(prod, part: SigmaField, k: int) -> SigmaField:
     """A field on factor k of ``finmeas.product``, pulled back through coordinate k."""
-    if part.space != prod.factors[k]:
+    if part.space != prod.factor(k):
         raise DomainMismatchError(f"partition is not on factor {k}")
     return _number(prod.space, map(part.labels.__getitem__, prod.coords[k]))
 

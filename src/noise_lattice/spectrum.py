@@ -40,7 +40,11 @@ class SpectralDecomp:
     levels: dict = field(default_factory=dict)  # k -> Subspace
 
     def level_dims(self) -> dict:
-        return {k: v.dim for k, v in sorted(self.levels.items())}
+        """Dimension of each level k, by increasing k; the levels fill the space."""
+        dims = {k: v.dim for k, v in sorted(self.levels.items())}
+        if sum(dims.values()) != self.algebra.space.size:
+            raise ConsistencyError("levels do not fill the space")
+        return dims
 
 
 def spectral_decompose(algebra: NTBA) -> SpectralDecomp:
@@ -123,25 +127,6 @@ def verify_spectral_identities(decomp: SpectralDecomp) -> IdentityReport:
     return IdentityReport(not failures, failures)
 
 
-@dataclass
-class GradingReport:
-    levels: dict  # k -> dimension
-    classical: bool
-
-
-def chaos_grading(decomp: SpectralDecomp) -> GradingReport:
-    """Level dimensions and the finiteness-of-K classicality verdict.
-
-    At finite scale K is finite everywhere, so the verdict is always
-    classical.
-    """
-    dims = decomp.level_dims()
-    total = sum(dims.values())
-    if total != decomp.algebra.space.size:
-        raise ConsistencyError("levels do not fill the space")
-    return GradingReport(dims, True)
-
-
 def _pattern_of(coatoms, v: RV) -> frozenset | None:
     """Generator atomset of the joint eigenspace containing v, if any.
 
@@ -194,10 +179,11 @@ def k_restriction_additivity(algebra: NTBA, e: NTBAElement) -> bool:
 
 
 def sigma_tower_check(decomp: SpectralDecomp) -> bool:
-    """sigma(level k) must be coarser than sigma(level 1) for every k >= 2."""
+    """sigma(level k) must be coarser than sigma(level 1) for every k >= 2.
+
+    Level 1 exists because every atom of an ``NTBA`` is nontrivial.
+    """
     space = decomp.algebra.space
-    if 1 not in decomp.levels:
-        return all(k < 2 for k in decomp.levels)
     sig1 = sigma_of_rvs(space, decomp.levels[1].basis)
     for k, sub in decomp.levels.items():
         if k < 2 or sub.dim == 0:

@@ -1,5 +1,6 @@
 """CLI surfaces: formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import random
@@ -15,7 +16,7 @@ from conftest import rebind_everywhere
 
 from noise_lattice import checks
 from noise_lattice import randsup as rs
-from noise_lattice.cli import UsageError, _load, main
+from noise_lattice.cli import UsageError, _load, build_parser, main
 from noise_lattice.cofinite import MAX_BITS
 from noise_lattice.errors import NoiseLatticeError
 from noise_lattice.finmeas import mk_dyadic, mk_space, space_from_json
@@ -31,6 +32,7 @@ from noise_lattice.ntba import (
 from noise_lattice.sigma import partition_from_json, partition_to_json
 
 RUN = [sys.executable, "-m", "noise_lattice.cli"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args, **kw):
@@ -390,6 +392,35 @@ def test_mixed_probability_file_is_a_usage_error(tmp_path, capsys):
     assert "all Fractions or all floats" in captured.err
 
 
+def test_deeply_nested_file_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000)
+    for argv in (["chaos", "report", str(f)], ["space", "load", str(f)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {f}: the input is nested too deeply\n"
+
+
+def test_boolean_probability_is_a_usage_error(tmp_path, capsys):
+    space = {"outcomes": ["a"], "probs": [True]}
+    algebra = {
+        "space": {"outcomes": ["a", "b"], "probs": [True, "0"]},
+        "atoms": [{"blocks": [[0], [1]]}],
+    }
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    (tmp_path / "algebra.json").write_text(json.dumps(algebra))
+    for argv in (
+        ["space", "load", str(tmp_path / "space.json")],
+        ["chaos", "report", str(tmp_path / "algebra.json")],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+        assert "not booleans" in captured.err
+
+
 def test_randsup_atoms_past_the_level_guard_exit_3(monkeypatch, capsys):
     drawn = []  # atom counts of the (BLOCK, n) arrays asked for; none is drawn
 
@@ -534,3 +565,35 @@ def test_input_files_parse_or_raise_a_reported_error(parse, obj):
             _load(str(path), parse)
         except (UsageError, NoiseLatticeError):
             pass
+
+
+# the arguments after the subcommand path of every command that takes --format
+FORMAT_INPUTS = {
+    ("chaos",): ["report", str(GOLDEN / "coords4.json")],
+    ("spectrum",): ["report", str(GOLDEN / "coords4.json")],
+    ("cofinite", "demo"): [],
+    ("randsup", "run"): ["--ps", "0.3,0.2", "--trials", "200"],
+    ("check",): ["all", "--cases", "1"],
+    ("demo",): [],
+}
+
+
+def _format_choices(parser, path=()):
+    """(subcommand path, --format choices) for every parser under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _format_choices(sub, path + (name,))
+        elif "--format" in action.option_strings:
+            yield path, action.choices
+
+
+def test_every_format_choice_changes_the_output(capsys):
+    found = dict(_format_choices(build_parser()))
+    assert set(found) == set(FORMAT_INPUTS), "each --format command needs an input here"
+    for path, choices in found.items():
+        outputs = {}
+        for choice in choices:
+            main([*path, *FORMAT_INPUTS[path], "--format", choice])
+            outputs[choice] = capsys.readouterr().out
+        assert len(set(outputs.values())) == len(choices), (path, outputs)

@@ -23,6 +23,7 @@ from noise_lattice.finmeas import (
     walsh_character,
 )
 from noise_lattice.instances import rand_rv, rand_space
+from noise_lattice.sigma import discrete, lift_partition
 
 
 def test_dyadic_small():
@@ -218,6 +219,19 @@ def test_lift_rejects_an_rv_on_another_factor():
         prod.lift(1, coordinate_sign(a, 1))
     with pytest.raises(DomainMismatchError):
         prod.lift(0, constant(prod.space, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pull_backs_reject_a_missing_factor(n):
+    """lift and lift_partition take k in 0..n-1 only; -1 is not the last factor."""
+    three = mk_space(["a", "b", "c"], ["1/3", "1/3", "1/3"])
+    prod = product(*[mk_dyadic(1)] * (n - 1), three)
+    for k in (-1, n, n + 1):
+        msg = rf"factor k={k} is not in 0\.\.{n - 1}: the product has {n} factors"
+        with pytest.raises(ValueError, match=msg):
+            prod.lift(k, constant(three, 1))
+        with pytest.raises(ValueError, match=msg):
+            lift_partition(prod, discrete(three), k)
 
 
 def test_product_needs_a_factor():

@@ -6,7 +6,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import rand_ntba_chained, scan_family_oracle
+from conftest import (
+    cond_independent_oracle,
+    join_oracle,
+    meet_oracle,
+    rand_ntba_chained,
+    scan_family_oracle,
+    set_partitions,
+)
 
 from noise_lattice import ntba
 from noise_lattice.errors import DomainMismatchError, PreconditionError
@@ -153,6 +160,76 @@ def test_validate_family_matches_the_scan_oracle():
         assert all(g is w for g, w in zip(got.witness or (), want.witness or ()))
         verdicts.add(got.reason)
     assert len(verdicts) == 8  # every branch, valid included
+
+
+FOUR_OUTCOME_MEASURES = {
+    "uniform": [Fraction(1, 4)] * 4,
+    "product": [Fraction(1, 12), Fraction(1, 4), Fraction(1, 6), Fraction(1, 2)],
+    "product-float": [1 / 12, 1 / 4, 1 / 6, 1 / 2],
+}
+# the reasons of validate_family, by the condition of the definition that fails
+REASON_CONDITION = {
+    "not closed under meet": "closure",
+    "not closed under join": "closure",
+    "distributivity fails": "distributivity",
+    "element without complement": "complement",
+    "complement pair not independent": "independence",
+}
+
+
+def definition_failure(members, meet_of, join_of, indep, bot, top):
+    """The first condition of the definition a family of field indices fails, or None.
+
+    Conditions in order: closed under meet and join, distributive over
+    every triple, then member by member in the listed order: a complement
+    in the family, and one independent of the member.
+    """
+    fam = set(members)
+    if any(meet_of[x][y] not in fam or join_of[x][y] not in fam for x in fam for y in fam):
+        return "closure"
+    for x, y, z in itertools.product(fam, repeat=3):
+        if meet_of[x][join_of[y][z]] != join_of[meet_of[x][y]][meet_of[x][z]]:
+            return "distributivity"
+    for x in members:
+        comps = [y for y in fam if meet_of[x][y] == bot and join_of[x][y] == top]
+        if not comps:
+            return "complement"
+        if not any(indep[x][y] for y in comps):
+            return "independence"
+    return None
+
+
+def test_validate_family_matches_the_definition_on_every_four_outcome_family():
+    """Every family of partitions of four outcomes that holds 0 and 1, up to 8 members.
+
+    The 13 other partitions give 4,096 families, each checked on three
+    measures against the definition read off the set-system oracles.
+    """
+    groupings = list(set_partitions(list(range(4))))
+    assert len(groupings) == 15
+    for name, probs in FOUR_OUTCOME_MEASURES.items():
+        space = mk_space(["a", "b", "c", "d"], probs)
+        fields = [partition(space, g) for g in groupings]
+        index = {f: i for i, f in enumerate(fields)}
+        bot, top = index[trivial(space)], index[discrete(space)]
+        meet_of = [[index[meet_oracle(x, y)] for y in fields] for x in fields]
+        join_of = [[index[join_oracle(x, y)] for y in fields] for x in fields]
+        indep = [[cond_independent_oracle(x, y, fields[bot]) for y in fields] for x in fields]
+        others = [i for i in range(15) if i not in (bot, top)]
+        families = [
+            (bot, *chosen, top)
+            for size in range(7)
+            for chosen in itertools.combinations(others, size)
+        ]
+        assert len(families) == 4096
+        verdicts = set()
+        for members in families:
+            want = definition_failure(members, meet_of, join_of, indep, bot, top)
+            got = validate_family(space, [fields[i] for i in members])
+            assert got.valid == (want is None), (name, members)
+            assert REASON_CONDITION.get(got.reason) == want, (name, members, got.reason)
+            verdicts.add(want)
+        assert verdicts == {None, *REASON_CONDITION.values()}, name
 
 
 def test_validate_family_computes_each_pair_once(monkeypatch):

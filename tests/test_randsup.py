@@ -130,9 +130,10 @@ def test_trial_streams_are_independent_of_order():
     assert not np.array_equal(a[0], a[1])
 
 
-def test_forced_empty_samples_keep_join_at_bottom():
+def test_forced_empty_samples_keep_join_at_bottom(monkeypatch):
     cfg = SampleConfig((3, 3, 3), (0.5, 0.5, 0.5), seed=2, trials=20)
-    trajs = run_join_process(cfg, sampler=lambda n, p, rng: np.zeros((BLOCK, n), dtype=bool))
+    monkeypatch.setattr(randsup, "sample_element", lambda n, p, rng: np.zeros((BLOCK, n), dtype=bool))
+    trajs = run_join_process(cfg)
     assert len(trajs) == 20
     assert all(all(y == frozenset() for y in t) for t in trajs)
 

@@ -9,14 +9,13 @@ import pytest
 from conftest import is_basis, kernel_intersection_oracle
 
 from noise_lattice.cli import main
-from noise_lattice.errors import PreconditionError
+from noise_lattice.errors import ConsistencyError, PreconditionError
 from noise_lattice.finmeas import inner, mk_dyadic, mk_space, walsh_character
 from noise_lattice.instances import rand_ntba
 from noise_lattice.ntba import NTBA, coarsen, mk_coordinate_ntba, mk_parity_ntba, ntba_to_json
 from noise_lattice.sigma import _group, discrete, sigma_of_rvs, subspace_of, trivial
 from noise_lattice.spectrum import (
     _pattern_of,
-    chaos_grading,
     k_restriction_additivity,
     sigma_tower_check,
     spectral_decompose,
@@ -118,9 +117,10 @@ def test_identities_random():
 
 def test_grading_report_and_consistency():
     D = spectral_decompose(mk_coordinate_ntba(mk_dyadic(4)))
-    g = chaos_grading(D)
-    assert g.levels == {k: comb(4, k) for k in range(5)}
-    assert g.classical
+    assert D.level_dims() == {k: comb(4, k) for k in range(5)}
+    del D.levels[4]
+    with pytest.raises(ConsistencyError, match="levels do not fill the space"):
+        D.level_dims()
 
 
 def test_level_one_equals_first_chaos():
