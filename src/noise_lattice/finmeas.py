@@ -52,7 +52,8 @@ class ProbSpace:
         if not self.outcomes:
             raise ValueError("a probability space needs at least one outcome")
         if len(self.outcomes) > MAX_OUTCOMES:
-            raise CapacityError(f"{len(self.outcomes)} outcomes exceed the guard")
+            n = len(self.outcomes)
+            raise CapacityError(f"{n} outcomes exceed the guard of {MAX_OUTCOMES}")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("outcome identifiers must be unique")
         backend = linalg.backend_of(self.probs)
@@ -307,8 +308,9 @@ def product(*factors: ProbSpace) -> SpaceProduct:
     """
     if not factors:
         raise ValueError("a product needs at least one factor")
-    if prod(f.size for f in factors) > MAX_OUTCOMES:
-        raise CapacityError("product space exceeds the outcome guard")
+    size = prod(f.size for f in factors)
+    if size > MAX_OUTCOMES:
+        raise CapacityError(f"a product of {size} outcomes exceeds the guard of {MAX_OUTCOMES}")
     backend = factors[0].backend
     if any(f.backend is not backend for f in factors):
         raise DomainMismatchError("cannot mix rational and float factors")
@@ -326,11 +328,14 @@ def space_to_json(space: ProbSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> ProbSpace:
+    outcomes = obj["outcomes"]
+    if type(outcomes) is not list or not all(type(o) is str for o in outcomes):
+        raise ValueError("outcomes must be a list of strings")
     probs = []
     for p in obj["probs"]:
         if isinstance(p, str):
             probs.append(Fraction(p))
         else:
             probs.append(p)
-    return mk_space(obj["outcomes"], probs)
+    return mk_space(outcomes, probs)
 

@@ -164,6 +164,10 @@ class ExactBackend:
     arithmetic and every comparison an integer cross-multiplication, with
     no tolerance.  A ``Fraction`` is built only for a scalar handed back
     (a mass, an inner product, a mean) or when ``values`` is read.
+
+    ``tol`` is None: an exact product law of certified atoms passes to the
+    fields of disjoint groups of atoms (the grouping property; Kallenberg,
+    Foundations of Modern Probability, ch. 3), so no complement pair fails.
     """
 
     name = "rational"

@@ -17,7 +17,6 @@ production path against these.
 """
 
 import itertools
-import random
 import sys
 from fractions import Fraction
 from math import lcm
@@ -304,11 +303,14 @@ def independence_problem_oracle(space: ProbSpace, atoms):
 
 
 def scan_family_oracle(space: ProbSpace, elems) -> FamilyVerdict:
-    """``validate_family`` by recomputing every meet and join it reads.
+    """``validate_family`` by running the sigma-field operations each check reads.
 
     The same checks in the same order, with the same first reason and
-    witness, but each distributivity triple and complement candidate runs
-    its own sigma-field operations instead of reading a pair table.
+    witness, but each meet and join is computed from the sigma-fields when
+    a check first reads it, not filled into symmetric tables by one pair
+    pass.  It is kept per member-index pair for the later checks that read
+    it again: every triple is scanned, and 128 members would take minutes
+    with each triple's own four sigma-field operations.
     """
     family = []
     for e in elems:
@@ -326,21 +328,26 @@ def scan_family_oracle(space: ProbSpace, elems) -> FamilyVerdict:
             return FamilyVerdict(False, "not closed under meet", (x, y))
         if join(x, y) not in fam_set:
             return FamilyVerdict(False, "not closed under join", (x, y))
-    if len(family) <= 64:
-        triples = itertools.product(family, repeat=3)
-    else:
-        rng = random.Random(0)
-        triples = (tuple(rng.choice(family) for _ in range(3)) for _ in range(1000))
-    for x, y, z in triples:
-        left = meet(x, join(y, z))
-        right = join(meet(x, y), meet(x, z))
-        if left != right:
-            return FamilyVerdict(False, "distributivity fails", (x, y, z))
-    bot, top = trivial(space), discrete(space)
-    for x in family:
+    index = {e: i for i, e in enumerate(family)}
+    tables: dict = {meet: {}, join: {}}
+
+    def op(f, i, j):
+        """The member index of f(family[i], family[j]), computed once per pair."""
+        got = tables[f].get((i, j))
+        if got is None:
+            got = tables[f][i, j] = index[f(family[i], family[j])]
+        return got
+
+    n = len(family)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if op(meet, x, op(join, y, z)) != op(join, op(meet, x, y), op(meet, x, z)):
+            witness = (family[x], family[y], family[z])
+            return FamilyVerdict(False, "distributivity fails", witness)
+    bot, top = index[trivial(space)], index[discrete(space)]
+    for i, x in enumerate(family):
         comp = None
-        for y in family:
-            if meet(x, y) == bot and join(x, y) == top:
+        for j, y in enumerate(family):
+            if op(meet, i, j) == bot and op(join, i, j) == top:
                 comp = y
                 break
         if comp is None:

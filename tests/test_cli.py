@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -23,13 +24,14 @@ from noise_lattice.finmeas import mk_dyadic, mk_space, space_from_json
 from noise_lattice.instances import rand_ntba
 from noise_lattice.ntba import (
     NTBA,
+    NTBAElement,
     mk_coordinate_ntba,
     mk_parity_ntba,
     ntba_from_json,
     ntba_to_json,
     validate_family,
 )
-from noise_lattice.sigma import partition_from_json, partition_to_json
+from noise_lattice.sigma import independent, partition_from_json, partition_to_json
 
 RUN = [sys.executable, "-m", "noise_lattice.cli"]
 GOLDEN = Path(__file__).parent / "golden"
@@ -199,6 +201,90 @@ def test_ntba_validate_never_audits_the_family(tmp_path, capsys, monkeypatch):
     ):
         assert main(["ntba", "validate", str(path)]) == code
         assert capsys.readouterr().out == out
+
+
+def test_rational_validate_reads_no_complement_pair(tmp_path, capsys, monkeypatch):
+    """An exact product law of the atoms passes to every grouping of them."""
+
+    def refuse(*args):
+        raise AssertionError("independent was called")
+
+    rebind_everywhere(monkeypatch, independent, refuse)
+    f = tmp_path / "b.json"
+    for n in range(1, 7):
+        for build in (mk_coordinate_ntba(mk_dyadic(n)), mk_parity_ntba(n)):
+            f.write_text(json.dumps(ntba_to_json(build)))
+            assert main(["ntba", "validate", str(f)]) == 0
+            assert capsys.readouterr().out == '{"reason": null, "valid": true}\n'
+
+
+def test_float_validate_stops_at_the_first_dependent_pair(capsys, monkeypatch):
+    path = GOLDEN / "float-perturbed.json"
+    algebra = ntba_from_json(json.loads(path.read_text()))
+    elements = list(algebra.elements())
+    first = next(
+        i
+        for i, e in enumerate(elements[: len(elements) // 2])
+        if not independent(e.realize(), elements[-1 - i].realize())
+    )
+    calls = []
+    realize = NTBAElement.realize
+    monkeypatch.setattr(NTBAElement, "realize", lambda e: calls.append(e) or realize(e))
+    assert main(["ntba", "validate", str(path)]) == 1
+    capsys.readouterr()
+    assert len(calls) == 2 * (first + 1) < len(elements)
+
+
+def _relabelled(obj: dict, outcome_order, atom_order) -> dict:
+    """The presentation with outcome i listed at outcome_order.index(i) and the atoms reordered."""
+    space = obj["space"]
+    new_index = {old: new for new, old in enumerate(outcome_order)}
+    return {
+        "space": {
+            "outcomes": [space["outcomes"][i] for i in outcome_order],
+            "probs": [space["probs"][i] for i in outcome_order],
+        },
+        "atoms": [
+            {"blocks": [[new_index[i] for i in b] for b in obj["atoms"][k]["blocks"]]}
+            for k in atom_order
+        ],
+    }
+
+
+def test_ntba_validate_is_invariant_under_relabelling(tmp_path, capsys):
+    presentations = [
+        ntba_to_json(build)
+        for mode in ("rational", "float")
+        for n in range(1, 6)
+        for build in (
+            mk_coordinate_ntba(_dyadic(n, mode)),
+            mk_parity_ntba(n, _dyadic(n + 1, mode)),
+        )
+    ]
+    rng = random.Random(5)
+    presentations += [
+        ntba_to_json(rand_ntba(rng, 64, mode=("rational", "float")[i % 2])) for i in range(20)
+    ]
+    presentations.append(json.loads((GOLDEN / "float-perturbed.json").read_text()))
+    f = tmp_path / "b.json"
+
+    def validate(obj):
+        f.write_text(json.dumps(obj))
+        code = main(["ntba", "validate", str(f)])
+        return capsys.readouterr().out, code
+
+    codes = set()
+    for obj in presentations:
+        want = validate(obj)
+        outcomes = list(range(len(obj["space"]["outcomes"])))
+        atoms = list(range(len(obj["atoms"])))
+        shuffled_outcomes, shuffled_atoms = outcomes[:], atoms[:]
+        rng.shuffle(shuffled_outcomes)
+        rng.shuffle(shuffled_atoms)
+        assert validate(_relabelled(obj, shuffled_outcomes, atoms)) == want
+        assert validate(_relabelled(obj, outcomes, shuffled_atoms)) == want
+        codes.add(want[1])
+    assert codes == {0, 1}
 
 
 def test_reports_accept_a_float_file_that_validate_rejects(capsys):
@@ -506,6 +592,40 @@ def test_zero_denominator_in_input_files_is_a_usage_error(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_outcome_ids_that_are_not_strings_are_usage_errors(tmp_path, capsys):
+    good = ntba_to_json(mk_coordinate_ntba(mk_dyadic(2)))
+    for outcomes in ([1, 2, 3, 4], "abcd"):
+        space = dict(good["space"], outcomes=outcomes)
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        (tmp_path / "algebra.json").write_text(json.dumps(dict(good, space=space)))
+        s, b = str(tmp_path / "space.json"), str(tmp_path / "algebra.json")
+        for argv in (
+            ["space", "load", s],
+            ["chaos", "report", b],
+            ["ntba", "restrict", b, "0"],
+        ):
+            assert main(argv) == 2, (outcomes, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and err.count("\n") == 1, err
+            assert err.endswith(": outcomes must be a list of strings\n"), err
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            RUN + ["check", "all", "--cases", "1", "--format", "text"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_randsup_rejects_zero_trials(capsys):

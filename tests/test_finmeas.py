@@ -9,6 +9,7 @@ from conftest import exact_rank, lift_oracle, product_oracle
 
 from noise_lattice.errors import CapacityError, DomainMismatchError
 from noise_lattice.finmeas import (
+    MAX_OUTCOMES,
     RV,
     ProbSpace,
     coordinate_sign,
@@ -140,8 +141,23 @@ def test_product_capacity_guard():
     big = mk_dyadic(20)
     with pytest.raises(CapacityError):
         product(big, mk_dyadic(2))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as exc:
         product(mk_dyadic(10), mk_dyadic(1), mk_dyadic(10))
+    assert str(exc.value) == f"a product of {2**21} outcomes exceeds the guard of {MAX_OUTCOMES}"
+
+
+def test_outcome_guard_names_its_limit():
+    n = MAX_OUTCOMES + 1
+    with pytest.raises(CapacityError) as exc:
+        ProbSpace(("w",) * n, (Fraction(1, n),) * n)  # the guard fires before any other check
+    assert str(exc.value) == f"{n} outcomes exceed the guard of {MAX_OUTCOMES}"
+
+
+def test_outcome_ids_must_be_a_list_of_strings():
+    for outcomes in ([1, 2, 3, 4], "abcd", ["a", "b", "c", 4]):
+        with pytest.raises(ValueError, match="^outcomes must be a list of strings$"):
+            space_from_json({"outcomes": outcomes, "probs": ["1/4"] * 4})
+    assert space_from_json({"outcomes": list("abcd"), "probs": ["1/4"] * 4}).size == 4
 
 
 def test_product_space_rejects_mixed_modes():

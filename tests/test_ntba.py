@@ -16,7 +16,7 @@ from conftest import (
 )
 
 from noise_lattice import ntba
-from noise_lattice.errors import DomainMismatchError, PreconditionError
+from noise_lattice.errors import CapacityError, DomainMismatchError, PreconditionError
 from noise_lattice.finmeas import coordinate_sign, mk_dyadic, mk_space, product
 from noise_lattice.instances import (
     rand_atom_groups,
@@ -137,14 +137,18 @@ def oracle_families():
                 del family_less[rng.randrange(1, len(family) - 1)]
                 yield B.space, family_less
             yield B.space, family + [rand_partition(rng, B.space)]
-    # above 64 elements the triples are sampled: a valid family of 128, and
-    # M3 times the 16 elements of a 4-atom algebra, distributive only in part
+    # above 64 members: a valid family of 128, and one of 80 distributive only in part
     B = mk_coordinate_ntba(mk_dyadic(7))
     yield B.space, [e.realize() for e in B.elements()]
+    yield m3_times_boolean()
+
+
+def m3_times_boolean():
+    """(space, family): M3 times the 16 elements of a 4-atom algebra, 80 members."""
     m3_space, m3, _, _ = next(c for c in verdict_cases() if c[2] == "distributivity fails")
     B = mk_coordinate_ntba(mk_dyadic(4))
     prod = product(m3_space, B.space)
-    yield prod.space, [
+    return prod.space, [
         join(lift_partition(prod, x, 0), lift_partition(prod, e.realize(), 1))
         for x in m3
         for e in B.elements()
@@ -160,6 +164,29 @@ def test_validate_family_matches_the_scan_oracle():
         assert all(g is w for g, w in zip(got.witness or (), want.witness or ()))
         verdicts.add(got.reason)
     assert len(verdicts) == 8  # every branch, valid included
+
+
+def test_validate_family_scans_every_triple_above_64_members():
+    space, family = m3_times_boolean()
+    got = validate_family(space, family)
+    assert got == scan_family_oracle(space, family)
+    # the first failing triple: M3's three middle elements, each with the Boolean zero
+    assert got.reason == "distributivity fails"
+    assert [family.index(w) for w in got.witness] == [16, 32, 48]
+
+
+def test_validate_family_refuses_families_above_the_limit(monkeypatch):
+    def refuse(x, y):
+        raise AssertionError("the pair pass ran")
+
+    B = mk_coordinate_ntba(mk_dyadic(9))
+    family = [e.realize() for e in B.elements()][: ntba.MAX_FAMILY + 1]
+    monkeypatch.setattr(ntba, "meet", refuse)
+    monkeypatch.setattr(ntba, "join", refuse)
+    with pytest.raises(CapacityError) as exc:
+        validate_family(B.space, family + family)  # counted once per distinct member
+    n = ntba.MAX_FAMILY + 1
+    assert str(exc.value) == f"{n} family members exceed the guard of {ntba.MAX_FAMILY}"
 
 
 FOUR_OUTCOME_MEASURES = {
