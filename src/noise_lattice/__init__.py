@@ -57,6 +57,7 @@ from .sigma import (
 from .spectrum import (
     SpectralDecomp,
     SpectralPoint,
+    certified_dims,
     k_restriction_additivity,
     sigma_tower_check,
     spectral_decompose,

@@ -46,12 +46,17 @@ from .sigma import (
     partition_to_json,
     sigma_of_rvs,
 )
-from .spectrum import spectral_decompose
+from .spectrum import certified_dims
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+
+# spectrum report's JSON and text pattern holds 4^n membership bits: on ntba
+# coords 12 the JSON report takes 4.3 s and 223 MB (34 MB printed; one Xeon core,
+# Python 3.11), and each atom more multiplies that by 4
+MAX_PATTERN_ATOMS = 12
 
 
 class UsageError(Exception):
@@ -213,7 +218,10 @@ def cmd_ntba(args) -> int:
         raise UsageError(f"atom set {args.atomset!r}: {exc}") from None
     if not e.atomset:
         raise UsageError(f"atom set {args.atomset!r}: restrict needs at least one atom")
-    r = restrict(algebra, e)
+    try:
+        r = restrict(algebra, e)
+    except ValueError as exc:
+        raise UsageError(f"{args.file}: {exc}") from None
     print(json.dumps(ntba_to_json(r.algebra), sort_keys=True))
     return EXIT_OK
 
@@ -238,26 +246,31 @@ def cmd_chaos(args) -> int:
 
 def cmd_spectrum(args) -> int:
     algebra = _load(args.file, ntba_from_json)
-    decomp = spectral_decompose(algebra)
-    levels = decomp.level_dims()
+    n = algebra.n_atoms
+    if args.format != "csv" and n > MAX_PATTERN_ATOMS:
+        raise CapacityError(
+            f"a spectrum pattern of {n} atoms has 4^{n} entries, past the guard of "
+            f"n <= {MAX_PATTERN_ATOMS} atoms; --format csv prints the levels alone"
+        )
+    points, levels = certified_dims(algebra)
     if args.format == "csv":
         print("level,dimension")
         for k, d in levels.items():
             print(f"{k},{d}")
         return EXIT_OK
-    masks = range(1 << algebra.n_atoms)
-    points = []
-    for p in decomp.points:
-        g = sum(1 << k for k in p.generator)
-        points.append({
-            "generator_atoms": sorted(p.generator),
-            "k": p.k,
-            "dim": p.eigenspace.dim,
+    masks = range(1 << n)
+    rows = []
+    for gen, dim in points:
+        g = sum(1 << k for k in gen)
+        rows.append({
+            "generator_atoms": sorted(gen),
+            "k": len(gen),
+            "dim": dim,
             # membership bit per element, indexed by atomset bitmask
             "pattern": [int(g & m == g) for m in masks],
         })
     results = {
-        "points": points,
+        "points": rows,
         "levels": {str(k): d for k, d in levels.items()},
         # at finite scale every generator has finitely many atoms, so the
         # grading is always classical

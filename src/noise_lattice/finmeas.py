@@ -94,7 +94,7 @@ def mk_dyadic(n: int) -> ProbSpace:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 20:
-        raise CapacityError("dyadic spaces are guarded at n <= 20")
+        raise CapacityError(f"dyadic spaces are guarded at n <= 20, got {n}")
     outcomes = tuple("".join(t) for t in itertools.product("+-", repeat=n))
     p = Fraction(1, 1 << n)
     return ProbSpace(outcomes, (p,) * (1 << n))

@@ -62,12 +62,16 @@ class FloatVec(tuple):
 
 
 def _intvec(nums, den) -> IntVec:
-    """nums / den with the common gcd divided out (den > 0)."""
+    """nums / den with the common gcd divided out (den > 0).
+
+    Built as a tuple, past namedtuple's ``__new__``: the fields are
+    already reduced.
+    """
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
-            return IntVec(tuple([x // g for x in nums]), den // g)
-    return IntVec(tuple(nums), den)
+            return tuple.__new__(IntVec, (tuple([x // g for x in nums]), den // g))
+    return tuple.__new__(IntVec, (tuple(nums), den))
 
 
 def exact_rref(int_rows):
@@ -206,8 +210,8 @@ class ExactBackend:
             raise ValueError("value count must equal outcome count")
         for t in set(map(type, values)):
             _check_exact(t, "value")
-        nums, den = to_int(values)
-        return IntVec(tuple(nums), den)
+        nums, den = to_int(values)  # lowest-terms Fractions over their lcm: reduced
+        return tuple.__new__(IntVec, (tuple(nums), den))
 
     def values(self, u) -> tuple:
         nums, den = u
@@ -276,7 +280,7 @@ class ExactBackend:
         if g != 1:
             block_nums = [x // g for x in block_nums]
             den //= g
-        return IntVec(tuple(map(block_nums.__getitem__, labels)), den)
+        return tuple.__new__(IntVec, (tuple(map(block_nums.__getitem__, labels)), den))
 
     def dot(self, u, v, space) -> Fraction:
         """E[uv] under the space's weights, one Fraction at the end."""

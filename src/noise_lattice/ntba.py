@@ -233,13 +233,20 @@ def restrict(algebra: NTBA, e: NTBAElement) -> Restriction:
     The new outcomes are the blocks of the sigma-field e realizes; the new
     atoms are e's atoms viewed as partitions of those blocks.  The empty
     element is rejected: its quotient is the one-outcome space on which
-    every lattice question degenerates.
+    every lattice question degenerates.  A quotient outcome is named by its
+    block's outcome ids joined with "|"; ids that contain "|" can give two
+    blocks one name, which raises ``ValueError`` naming it.
     """
     if not e.atomset:
         raise PreconditionError("restrict needs an element with at least one atom")
     space = algebra.space
     x = e.realize()
     out_ids = tuple("|".join(space.outcomes[i] for i in b) for b in x.blocks)
+    seen = set()
+    for name in out_ids:
+        if name in seen:
+            raise ValueError(f"quotient outcome {name!r} names two blocks: outcome ids contain '|'")
+        seen.add(name)
     qspace = mk_space(out_ids, x.masses)
     atom_indices = tuple(sorted(e.atomset))
     new_atoms = [

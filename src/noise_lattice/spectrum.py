@@ -8,6 +8,11 @@ products, over k in G, of one mean-zero vector of atom k
 (``chaos.atom_bases``), so its dimension is the product of b_k - 1.  The
 point lies in H_x exactly when G is inside x's atoms, and the atom count
 of G grades the space.
+
+``certified_dims`` reads those dimensions off the block counts b_k of a
+certified ``NTBA`` without building a vector; it is what ``spectrum
+report`` prints.  ``spectral_decompose`` builds every eigenspace, N
+vectors of N entries in all, for the suites that need the vectors.
 """
 
 from __future__ import annotations
@@ -77,6 +82,28 @@ def spectral_decompose(algebra: NTBA) -> SpectralDecomp:
         for k in sorted({p.k for p in points})
     }
     return SpectralDecomp(algebra, points, levels)
+
+
+def certified_dims(algebra: NTBA) -> tuple:
+    """(points, level dims) from the atoms' block counts, no vector built.
+
+    Points come in ``spectral_decompose``'s order, each as (generator,
+    dim): point p drops its last atom k (the lowest set bit of p, bit
+    n-1-k) to reach point ``p & (p - 1)`` and multiplies its dim by
+    b_k - 1.  Level k sums the dims of the k-atom points, by increasing k.
+    The dims sum to the product of the b_k, the outcome count, which the
+    ``NTBA`` constructor has checked.
+    """
+    n = algebra.n_atoms
+    points = [(frozenset(), 1)]
+    for p in range(1, 1 << n):
+        rest_gen, rest_dim = points[p & (p - 1)]
+        k = n - (p & -p).bit_length()
+        points.append((rest_gen | {k}, rest_dim * (algebra.atoms[k].n_blocks - 1)))
+    levels = dict.fromkeys(range(n + 1), 0)
+    for gen, dim in points:
+        levels[len(gen)] += dim
+    return points, levels
 
 
 @dataclass

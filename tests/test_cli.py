@@ -8,6 +8,8 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from conftest import rebind_everywhere
 
 from noise_lattice import checks
 from noise_lattice import randsup as rs
-from noise_lattice.cli import UsageError, _load, build_parser, main
+from noise_lattice.cli import MAX_PATTERN_ATOMS, UsageError, _load, build_parser, main
 from noise_lattice.cofinite import MAX_BITS
 from noise_lattice.errors import NoiseLatticeError
 from noise_lattice.finmeas import mk_dyadic, mk_space, space_from_json
@@ -31,7 +33,7 @@ from noise_lattice.ntba import (
     ntba_to_json,
     validate_family,
 )
-from noise_lattice.sigma import independent, partition_from_json, partition_to_json
+from noise_lattice.sigma import independent, partition, partition_from_json, partition_to_json
 
 RUN = [sys.executable, "-m", "noise_lattice.cli"]
 GOLDEN = Path(__file__).parent / "golden"
@@ -298,6 +300,47 @@ def test_reports_accept_a_float_file_that_validate_rejects(capsys):
         assert main(argv) == 0, argv
     assert main(["ntba", "validate", path]) == 1
     capsys.readouterr()
+
+
+def test_spectrum_pattern_guard(tmp_path, capsys):
+    """The 4^n-entry pattern is refused past n = 12 atoms; the levels alone are not."""
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps(ntba_to_json(mk_coordinate_ntba(mk_dyadic(13)))))
+    for fmt in ("json", "text"):
+        assert main(["spectrum", "report", str(f), "--format", fmt]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("capacity error: ") and err.count("\n") == 1, err
+        assert f"n <= {MAX_PATTERN_ATOMS}" in err and "13 atoms" in err, err
+    assert main(["spectrum", "report", str(f), "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["level,dimension"] + [f"{k},{comb(13, k)}" for k in range(14)]
+
+
+def test_dyadic_guard_names_the_size(capsys):
+    assert main(["ntba", "coords", "21"]) == 3
+    err = capsys.readouterr().err
+    assert "n <= 20" in err and "got 21" in err, err
+
+
+def test_restrict_refuses_colliding_quotient_outcomes(tmp_path, capsys):
+    """Block names join outcome ids with "|"; two blocks with one name are a usage error."""
+    f = tmp_path / "b.json"
+
+    def restrict_0(outcomes):
+        space = mk_space(outcomes, [Fraction(1, 4)] * 4)
+        atoms = [partition(space, [[0, 2], [1, 3]]), partition(space, [[0, 1], [2, 3]])]
+        f.write_text(json.dumps(ntba_to_json(NTBA(space, atoms))))
+        return main(["ntba", "restrict", str(f), "0"])
+
+    assert restrict_0(["a", "a|b", "b|c", "c"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert "quotient outcome 'a|b|c'" in err, err
+    assert restrict_0(["a|x", "b", "c", "d|y"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "atoms": [{"blocks": [[0], [1]]}],
+        "space": {"outcomes": ["a|x|c", "b|d|y"], "probs": ["1/2", "1/2"]},
+    }
 
 
 def test_chaos_report_json(tmp_path, capsys):

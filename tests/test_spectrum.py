@@ -4,18 +4,28 @@ import itertools
 import json
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
-from conftest import is_basis, kernel_intersection_oracle
+from conftest import is_basis, kernel_intersection_oracle, rebind_everywhere
 
+from noise_lattice import chaos
 from noise_lattice.cli import main
 from noise_lattice.errors import ConsistencyError, PreconditionError
 from noise_lattice.finmeas import inner, mk_dyadic, mk_space, walsh_character
 from noise_lattice.instances import rand_ntba
-from noise_lattice.ntba import NTBA, coarsen, mk_coordinate_ntba, mk_parity_ntba, ntba_to_json
+from noise_lattice.ntba import (
+    NTBA,
+    coarsen,
+    mk_coordinate_ntba,
+    mk_parity_ntba,
+    ntba_from_json,
+    ntba_to_json,
+)
 from noise_lattice.sigma import _group, discrete, sigma_of_rvs, subspace_of, trivial
 from noise_lattice.spectrum import (
     _pattern_of,
+    certified_dims,
     k_restriction_additivity,
     sigma_tower_check,
     spectral_decompose,
@@ -32,6 +42,21 @@ def test_coordinate_two_atoms():
         chi = walsh_character(s2, [i + 1 for i in sorted(p.generator)])
         assert p.eigenspace.dim == 1
         assert p.eigenspace.contains(chi)
+
+
+def test_certified_dims_match_the_built_eigenspaces():
+    """The block-count dims and the built bases check each other, point by point."""
+    algebras = [mk_coordinate_ntba(mk_dyadic(n)) for n in range(1, 8)]
+    algebras += [mk_parity_ntba(n) for n in range(1, 8)]
+    for mode in ("rational", "float"):
+        algebras += [rand_ntba(random.Random(seed), mode=mode) for seed in range(150)]
+    golden = Path(__file__).parent / "golden" / "float-perturbed.json"
+    algebras.append(ntba_from_json(json.loads(golden.read_text())))
+    for B in algebras:
+        points, levels = certified_dims(B)
+        D = spectral_decompose(B)
+        assert points == [(p.generator, p.eigenspace.dim) for p in D.points]
+        assert list(levels.items()) == list(D.level_dims().items())
 
 
 def test_trivial_algebra_two_points():
@@ -230,3 +255,42 @@ def test_sign_pairing_sigma_from_levels():
     lvl1 = D.levels[1]
     pairing = sigma_of_rvs(P.space, lvl1.basis)
     assert pairing == discrete(P.space)  # xi_4 is an atom, so level 1 generates
+
+
+# Outcomes b and d weigh 1e-20, so atom 1's centred indicator 1_{a,c} - P({a,c})
+# has a squared norm of about 2e-20: within the float tolerance the built route
+# drops it, though the certified atoms have two blocks each.
+LIGHT_BLOCKS = {
+    "space": {"outcomes": ["a", "b", "c", "d"], "probs": [0.5, 1e-20, 0.5, 1e-20]},
+    "atoms": [{"blocks": [[0, 1], [2, 3]]}, {"blocks": [[0, 2], [1, 3]]}],
+}
+
+
+def test_report_prints_certified_dims_of_a_float_file_with_light_blocks(tmp_path, capsys):
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps(LIGHT_BLOCKS))
+    assert main(["spectrum", "report", str(f), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "level,dimension\n0,1\n1,2\n2,1\n"
+    assert main(["spectrum", "report", str(f), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["levels"] == {"0": 1, "1": 2, "2": 1}
+    assert [p["dim"] for p in results["points"]] == [1, 1, 1, 1]
+
+
+def test_report_builds_no_eigenspace(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum report built a basis")
+
+    rebind_everywhere(monkeypatch, spectral_decompose, refuse)
+    rebind_everywhere(monkeypatch, chaos.atom_bases, refuse)
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps(ntba_to_json(mk_parity_ntba(3))))
+    want = {k: comb(4, k) for k in range(5)}
+    assert main(["spectrum", "report", str(f), "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["level,dimension"] + [f"{k},{d}" for k, d in want.items()]
+    assert main(["spectrum", "report", str(f), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["levels"] == {str(k): d for k, d in want.items()}
+    assert main(["spectrum", "report", str(f), "--format", "text"]) == 0
+    assert "passed: True" in capsys.readouterr().out
