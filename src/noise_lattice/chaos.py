@@ -1,4 +1,4 @@
-"""First chaos space, classicality verdicts, and related operations.
+"""First chaos space, membership, atom splits and the up/down round trip.
 
 The first chaos of an algebra B is the set of f with f = Q_x f + Q_x' f
 for every x in B.  The atoms of B are independent and join to the
@@ -7,6 +7,10 @@ L2 spaces (the Hoeffding/Efron-Stein decomposition), and the first chaos
 is the direct sum over the atoms of their mean-zero parts.  ``atom_bases``
 builds that basis from centred block indicators; ``first_chaos`` and
 ``spectrum.spectral_decompose`` both read it.
+
+Atom k's vectors and the constants span every function of its blocks,
+and the atoms join to the discrete field, so a certified algebra is
+classical and never black; only the ``finite-classicality`` suite checks it.
 """
 
 from __future__ import annotations
@@ -17,16 +21,14 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, DomainMismatchError, PreconditionError
 from .finmeas import RV, Subspace, direct_sum, norm2, span_on
 from .ntba import NTBA, NTBAElement
-from .sigma import SigmaField, cond_exp, discrete, sigma_of_rvs, trivial
+from .sigma import cond_exp, sigma_of_rvs, trivial
 
 
 @dataclass
 class ChaosResult:
-    algebra: NTBA
+    """The first chaos of an algebra, as an orthogonal basis ``h1``."""
+
     h1: Subspace
-    classical: bool
-    black: bool
-    generated: SigmaField
 
 
 def atom_bases(algebra: NTBA) -> list:
@@ -54,12 +56,7 @@ def atom_bases(algebra: NTBA) -> list:
 
 def first_chaos(algebra: NTBA) -> ChaosResult:
     """The first chaos: every atom's centred block indicators together."""
-    space = algebra.space
-    h1 = direct_sum(space, atom_bases(algebra))
-    generated = sigma_of_rvs(space, h1.basis)
-    classical = generated == discrete(space)
-    black = h1.dim == 0 and space.size > 1
-    return ChaosResult(algebra, h1, classical, black, generated)
+    return ChaosResult(direct_sum(algebra.space, atom_bases(algebra)))
 
 
 @dataclass
@@ -146,8 +143,6 @@ def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
 
 def up_down_roundtrip(algebra: NTBA, e: NTBAElement, chaos: ChaosResult) -> bool:
     """Project the first chaos of the algebra by Q_x, regenerate, and compare with x."""
-    if not chaos.classical:
-        raise PreconditionError("the round trip needs a classical algebra")
     x = e.realize()
     images = [cond_exp(x, b) for b in chaos.h1.basis]
     return sigma_of_rvs(algebra.space, images) == x

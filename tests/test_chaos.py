@@ -1,18 +1,20 @@
 """First chaos computation, membership, splits, the up/down round trip."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import exact_nullspace, membership_oracle, rebind_everywhere, set_partitions
 
-from noise_lattice import sigma
+from noise_lattice import chaos, finmeas, sigma
 from noise_lattice.chaos import (
     atomless_split,
     chaos_membership,
     first_chaos,
     up_down_roundtrip,
 )
+from noise_lattice.cli import main
 from noise_lattice.errors import PreconditionError
 from noise_lattice.finmeas import (
     RV,
@@ -24,7 +26,7 @@ from noise_lattice.finmeas import (
     span_on,
 )
 from noise_lattice.instances import rand_element, rand_ntba, rand_rv
-from noise_lattice.ntba import NTBA, mk_coordinate_ntba, mk_parity_ntba
+from noise_lattice.ntba import NTBA, mk_coordinate_ntba, mk_parity_ntba, ntba_to_json
 from noise_lattice.sigma import cond_exp, discrete, join, meet, sigma_of_rvs
 
 
@@ -59,7 +61,7 @@ def test_trivial_algebra_first_chaos():
         cr = first_chaos(B)
         assert cr.h1.dim == space.size - 1
         assert all(b.mean() == 0 for b in cr.h1.basis)
-        assert cr.classical and not cr.black
+        assert sigma_of_rvs(space, cr.h1.basis) == discrete(space)
 
 
 def test_coordinate_first_chaos():
@@ -70,8 +72,7 @@ def test_coordinate_first_chaos():
     assert cr.h1.dim == 2
     assert cr.h1.contains(x1) and cr.h1.contains(x2)
     assert not cr.h1.contains(x1 * x2)
-    assert cr.classical and not cr.black
-    assert cr.generated == discrete(s2)
+    assert sigma_of_rvs(s2, cr.h1.basis) == discrete(s2)
 
 
 def test_parity_first_chaos():
@@ -86,7 +87,7 @@ def test_parity_first_chaos():
     assert cr.h1.dim == 3
     for g in gens:
         assert cr.h1.contains(g)
-    assert cr.classical
+    assert sigma_of_rvs(s, cr.h1.basis) == discrete(s)
 
 
 def test_first_chaos_matches_full_intersection_oracle():
@@ -289,7 +290,7 @@ def test_up_down_all_elements_small_algebras():
     algebras += [rand_ntba(rng, 16) for _ in range(5)]
     for B in algebras:
         cr = first_chaos(B)
-        assert cr.classical
+        assert sigma_of_rvs(B.space, cr.h1.basis) == discrete(B.space)
         for e in B.elements():
             assert up_down_roundtrip(B, e, cr)
 
@@ -317,4 +318,32 @@ def test_float_mode_first_chaos():
     B = NTBA(fspace, atoms)
     cr = first_chaos(B)
     assert cr.h1.dim == 2
-    assert cr.classical
+    assert sigma_of_rvs(fspace, cr.h1.basis) == discrete(fspace)
+
+
+def test_chaos_report_builds_no_basis(tmp_path, capsys, monkeypatch):
+    """The report reads the certified block counts; no vector is built or spanned."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chaos report built a basis")
+
+    for fn in (first_chaos, chaos.atom_bases, finmeas.span_on):
+        rebind_everywhere(monkeypatch, fn, refuse)
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps(ntba_to_json(mk_parity_ntba(3))))
+    assert main(["chaos", "report", str(f), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "dim_h1,classical,black,generated_block_count",
+        "4,True,False,16",
+    ]
+    assert main(["chaos", "report", str(f), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results == {
+        "dim_h1": 4,
+        "classical": True,
+        "black": False,
+        "generated_blocks": [[i] for i in range(16)],
+    }
+    assert main(["chaos", "report", str(f), "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert "  dim_h1: 4\n" in out and out.endswith("passed: True\n")

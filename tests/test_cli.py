@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from conftest import rebind_everywhere
+from test_spectrum import LIGHT_BLOCKS
 
 from noise_lattice import checks
 from noise_lattice import randsup as rs
@@ -253,7 +254,8 @@ def _relabelled(obj: dict, outcome_order, atom_order) -> dict:
     }
 
 
-def test_ntba_validate_is_invariant_under_relabelling(tmp_path, capsys):
+def _relabelling_inputs(rng) -> list:
+    """``ntba coords``/``parity`` up to 5 in both modes, 20 random files, the perturbed golden."""
     presentations = [
         ntba_to_json(build)
         for mode in ("rational", "float")
@@ -263,11 +265,16 @@ def test_ntba_validate_is_invariant_under_relabelling(tmp_path, capsys):
             mk_parity_ntba(n, _dyadic(n + 1, mode)),
         )
     ]
-    rng = random.Random(5)
     presentations += [
         ntba_to_json(rand_ntba(rng, 64, mode=("rational", "float")[i % 2])) for i in range(20)
     ]
     presentations.append(json.loads((GOLDEN / "float-perturbed.json").read_text()))
+    return presentations
+
+
+def test_ntba_validate_is_invariant_under_relabelling(tmp_path, capsys):
+    rng = random.Random(5)
+    presentations = _relabelling_inputs(rng)
     f = tmp_path / "b.json"
 
     def validate(obj):
@@ -287,6 +294,45 @@ def test_ntba_validate_is_invariant_under_relabelling(tmp_path, capsys):
         assert validate(_relabelled(obj, outcomes, shuffled_atoms)) == want
         codes.add(want[1])
     assert codes == {0, 1}
+
+
+def test_reports_are_invariant_under_relabelling(tmp_path, capsys):
+    """Permuting the outcomes keeps both reports' results.  Permuting the atoms
+    keeps the chaos results and the levels, and permutes the points' generators
+    (and the element bitmasks that index each pattern) by the same permutation."""
+    rng = random.Random(6)
+    presentations = _relabelling_inputs(rng) + [LIGHT_BLOCKS]
+    f = tmp_path / "b.json"
+
+    def report(kind, obj):
+        f.write_text(json.dumps(obj))
+        assert main([kind, "report", str(f), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    for obj in presentations:
+        chaos, spectrum = report("chaos", obj), report("spectrum", obj)
+        outcomes = list(range(len(obj["space"]["outcomes"])))
+        atoms = list(range(len(obj["atoms"])))
+        shuffled_outcomes, shuffled_atoms = outcomes[:], atoms[:]
+        rng.shuffle(shuffled_outcomes)
+        rng.shuffle(shuffled_atoms)
+        moved = _relabelled(obj, shuffled_outcomes, atoms)
+        assert report("chaos", moved) == chaos
+        assert report("spectrum", moved) == spectrum
+
+        moved = _relabelled(obj, outcomes, shuffled_atoms)
+        assert report("chaos", moved) == chaos
+        got = report("spectrum", moved)
+        assert got["levels"] == spectrum["levels"] and got["classical"] is True
+        new_atom = {old: new for new, old in enumerate(shuffled_atoms)}
+        want = {}
+        for point in spectrum["points"]:
+            gen = sorted(new_atom[k] for k in point["generator_atoms"])
+            pattern = [None] * len(point["pattern"])
+            for mask, bit in enumerate(point["pattern"]):
+                pattern[sum(1 << new_atom[k] for k in atoms if mask >> k & 1)] = bit
+            want[tuple(gen)] = {**point, "generator_atoms": gen, "pattern": pattern}
+        assert {tuple(p["generator_atoms"]): p for p in got["points"]} == want
 
 
 def test_reports_accept_a_float_file_that_validate_rejects(capsys):

@@ -14,10 +14,12 @@ from noise_lattice.sigma import (
     SigmaField,
     cond_exp,
     commutes,
+    discrete,
     independent,
     join,
     meet,
     partition,
+    sigma_of_rvs,
 )
 from noise_lattice.spectrum import spectral_decompose
 
@@ -79,8 +81,9 @@ def test_chaos_and_grading_agree_across_backends():
         assert cr.h1.dim == fcr.h1.dim
         assert is_basis(cr.h1) and kernel_intersection_oracle(B).equals(cr.h1)
         assert is_basis(fcr.h1) and kernel_intersection_oracle(FB).equals(fcr.h1)
-        assert cr.classical == fcr.classical
-        assert cr.generated.blocks == fcr.generated.blocks
+        generated = sigma_of_rvs(B.space, cr.h1.basis)
+        assert generated.blocks == sigma_of_rvs(fspace, fcr.h1.basis).blocks
+        assert generated == discrete(B.space)
         assert spectral_decompose(B).level_dims() == spectral_decompose(FB).level_dims()
 
 

@@ -4,11 +4,13 @@
 more than doubles the peak memory of ``check all``, so no module under
 ``src/noise_lattice`` may import it, not even inside a function.
 
-numpy is needed only by float-mode spaces and by sampling (``randsup``,
-which ``check all`` runs), so no module imports it at module level: the
-functions that use it import it on first use, and a rational command
-starts without it.  The cold-start tests run the golden reports in fresh
-interpreters and check that the rational ones never load numpy.
+numpy is needed only by float-mode linear algebra (spans, ranks, inner
+products) and by sampling (``randsup``, which ``check all`` runs), so no
+module imports it at module level: the functions that use it import it on
+first use.  ``chaos report`` and ``spectrum report`` read the certified
+block counts and build no vector, so they start without numpy in either
+mode.  The cold-start tests run the golden reports in fresh interpreters
+and check that of them only ``check all`` loads numpy.
 """
 
 import ast
@@ -111,7 +113,13 @@ def test_rational_reports_start_without_numpy():
     assert _fresh_run(RATIONAL) == {"mismatched": [], "numpy": False}
 
 
-def test_float_reports_and_check_all_load_numpy_on_first_use():
+def test_float_reports_start_without_numpy():
+    names = {c[0] for c in FLOAT}
+    assert {"float2.chaos.json", "float2.chaos.txt", "float2.spectrum.json"} <= names
+    assert _fresh_run(FLOAT) == {"mismatched": [], "numpy": False}
+
+
+def test_check_all_loads_numpy_on_first_use():
     check = [c for c in CASES if c[0] == "check.seed1.cases2.json"]
-    assert len(FLOAT) >= 4 and len(check) == 1
-    assert _fresh_run(FLOAT + check) == {"mismatched": [], "numpy": True}
+    assert len(check) == 1
+    assert _fresh_run(check) == {"mismatched": [], "numpy": True}

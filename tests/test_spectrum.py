@@ -44,19 +44,29 @@ def test_coordinate_two_atoms():
         assert p.eigenspace.contains(chi)
 
 
-def test_certified_dims_match_the_built_eigenspaces():
-    """The block-count dims and the built bases check each other, point by point."""
+def test_certified_dims_match_the_built_eigenspaces(tmp_path, capsys):
+    """The block-count dims and the built bases check each other, point by point.
+
+    ``chaos report`` reads its dimension off the same block counts, so it is
+    held against the built first chaos and level 1 here too.
+    """
     algebras = [mk_coordinate_ntba(mk_dyadic(n)) for n in range(1, 8)]
     algebras += [mk_parity_ntba(n) for n in range(1, 8)]
     for mode in ("rational", "float"):
         algebras += [rand_ntba(random.Random(seed), mode=mode) for seed in range(150)]
     golden = Path(__file__).parent / "golden" / "float-perturbed.json"
     algebras.append(ntba_from_json(json.loads(golden.read_text())))
+    f = tmp_path / "b.json"
     for B in algebras:
         points, levels = certified_dims(B)
         D = spectral_decompose(B)
         assert points == [(p.generator, p.eigenspace.dim) for p in D.points]
         assert list(levels.items()) == list(D.level_dims().items())
+        f.write_text(json.dumps(ntba_to_json(B)))
+        assert main(["chaos", "report", str(f), "--format", "csv"]) == 0
+        dim_h1 = chaos.first_chaos(B).h1.dim
+        assert dim_h1 == levels[1]
+        assert capsys.readouterr().out.splitlines()[1] == f"{dim_h1},True,False,{B.space.size}"
 
 
 def test_trivial_algebra_two_points():
@@ -275,6 +285,21 @@ def test_report_prints_certified_dims_of_a_float_file_with_light_blocks(tmp_path
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["levels"] == {"0": 1, "1": 2, "2": 1}
     assert [p["dim"] for p in results["points"]] == [1, 1, 1, 1]
+
+
+def test_chaos_and_spectrum_reports_agree_on_a_float_file_with_light_blocks(tmp_path, capsys):
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps(LIGHT_BLOCKS))
+    assert main(["chaos", "report", str(f), "--format", "json"]) == 0
+    chaos_results = json.loads(capsys.readouterr().out)["results"]
+    assert main(["spectrum", "report", str(f), "--format", "json"]) == 0
+    spectrum_results = json.loads(capsys.readouterr().out)["results"]
+    assert chaos_results["dim_h1"] == spectrum_results["levels"]["1"] == 2
+    assert chaos_results["classical"] is spectrum_results["classical"] is True
+    assert chaos_results["black"] is False
+    assert chaos_results["generated_blocks"] == [[0], [1], [2], [3]]
+    assert main(["chaos", "report", str(f), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "dim_h1,classical,black,generated_block_count\n2,True,False,4\n"
 
 
 def test_report_builds_no_eigenspace(tmp_path, capsys, monkeypatch):
