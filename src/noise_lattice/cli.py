@@ -4,6 +4,10 @@ Reports are deterministic for identical inputs and seed: JSON is emitted
 with sorted keys and no timestamps, so ``check all --seed S`` twice gives
 byte-identical output.  Exit codes: 0 pass, 1 assertion failure, 2 usage
 error, 3 capacity guard.
+
+The check suites, the symbolic cofinite model and the sampler are
+imported by the handlers that run them, so the report, ``ntba``,
+``sigma`` and ``space`` commands start without loading them.
 """
 
 from __future__ import annotations
@@ -16,10 +20,7 @@ import sys
 from functools import partial
 from itertools import groupby
 
-from . import __version__, checks
-from . import cofinite as cf
-from . import randsup as rs
-from .chaos import first_chaos
+from . import __version__
 from .errors import CapacityError, NoiseLatticeError, PreconditionError
 from .finmeas import (
     coordinate_sign,
@@ -286,6 +287,8 @@ def cmd_spectrum(args) -> int:
 
 def _cofinite_row(e) -> dict:
     """An element of the closure with its membership and its complement, if any."""
+    from . import cofinite as cf
+
     comp = cf.has_complement(e)
     return {
         "element": cf.format_elem(e),
@@ -296,6 +299,8 @@ def _cofinite_row(e) -> dict:
 
 def _completion_is_algebra() -> bool:
     """Whether the complemented elements of the closure are exactly B, on a probe."""
+    from . import cofinite as cf
+
     probe = cf.bounded_elements(6, 7)
     return all(
         (cf.has_complement(e) is not None) == cf.in_algebra(e) for e in probe
@@ -303,6 +308,8 @@ def _completion_is_algebra() -> bool:
 
 
 def cmd_cofinite(args) -> int:
+    from . import cofinite as cf
+
     if args.cofinite_cmd == "eval":
         try:
             e = cf.parse_elem(args.expr)
@@ -314,6 +321,8 @@ def cmd_cofinite(args) -> int:
 
 
 def _cofinite_dossier(args) -> int:
+    from . import cofinite as cf
+
     evens = cf.progression(2)
     rows = [_cofinite_row(cf.parse_elem(t)) for t in ["x4", "y1|y2|y5", "Y(2k)", "Y(3k)"]]
     crit_all = cf.completion_criterion_check(cf.PrefixJoins(cf.FULL_SET))
@@ -365,6 +374,8 @@ def _cofinite_dossier(args) -> int:
 
 
 def cmd_randsup(args) -> int:
+    from . import randsup as rs
+
     ps = args.ps
     counts = args.atoms or tuple(4 for _ in ps)
     try:
@@ -394,6 +405,8 @@ def cmd_randsup(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks
+
     results = checks.run_all(args.seed, args.cases, inject_fault=args.inject_fault)
     payload = [
         {
@@ -418,6 +431,9 @@ def cmd_check(args) -> int:
 
 def cmd_demo(args) -> int:
     """The sign-product dossier: what finite scale sees of nonclassicality."""
+    from . import cofinite as cf
+    from .chaos import first_chaos
+
     h1_dims = {}
     pair_generators_present = True
     for n in range(1, 7):

@@ -335,6 +335,75 @@ def test_reports_are_invariant_under_relabelling(tmp_path, capsys):
         assert {tuple(p["generator_atoms"]): p for p in got["points"]} == want
 
 
+def _by_outcome_ids(restricted: dict):
+    """A restricted algebra with each quotient outcome read as the set of its outcome ids."""
+    names = [frozenset(o.split("|")) for o in restricted["space"]["outcomes"]]
+    probs = dict(zip(names, restricted["space"]["probs"]))
+    atoms = [{frozenset(names[i] for i in b) for b in a["blocks"]} for a in restricted["atoms"]]
+    return probs, atoms
+
+
+def test_restrict_is_invariant_under_relabelling(tmp_path, capsys):
+    """Permuting the outcomes maps the restricted algebra through the permutation:
+    the same quotient outcomes as sets of ids, masses and atoms.  Permuting the
+    atoms restricts to the same algebra for the permuted atom set, its atoms
+    listed in the new index order."""
+    rng = random.Random(7)
+    f = tmp_path / "b.json"
+
+    def restrict(obj, atomset):
+        f.write_text(json.dumps(obj))
+        assert main(["ntba", "restrict", str(f), ",".join(map(str, sorted(atomset)))]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    for obj in _relabelling_inputs(rng):
+        outcomes = list(range(len(obj["space"]["outcomes"])))
+        atoms = list(range(len(obj["atoms"])))
+        chosen = set(rng.sample(atoms, rng.randint(1, len(atoms))))
+        want = restrict(obj, chosen)
+        shuffled_outcomes, shuffled_atoms = outcomes[:], atoms[:]
+        rng.shuffle(shuffled_outcomes)
+        rng.shuffle(shuffled_atoms)
+
+        want_probs, want_atoms = _by_outcome_ids(want)
+        probs, got_atoms = _by_outcome_ids(restrict(_relabelled(obj, shuffled_outcomes, atoms), chosen))
+        assert got_atoms == want_atoms
+        assert probs.keys() == want_probs.keys()
+        for ids, p in want_probs.items():
+            # a float mass is summed in the new outcome order
+            assert probs[ids] == (p if isinstance(p, str) else pytest.approx(p, rel=1e-12))
+
+        new_atom = {old: new for new, old in enumerate(shuffled_atoms)}
+        moved = restrict(_relabelled(obj, outcomes, shuffled_atoms), {new_atom[k] for k in chosen})
+        position = {k: i for i, k in enumerate(sorted(chosen))}
+        assert moved == {
+            "space": want["space"],
+            "atoms": [want["atoms"][position[k]] for k in sorted(chosen, key=new_atom.get)],
+        }
+
+
+def test_float_image_of_a_dyadic_file_keeps_verdicts_and_dims(tmp_path, capsys):
+    """``ntba coords``/``parity`` (n <= 5) with each probability written as a float."""
+    f = tmp_path / "b.json"
+
+    def run(obj):
+        f.write_text(json.dumps(obj))
+        code = main(["ntba", "validate", str(f)])
+        validated = capsys.readouterr().out, code
+        reports = []
+        for kind in ("chaos", "spectrum"):
+            assert main([kind, "report", str(f), "--format", "json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["results"])
+        return validated, reports
+
+    for n in range(1, 6):
+        for build in (mk_coordinate_ntba(mk_dyadic(n)), mk_parity_ntba(n)):
+            obj = ntba_to_json(build)
+            probs = [float(Fraction(p)) for p in obj["space"]["probs"]]
+            image = {**obj, "space": {**obj["space"], "probs": probs}}
+            assert run(image) == run(obj)
+
+
 def test_reports_accept_a_float_file_that_validate_rejects(capsys):
     """The reports need the atoms certified; only validate adds the complement pass."""
     path = str(Path(__file__).parent / "golden" / "float-perturbed.json")

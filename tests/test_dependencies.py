@@ -10,7 +10,17 @@ module imports it at module level: the functions that use it import it on
 first use.  ``chaos report`` and ``spectrum report`` read the certified
 block counts and build no vector, so they start without numpy in either
 mode.  The cold-start tests run the golden reports in fresh interpreters
-and check that of them only ``check all`` loads numpy.
+and check that of them only ``check all`` and ``randsup run`` load numpy.
+
+The check suites (``checks``, with ``instances``), the symbolic model
+(``cofinite``) and the sampler (``randsup``) are a third of the package,
+and ``cli`` imports each in the handlers that run it, never at module
+level.  So the reports, ``ntba``, ``sigma`` and ``space`` load none of the
+four; ``cofinite`` and ``demo`` load ``cofinite``; ``randsup run`` loads
+``randsup``; ``check all`` loads all four.  On two shared cores, a fresh
+``import noise_lattice.cli`` went from 0.065 to 0.041 s (medians of 20)
+when these imports moved into the handlers.  The module-load tests below
+hold each command to its share.
 """
 
 import ast
@@ -25,14 +35,18 @@ from test_golden_reports import CASES, GOLDEN
 import noise_lattice
 
 SRC = Path(noise_lattice.__file__).parent
+# the modules that only check all, cofinite, demo and randsup run
+SUITE_MODULES = {f"noise_lattice.{m}" for m in ("checks", "cofinite", "randsup", "instances")}
 
 
 def _imported_modules(nodes):
+    """(line, the dotted names it may load) per import; relative ones resolve in the package."""
     for node in nodes:
         if isinstance(node, ast.Import):
             yield node.lineno, [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            yield node.lineno, [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["noise_lattice" if node.level else None, node.module]))
+            yield node.lineno, [base] + [f"{base}.{alias.name}" for alias in node.names]
 
 
 def _run_on_import(node: ast.AST):
@@ -71,8 +85,18 @@ def test_no_module_imports_numpy_at_module_level():
     assert not found, f"numpy imported at module level: {found}"
 
 
+def test_cli_imports_no_check_suite_module_at_module_level():
+    found = [
+        f"cli.py:{lineno}"
+        for lineno, names in _imported_modules(_run_on_import(_tree(SRC / "cli.py")))
+        if any(_is(name, m) for name in names for m in SUITE_MODULES)
+    ]
+    assert not found, f"cli imports a check suite module at module level: {found}"
+
+
 # Runs golden cases (name, argv, exit code; JSON on stdin) in this fresh
-# interpreter and prints the names that differ and whether numpy got loaded.
+# interpreter and prints the names that differ, whether numpy got loaded and
+# the package modules that got loaded.
 CHILD = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -85,11 +109,13 @@ for name, argv, code in json.load(sys.stdin):
         got = main(argv)
     if got != code or out.getvalue() != (golden / name).read_text(encoding="utf-8"):
         mismatched.append(name)
-print(json.dumps({"mismatched": mismatched, "numpy": "numpy" in sys.modules}))
+modules = sorted(m for m in sys.modules if m.startswith("noise_lattice."))
+print(json.dumps({"mismatched": mismatched, "numpy": "numpy" in sys.modules, "modules": modules}))
 """
 
 FLOAT = [c for c in CASES if c[0].startswith("float")]
-RATIONAL = [c for c in CASES if not c[0].startswith(("float", "check."))]
+RATIONAL = [c for c in CASES if not c[0].startswith(("float", "check.", "randsup."))]
+REPORTS = [c for c in CASES if c[1][0] in ("chaos", "spectrum", "ntba")]
 
 
 def _fresh_run(cases) -> dict:
@@ -104,22 +130,48 @@ def _fresh_run(cases) -> dict:
         timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    return json.loads(child.stdout)
+    run = json.loads(child.stdout)
+    assert run["mismatched"] == []
+    return run
 
 
 def test_rational_reports_start_without_numpy():
     names = {c[0] for c in RATIONAL}
     assert {"coords4.validate.json", "demo.json", "cofinite.demo.txt", "mixed3.chaos.txt"} <= names
-    assert _fresh_run(RATIONAL) == {"mismatched": [], "numpy": False}
+    assert _fresh_run(RATIONAL)["numpy"] is False
 
 
 def test_float_reports_start_without_numpy():
     names = {c[0] for c in FLOAT}
     assert {"float2.chaos.json", "float2.chaos.txt", "float2.spectrum.json"} <= names
-    assert _fresh_run(FLOAT) == {"mismatched": [], "numpy": False}
+    assert _fresh_run(FLOAT)["numpy"] is False
 
 
 def test_check_all_loads_numpy_on_first_use():
     check = [c for c in CASES if c[0] == "check.seed1.cases2.json"]
     assert len(check) == 1
-    assert _fresh_run(check) == {"mismatched": [], "numpy": True}
+    run = _fresh_run(check)
+    assert run["numpy"] is True
+    assert SUITE_MODULES <= set(run["modules"])
+
+
+def test_randsup_run_loads_numpy_and_the_sampler_alone():
+    randsup = [c for c in CASES if c[1][0] == "randsup"]
+    assert len(randsup) == 1
+    run = _fresh_run(randsup)
+    assert run["numpy"] is True
+    assert SUITE_MODULES & set(run["modules"]) == {"noise_lattice.randsup"}
+
+
+def test_reports_load_no_check_suite_module():
+    """Reports, ``ntba validate`` and spectrum csv, each mode in its own interpreter."""
+    names = {c[0] for c in REPORTS}
+    assert {"coords4.spectrum.csv", "coords4.validate.json", "float2.validate.json"} <= names
+    for cases in ([c for c in REPORTS if c not in FLOAT], [c for c in REPORTS if c in FLOAT]):
+        assert not SUITE_MODULES & set(_fresh_run(cases)["modules"])
+
+
+def test_cofinite_loads_no_other_check_suite_module():
+    cofinite = [c for c in CASES if c[1][0] == "cofinite"]
+    assert len(cofinite) == 5
+    assert SUITE_MODULES & set(_fresh_run(cofinite)["modules"]) == {"noise_lattice.cofinite"}

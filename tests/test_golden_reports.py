@@ -10,15 +10,17 @@ report --format json`` line, and ``coords4`` and ``mixed3`` also have
 their ``spectrum report --format csv`` text.  ``demo.json`` holds ``demo
 --format json``, ``check.seed1.cases2.json`` the report of ``check all
 --seed 1 --cases 2`` and ``check.seed1.json`` the full default ``check
-all --seed 1``.  ``cofinite.demo.json`` and ``cofinite.demo.txt`` hold
-``cofinite demo`` in both formats and ``cofinite.eval.*.json`` the
-``cofinite eval`` line of three elements, so a symbolic value that reached
-a report unformatted would show.  ``*.validate.json`` hold the ``ntba
-validate`` line of ``coords4``, ``float2`` and ``float-perturbed``, a
-float algebra whose atoms pass the product law within the tolerance but
-one of whose complement pairs does not, so its verdict is invalid.  Each
-case carries its exit code.  Any change to a printed value, a key, the
-formatting or an exit code fails here.
+all --seed 1``.  ``randsup.run.seed3.json`` holds ``randsup run --ps
+0.5,0.25 --trials 2000 --seed 3 --format json``.  ``cofinite.demo.json``
+and ``cofinite.demo.txt`` hold ``cofinite demo`` in both formats and
+``cofinite.eval.*.json`` the ``cofinite eval`` line of three elements, so
+a symbolic value that reached a report unformatted would show.
+``*.validate.json`` hold the ``ntba validate`` line of ``coords4``,
+``float2`` and ``float-perturbed``, a float algebra whose atoms pass the
+product law within the tolerance but one of whose complement pairs does
+not, so its verdict is invalid.  Each case carries its exit code.  Any
+change to a printed value, a key, the formatting or an exit code fails
+here.
 """
 
 from pathlib import Path
@@ -49,6 +51,11 @@ CASES = [
     ("cofinite.eval.finite-tail9.json", ["cofinite", "eval", "y1|y4|x9"], 0),
     ("check.seed1.cases2.json", ["check", "all", "--seed", "1", "--cases", "2"], 0),
     ("check.seed1.json", ["check", "all", "--seed", "1"], 0),
+    (
+        "randsup.run.seed3.json",
+        ["randsup", "run", "--ps", "0.5,0.25", "--trials", "2000", "--seed", "3", "--format", "json"],
+        0,
+    ),
     *(
         (f"{f}.validate.json", ["ntba", "validate", str(GOLDEN / f"{f}.json")], code)
         for f, code in (("coords4", 0), ("float2", 0), ("float-perturbed", 1))
