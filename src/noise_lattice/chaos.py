@@ -59,16 +59,8 @@ def first_chaos(algebra: NTBA) -> ChaosResult:
     return ChaosResult(direct_sum(algebra.space, atom_bases(algebra)))
 
 
-@dataclass
-class MembershipReport:
-    member: bool
-    cond_pairwise_split: bool  # f = Q_x f + Q_x' f for all x
-    cond_disjoint_additive: bool  # Q_{x v y} f = Q_x f + Q_y f when x ^ y = 0
-    cond_modular: bool  # Q_{x v y} f + Q_{x ^ y} f = Q_x f + Q_y f, Q_0 f = 0
-
-
-def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
-    """Evaluate the three equivalent membership conditions independently.
+def chaos_membership(algebra: NTBA, f: RV) -> bool:
+    """Whether f lies in the first chaos, by three conditions evaluated independently.
 
     Element i (by atom bitmask) stands for the join of its atoms.  The
     constructor has certified the atoms independent and joining to the
@@ -77,7 +69,8 @@ def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
     and x' is full ^ i.  Each element is projected once, 2^n ``cond_exp``
     calls in all, and no sigma-field meet or join is computed.  The
     conditions must agree; disagreement means the library itself is
-    inconsistent and raises rather than returning a verdict.
+    inconsistent and raises rather than returning a verdict, so the one
+    bool returned is all three.
     """
     if f.space != algebra.space:
         raise DomainMismatchError("RV lives on a different space")
@@ -87,10 +80,13 @@ def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
     full = len(q) - 1
     pairs = list(itertools.combinations_with_replacement(range(len(q)), 2))
 
+    # f = Q_x f + Q_x' f for all x
     cond_a = all(equal(f.vec, (q[i] + q[full ^ i]).vec) for i in range(len(q)))
+    # Q_{x v y} f = Q_x f + Q_y f when x ^ y = 0
     cond_b = all(
         equal(q[i | j].vec, (q[i] + q[j]).vec) for i, j in pairs if i & j == 0
     )
+    # Q_{x v y} f + Q_{x ^ y} f = Q_x f + Q_y f, and Q_0 f = 0
     cond_c = backend.is_zero(q[0].vec) and all(
         equal((q[i | j] + q[i & j]).vec, (q[i] + q[j]).vec) for i, j in pairs
     )
@@ -99,16 +95,14 @@ def chaos_membership(algebra: NTBA, f: RV) -> MembershipReport:
         raise ConsistencyError(
             f"membership conditions disagree: {cond_a}, {cond_b}, {cond_c}"
         )
-    return MembershipReport(cond_a, cond_a, cond_b, cond_c)
+    return cond_a
 
 
 @dataclass
 class SplitResult:
     ok: bool
-    parts: list | None
     max_norm: float
     best_parts: list
-    epsilon: float
 
 
 def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
@@ -132,13 +126,7 @@ def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
         best, best_parts = whole, [list(range(algebra.n_atoms))]
     ok = best <= space.backend.coerce(epsilon) ** 2
     elements = [algebra.element(g) for g in best_parts]
-    return SplitResult(
-        ok,
-        elements if ok else None,
-        float(best) ** 0.5,
-        elements,
-        float(epsilon),
-    )
+    return SplitResult(ok, float(best) ** 0.5, elements)
 
 
 def up_down_roundtrip(algebra: NTBA, e: NTBAElement, chaos: ChaosResult) -> bool:

@@ -452,11 +452,11 @@ def suite_membership_triequivalence(rng: random.Random, cases: int) -> SuiteResu
             candidates.append(cr.h1.basis[case % cr.h1.dim])
         for f in candidates:
             try:
-                rep = chaos_membership(B, f)
+                member = chaos_membership(B, f)
             except Exception as exc:  # ConsistencyError means the law failed
                 res.failures.append({"case": case, "error": str(exc)})
                 continue
-            if cr.h1.contains(f) != rep.member:
+            if cr.h1.contains(f) != member:
                 res.failures.append({"case": case, "note": "verdict mismatch"})
     return res
 
@@ -589,7 +589,7 @@ def suite_spectral_complete(rng: random.Random, cases: int) -> SuiteResult:
                 for b2 in p2.eigenspace.basis:
                     ok = ok and inner(b1, b2) == 0
         if ok and B.n_atoms <= 4:
-            ok = verify_spectral_identities(D).ok
+            ok = not verify_spectral_identities(D)
         if not ok:
             res.failures.append(
                 {"case": case, "space": space_to_json(B.space),

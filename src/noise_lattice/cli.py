@@ -201,17 +201,17 @@ def cmd_ntba(args) -> int:
         try:
             algebra = NTBA(space, atoms)
         except ValueError as exc:
-            print(json.dumps({"valid": False, "reason": str(exc)}))
-            return EXIT_FAIL
-        # certified atoms make the elements the powerset lattice; only a law within
-        # a tolerance (``ExactBackend.tol``) leaves complement pairs to check, each
-        # once, from the element without the last atom
-        valid = space.backend.tol is None or all(
-            independent(e.realize(), e.complement().realize())
-            for e in algebra.elements() if algebra.n_atoms - 1 not in e.atomset
-        )
-        payload = {"valid": valid, "reason": None if valid else "complement pair not independent"}
-        print(json.dumps(payload, sort_keys=True))
+            valid, reason = False, str(exc)
+        else:
+            # certified atoms make the elements the powerset lattice; only a law within
+            # a tolerance (``ExactBackend.tol``) leaves complement pairs to check, each
+            # once, from the element without the last atom
+            valid = space.backend.tol is None or all(
+                independent(e.realize(), e.complement().realize())
+                for e in algebra.elements() if algebra.n_atoms - 1 not in e.atomset
+            )
+            reason = None if valid else "complement pair not independent"
+        print(json.dumps({"valid": valid, "reason": reason}, sort_keys=True))
         return EXIT_OK if valid else EXIT_FAIL
     algebra = _load(args.file, ntba_from_json)
     try:
@@ -380,10 +380,9 @@ def cmd_randsup(args) -> int:
     counts = args.atoms or tuple(4 for _ in ps)
     try:
         cfg = rs.SampleConfig(counts, ps, seed=args.seed, trials=args.trials)
-        rs.check_union_bound(cfg, atom=0)
+        rep = rs.union_bound_report(cfg, atom=0)
     except (ValueError, PreconditionError) as exc:
         raise UsageError(f"--ps/--atoms: {exc}") from None
-    rep = rs.union_bound_report(cfg, atom=0)
     results = {
         "estimate": rep.estimate,
         "exact": rep.exact,

@@ -531,7 +531,6 @@ def completion_criterion_check(seq) -> CompletionCheck:
 class DoubleLimitCheck:
     equal: bool
     joined_limits: CofElem
-    double_limit: CofElem
 
 
 def double_limit_check(seq) -> DoubleLimitCheck:
@@ -548,7 +547,7 @@ def double_limit_check(seq) -> DoubleLimitCheck:
     if isinstance(seq, EventuallyConstant):
         last = seq.elems[-1]
         both = cof_join(last, complement_in_algebra(last))
-        return DoubleLimitCheck(True, both, both)
+        return DoubleLimitCheck(True, both)
     i = seq.index_set
     lhs = cof_join(monotone_limit(seq), monotone_limit(ComplementChain(i)))
     if i.is_finite:
@@ -559,7 +558,7 @@ def double_limit_check(seq) -> DoubleLimitCheck:
         # inner limit at level m: join of the prefix with the complement's
         # eventual part, a tailless element; the outer limit is increasing.
         rhs = ys_elem(i.complement().union(i))
-    return DoubleLimitCheck(lhs == rhs, lhs, rhs)
+    return DoubleLimitCheck(lhs == rhs, lhs)
 
 
 # ---------------------------------------------------------------------------

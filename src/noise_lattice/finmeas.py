@@ -77,7 +77,8 @@ class ProbSpace:
 
 
 def mk_space(outcomes, probs) -> ProbSpace:
-    """Build a space from raw lists: floats stay floats, anything else becomes a Fraction.
+    """Build a space from raw lists: floats stay floats, anything else (an int, a
+    Fraction, an "a/b" string) becomes a Fraction.
 
     A mix of floats and exact values is a ``ValueError`` (``ProbSpace``), and
     so is a boolean, which ``Fraction`` would read as 0 or 1.
@@ -331,11 +332,5 @@ def space_from_json(obj: dict) -> ProbSpace:
     outcomes = obj["outcomes"]
     if type(outcomes) is not list or not all(type(o) is str for o in outcomes):
         raise ValueError("outcomes must be a list of strings")
-    probs = []
-    for p in obj["probs"]:
-        if isinstance(p, str):
-            probs.append(Fraction(p))
-        else:
-            probs.append(p)
-    return mk_space(outcomes, probs)
+    return mk_space(outcomes, obj["probs"])
 

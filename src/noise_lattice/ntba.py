@@ -149,9 +149,6 @@ class FamilyVerdict:
     reason: str | None = None
     witness: tuple | None = None
 
-    def __bool__(self):
-        return self.valid
-
 
 def validate_family(space: ProbSpace, elems) -> FamilyVerdict:
     """Audit a family of sigma-fields against the defining conditions.

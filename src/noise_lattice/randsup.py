@@ -116,19 +116,17 @@ class UnionBoundReport:
         return self.within_three_sigma and self.below_bound
 
 
-def check_union_bound(cfg: SampleConfig, atom: int) -> None:
-    """Raise PreconditionError unless the union-bound experiment applies."""
+def union_bound_report(cfg: SampleConfig, atom: int) -> UnionBoundReport:
+    """Estimate Pr[atom <= Y_n] and compare with 1 - prod(1-p_k) <= sum p_k.
+
+    A ``PreconditionError`` unless sum(p) < 1 and the atom exists at every level.
+    """
+    import numpy as np
+
     if sum(cfg.ps) >= 1.0:
         raise PreconditionError("the union-bound experiment needs sum(p) < 1")
     if not 0 <= atom < min(cfg.atom_counts):
         raise PreconditionError("the atom must exist at every level")
-
-
-def union_bound_report(cfg: SampleConfig, atom: int) -> UnionBoundReport:
-    """Estimate Pr[atom <= Y_n] and compare with 1 - prod(1-p_k) <= sum p_k."""
-    import numpy as np
-
-    check_union_bound(cfg, atom)
     hits = 0
     for rng, rows in _blocks(cfg.seed, cfg.trials):
         hit = np.zeros(BLOCK, dtype=bool)

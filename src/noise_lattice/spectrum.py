@@ -18,7 +18,7 @@ vectors of N entries in all, for the suites that need the vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chaos import atom_bases
 from .errors import ConsistencyError, PreconditionError
@@ -42,7 +42,7 @@ class SpectralPoint:
 class SpectralDecomp:
     algebra: NTBA
     points: list
-    levels: dict = field(default_factory=dict)  # k -> Subspace
+    levels: dict  # k -> Subspace
 
     def level_dims(self) -> dict:
         """Dimension of each level k, by increasing k; the levels fill the space."""
@@ -57,26 +57,26 @@ def spectral_decompose(algebra: NTBA) -> SpectralDecomp:
 
     Point p has atom k in its generator when bit n-1-k of p is set, so the
     points come in ``itertools.product((0, 1), repeat=n)`` order, atom 0
-    first.  A point's basis is that of the point without its last atom,
-    ``points[p & (p - 1)]``, times the last atom's vectors; the squared
-    norms multiply because the atoms are independent.
+    first.  Point 0 is the constants.  Every other point p drops its last
+    atom k (the lowest set bit of p), as in ``certified_dims``: its basis
+    is that of point ``p & (p - 1)`` times atom k's vectors, and the
+    squared norms multiply because the atoms are independent.
     """
     space = algebra.space
     n = algebra.n_atoms
     bases = atom_bases(algebra)
-    points = []
-    for p in range(1 << n):
-        gen = [k for k in range(n) if p >> (n - 1 - k) & 1]
-        if gen:
-            rest, atom = points[p & (p - 1)].eigenspace, bases[gen[-1]]
-            eigenspace = Subspace(
-                space,
-                [u * v for u in rest.basis for v in atom.basis],
-                [a * b for a in rest.norms2 for b in atom.norms2],
-            )
-        else:
-            eigenspace = Subspace(space, [constant(space, 1)], [space.backend.one])
-        points.append(SpectralPoint(eigenspace, frozenset(gen), len(gen)))
+    constants = Subspace(space, [constant(space, 1)], [space.backend.one])
+    points = [SpectralPoint(constants, frozenset(), 0)]
+    for p in range(1, 1 << n):
+        rest = points[p & (p - 1)]
+        k = n - (p & -p).bit_length()
+        atom = bases[k]
+        eigenspace = Subspace(
+            space,
+            [u * v for u in rest.eigenspace.basis for v in atom.basis],
+            [a * b for a in rest.eigenspace.norms2 for b in atom.norms2],
+        )
+        points.append(SpectralPoint(eigenspace, rest.generator | {k}, rest.k + 1))
     levels = {
         k: direct_sum(space, [p.eigenspace for p in points if p.k == k])
         for k in sorted({p.k for p in points})
@@ -106,19 +106,14 @@ def certified_dims(algebra: NTBA) -> tuple:
     return points, levels
 
 
-@dataclass
-class IdentityReport:
-    ok: bool
-    failures: list
-
-
-def verify_spectral_identities(decomp: SpectralDecomp) -> IdentityReport:
-    """Audit the decomposition against the defining spectral identities.
+def verify_spectral_identities(decomp: SpectralDecomp) -> list:
+    """The failures of the decomposition against the defining spectral identities.
 
     Checks, per element pair, that the spectral sets intersect like the
     lattice meets; per element, that the union of eigenspaces tagged by its
     spectral set recovers the L2 space of the element; and per point, that
-    the elements containing it form a filter.
+    the elements containing it form a filter.  The list is empty when
+    every identity holds.
     """
     algebra = decomp.algebra
     failures = []
@@ -151,7 +146,7 @@ def verify_spectral_identities(decomp: SpectralDecomp) -> IdentityReport:
             for my in containing:
                 if mx & my not in cset:
                     failures.append(("filter-meet", i, mx, my))
-    return IdentityReport(not failures, failures)
+    return failures
 
 
 def _pattern_of(coatoms, v: RV) -> frozenset | None:

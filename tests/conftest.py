@@ -24,7 +24,6 @@ from math import lcm
 import numpy as np
 import pytest
 
-from noise_lattice.chaos import MembershipReport
 from noise_lattice.cofinite import range_set, tail_set
 from noise_lattice.errors import ConsistencyError, DomainMismatchError
 from noise_lattice.finmeas import (
@@ -359,8 +358,8 @@ def scan_family_oracle(space: ProbSpace, elems) -> FamilyVerdict:
     return FamilyVerdict(True)
 
 
-def membership_oracle(algebra: NTBA, f: RV) -> MembershipReport:
-    """``chaos.chaos_membership`` by sigma-field meets and joins.
+def membership_oracle(algebra: NTBA, f: RV) -> tuple:
+    """``chaos.chaos_membership``'s three conditions by sigma-field meets and joins.
 
     Evaluates the three equivalent membership conditions independently,
     over the realized elements, with ``meet`` and ``join`` for every pair.
@@ -412,7 +411,7 @@ def membership_oracle(algebra: NTBA, f: RV) -> MembershipReport:
         raise ConsistencyError(
             f"membership conditions disagree: {cond_a}, {cond_b}, {cond_c}"
         )
-    return MembershipReport(cond_a, cond_a, cond_b, cond_c)
+    return cond_a, cond_b, cond_c
 
 
 def rebind_everywhere(monkeypatch, fn, replacement) -> None:

@@ -128,8 +128,7 @@ def test_criterion_04_superadditivity_and_triequivalence():
         ok = ok and lhs <= rhs
         if case % 10 == 0:
             zero_mean = rand_rv(rng, B.space, zero_mean=True)
-            rep = chaos_membership(B, zero_mean)  # raises if the three disagree
-            ok = ok and rep.cond_pairwise_split == rep.cond_modular
+            chaos_membership(B, zero_mean)  # raises if the three disagree
         if not ok:
             break
     verdict(4, "superadditivity + membership tri-equivalence, 500 cases, exact", ok)

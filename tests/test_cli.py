@@ -149,7 +149,7 @@ def _family_audit_output(obj: dict):
     try:
         algebra = NTBA(space, [partition_from_json(space, a) for a in obj["atoms"]])
     except ValueError as exc:
-        return json.dumps({"valid": False, "reason": str(exc)}) + "\n", 1
+        return json.dumps({"valid": False, "reason": str(exc)}, sort_keys=True) + "\n", 1
     verdict = validate_family(space, [e.realize() for e in algebra.elements()])
     payload = {"valid": verdict.valid, "reason": verdict.reason}
     return json.dumps(payload, sort_keys=True) + "\n", 0 if verdict.valid else 1

@@ -16,9 +16,10 @@ and ``cofinite.demo.txt`` hold ``cofinite demo`` in both formats and
 ``cofinite.eval.*.json`` the ``cofinite eval`` line of three elements, so
 a symbolic value that reached a report unformatted would show.
 ``*.validate.json`` hold the ``ntba validate`` line of ``coords4``,
-``float2`` and ``float-perturbed``, a float algebra whose atoms pass the
+``float2``, ``float-perturbed``, a float algebra whose atoms pass the
 product law within the tolerance but one of whose complement pairs does
-not, so its verdict is invalid.  Each case carries its exit code.  Any
+not, so its verdict is invalid, and ``dependent``, two equal atoms that
+the ``NTBA`` constructor refuses.  Each case carries its exit code.  Any
 change to a printed value, a key, the formatting or an exit code fails
 here.
 """
@@ -58,7 +59,7 @@ CASES = [
     ),
     *(
         (f"{f}.validate.json", ["ntba", "validate", str(GOLDEN / f"{f}.json")], code)
-        for f, code in (("coords4", 0), ("float2", 0), ("float-perturbed", 1))
+        for f, code in (("coords4", 0), ("float2", 0), ("float-perturbed", 1), ("dependent", 1))
     ),
 ]
 

@@ -1,4 +1,5 @@
-"""Every library function has a caller in the library or is exported.
+"""Every library function has a caller in the library or is exported,
+and every result field is read.
 
 The library keeps one route per computation; alternative routes and
 helpers only tests use live in ``tests/``.  So every top-level function
@@ -6,6 +7,11 @@ and every method (dunders aside) under ``src/noise_lattice`` must be named
 somewhere in ``src/`` outside its own body, or exported from
 ``__init__.py``.  Names are matched as written (``f(...)``, ``obj.f``),
 not resolved, which is enough to catch a function nothing calls.
+
+A result states each verdict once, so every annotated field of a class
+under ``src/noise_lattice`` (a dataclass or ``NamedTuple`` field) must be
+read as an attribute (``obj.field``) somewhere in ``src/`` or ``tests/``;
+a field nobody reads is either unused or repeats another.
 """
 
 import ast
@@ -74,3 +80,35 @@ def test_every_library_function_has_a_library_caller():
             if all(m == module and line in own_body for m, line in refs[name]):
                 uncalled.append(f"{module}:{node.lineno} {name}")
     assert not uncalled, f"nothing in the library calls: {uncalled}"
+
+
+def _fields(tree: ast.Module):
+    """(class, field, line) of each annotated field of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def _attributes_read(tree: ast.Module) -> set:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_result_field_is_read():
+    sources = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    read = set().union(*map(_attributes_read, trees.values()))
+    unread = [
+        f"{path.name}:{line} {cls}.{name}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls, name, line in _fields(tree)
+        if name not in read
+    ]
+    assert not unread, f"nothing reads the fields: {unread}"
+
