@@ -3,8 +3,9 @@
 Each suite draws its instances from a ``random.Random`` seeded by the
 runner, checks one algebraic law, and reports failures as small dicts
 (space, partitions, case index) sufficient to reproduce the case.  The
-CLI command ``check all`` runs every suite; the acceptance tests run the
-same functions at their mandated case counts.
+CLI command ``check all`` runs every suite, spread over the usable CPUs
+by ``run_all``; the acceptance tests run the same functions at their
+mandated case counts.
 
 Three suites hold the library against dense conditional-expectation
 matrices Q_x built from the blocks alone: the independence criterion
@@ -20,16 +21,20 @@ take rational spaces only; their ``Fraction`` forms are test oracles in
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 import random
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from . import cofinite as cf
 from . import instances as inst
 from . import randsup as rs
 from .chaos import chaos_membership, first_chaos, up_down_roundtrip
+from .errors import NoiseLatticeError
 from .finmeas import (
     coordinate_sign,
     indicator,
@@ -740,41 +745,54 @@ def suite_sigma_tower(rng: random.Random, cases: int) -> SuiteResult:
 def suite_cofinite_laws(rng: random.Random, cases: int) -> SuiteResult:
     """Lattice laws for the symbolic algebra.
 
-    Binary laws run exhaustively over the elements with pair indices below
-    6 and tails up to 7; the ternary laws (associativity, distributivity)
-    run exhaustively over a smaller probe set and on random triples from
-    the large one.
+    The elements with pair indices below 6 and tails up to 7 are closed
+    under meet and join, so every meet and join of two of them, in both
+    orders, is computed once into two tables of element indices, as
+    ``ntba.validate_family`` does; a result outside the set is a failure.
+    The binary laws run exhaustively over the tables; the ternary laws
+    (associativity, distributivity) are lookups, run exhaustively over a
+    smaller probe set inside the large one and on random triples from it.
     """
     res = SuiteResult("cofinite-lattice-laws", cases)
     big = cf.bounded_elements(6, 7)
-    small = cf.bounded_elements(3, 4)
-    for a in big:
-        if cf.cof_meet(a, a) != a or cf.cof_join(a, a) != a:
-            res.failures.append({"law": "idempotent", "a": cf.format_elem(a)})
-    for a, b in itertools.combinations(big, 2):
-        if cf.cof_meet(a, b) != cf.cof_meet(b, a):
-            res.failures.append({"law": "meet-commutative", "a": cf.format_elem(a)})
-        if cf.cof_join(a, b) != cf.cof_join(b, a):
-            res.failures.append({"law": "join-commutative", "a": cf.format_elem(a)})
-        if cf.cof_meet(a, cf.cof_join(a, b)) != a or cf.cof_join(a, cf.cof_meet(a, b)) != a:
+    ids = range(len(big))
+    index = {e: i for i, e in enumerate(big)}
+    M = [[index.get(cf.cof_meet(a, b)) for b in big] for a in big]
+    J = [[index.get(cf.cof_join(a, b)) for b in big] for a in big]
+    for law, table in (("meet-closed", M), ("join-closed", J)):
+        for a, b in itertools.product(ids, repeat=2):
+            if table[a][b] is None:
+                res.failures.append(
+                    {"law": law, "a": cf.format_elem(big[a]), "b": cf.format_elem(big[b])}
+                )
+    if res.failures:
+        return res  # the laws below look results up in the tables
+    for a in ids:
+        if M[a][a] != a or J[a][a] != a:
+            res.failures.append({"law": "idempotent", "a": cf.format_elem(big[a])})
+    for a, b in itertools.combinations(ids, 2):
+        if M[a][b] != M[b][a]:
+            res.failures.append({"law": "meet-commutative", "a": cf.format_elem(big[a])})
+        if J[a][b] != J[b][a]:
+            res.failures.append({"law": "join-commutative", "a": cf.format_elem(big[a])})
+        if M[a][J[a][b]] != a or J[a][M[a][b]] != a:
             res.failures.append(
-                {"law": "absorption", "a": cf.format_elem(a), "b": cf.format_elem(b)}
+                {"law": "absorption", "a": cf.format_elem(big[a]), "b": cf.format_elem(big[b])}
             )
     def triple_laws(a, b, c, tag):
-        ok = cf.cof_meet(a, cf.cof_meet(b, c)) == cf.cof_meet(cf.cof_meet(a, b), c)
-        ok = ok and cf.cof_join(a, cf.cof_join(b, c)) == cf.cof_join(cf.cof_join(a, b), c)
-        ok = ok and cf.cof_meet(a, cf.cof_join(b, c)) == cf.cof_join(
-            cf.cof_meet(a, b), cf.cof_meet(a, c)
-        )
+        ok = M[a][M[b][c]] == M[M[a][b]][c]
+        ok = ok and J[a][J[b][c]] == J[J[a][b]][c]
+        ok = ok and M[a][J[b][c]] == J[M[a][b]][M[a][c]]
         if not ok:
             res.failures.append(
                 {"law": "ternary", "tag": tag,
-                 "triple": [cf.format_elem(t) for t in (a, b, c)]}
+                 "triple": [cf.format_elem(big[t]) for t in (a, b, c)]}
             )
+    small = [index[e] for e in cf.bounded_elements(3, 4)]
     for a, b, c in itertools.product(small, repeat=3):
         triple_laws(a, b, c, "exhaustive")
     for case in range(cases):
-        triple_laws(rng.choice(big), rng.choice(big), rng.choice(big), case)
+        triple_laws(rng.choice(ids), rng.choice(ids), rng.choice(ids), case)
     return res
 
 
@@ -989,8 +1007,61 @@ SUITES = [
 ]
 
 
+def _run_queued(queue: int, jobs: list, seed: int) -> list:
+    """(index, result) for each suite index read from the ``queue`` pipe.
+
+    A suite that raises has its exception as its result, and the rest of
+    the queue is drained, so every process stops after its current suite.
+    Indices are read in order, so each one below the raising suite has
+    been read already and still runs.
+    """
+    done = []
+    while chunk := os.read(queue, 1):
+        i = chunk[0]
+        fn, n = jobs[i]
+        try:
+            done.append((i, fn(random.Random(f"{seed}:{fn.__name__}"), n)))
+        except Exception as exc:
+            done.append((i, exc))
+            while os.read(queue, len(jobs)):
+                pass
+    return done
+
+
+def _worker(queue: int, out: int, jobs: list, seed: int) -> None:
+    """A forked process: run queued suites, send the pickled results through ``out``, exit.
+
+    It never returns, so none of its caller's code runs twice.  It exits
+    with status 1, and leaves ``out`` short of a whole pickle, if anything
+    raises, a result that cannot be pickled included.
+    """
+    code = 1
+    try:
+        payload = pickle.dumps(_run_queued(queue, jobs, seed))
+        with open(out, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd: int) -> bytes:
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
 def run_all(seed: int, cases: int | None = None, inject_fault: bool = False) -> list:
     """Run every suite; per-suite case counts scale with ``cases``.
+
+    The suites run on every usable CPU.  The caller and one forked process
+    per extra CPU read suite indices from one pipe until it is empty, and
+    each child sends its results back pickled through a pipe of its own.
+    The results are put back in ``SUITES`` order, so the report does not
+    depend on which process ran which suite.  If suites raise, the
+    exception of the first of them in ``SUITES`` order is raised here, as
+    in a serial loop.  A child that ends without sending its results is a
+    ``NoiseLatticeError``.  Every child is reaped before this returns or
+    raises.
 
     ``inject_fault`` flips one probability inside a fabricated independence
     case so the harness contract (nonzero exit, witness payload) can be
@@ -998,11 +1069,45 @@ def run_all(seed: int, cases: int | None = None, inject_fault: bool = False) -> 
     """
     if cases is not None and cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
-    results = []
-    for fn, default_cases in SUITES:
-        n = default_cases if cases is None else min(default_cases, cases)
-        rng = random.Random(f"{seed}:{fn.__name__}")
-        results.append(fn(rng, n))
+    import numpy  # noqa: F401  the sampling suites need it: loaded once, before the forks
+
+    jobs = [(fn, d if cases is None else min(d, cases)) for fn, d in SUITES]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(jobs))))
+    os.close(fill)
+    pipes, statuses = {}, {}  # child pid -> read end of its result pipe; its wait status
+    try:
+        for _ in range(min(cpus, len(jobs)) - 1):
+            fd, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(queue, out, jobs, seed)
+            os.close(out)
+            pipes[pid] = fd
+        done = _run_queued(queue, jobs, seed)
+        sent = {pid: _read_all(fd) for pid, fd in pipes.items()}
+    except BaseException:
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for pid, fd in pipes.items():
+            os.close(fd)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    for pid, payload in sent.items():
+        try:
+            done += pickle.loads(payload)
+        except Exception:
+            code = os.waitstatus_to_exitcode(statuses[pid])
+            raise NoiseLatticeError(
+                f"a check worker process exited with status {code} before sending its results"
+            ) from None
+    results = [result for _, result in sorted(done, key=itemgetter(0))]
+    raised = next((r for r in results if isinstance(r, Exception)), None)
+    if raised is not None:
+        raise raised
     if inject_fault:
         skew = mk_space(
             ["a", "b", "c", "d"],

@@ -6,7 +6,10 @@ verdict and the rank of the stacked first-chaos operators against the
 ``Fraction`` matrices of ``conftest``.  The three suites that decide a
 kernel by rank and by sending a basis to 0 are also run with one fault
 injected at a time, and each fault must fail some case.  The truncation
-suite must realize each distinct element once.
+suite must realize each distinct element once.  The cofinite
+lattice-law suite reads its laws from one meet table and one join table,
+so a result outside its element set is a reported failure and a one-sided
+meet is seen.
 """
 
 import random
@@ -268,3 +271,31 @@ def test_truncation_suite_realizes_each_element_once(monkeypatch):
     monkeypatch.setattr(checks, "sup_family", counting)
     assert not _run_suite(checks.suite_cofinite_truncation, 300).failures
     assert len(calls) == len(seen) < 4 * 300
+
+
+def _cofinite_laws_with_meet(monkeypatch, changed):
+    """The lattice-law suite with ``cof_meet(a, b)`` replaced by ``changed(a, b, meet)``."""
+    original = checks.cf.cof_meet
+    monkeypatch.setattr(checks.cf, "cof_meet", lambda a, b: changed(a, b, original(a, b)))
+    return _run_suite(checks.suite_cofinite_laws, 200).failures
+
+
+def test_cofinite_laws_report_a_meet_outside_the_element_set(monkeypatch):
+    assert not _run_suite(checks.suite_cofinite_laws, 200).failures
+    big = checks.cf.bounded_elements(6, 7)
+    outside = checks.cf.ys_elem(checks.cf.finite_set([8]))
+    assert outside not in big
+    failures = _cofinite_laws_with_meet(
+        monkeypatch, lambda a, b, m: outside if (a, b) == (big[3], big[7]) else m
+    )
+    fmt = checks.cf.format_elem
+    assert failures == [{"law": "meet-closed", "a": fmt(big[3]), "b": fmt(big[7])}]
+
+
+def test_cofinite_laws_catch_a_one_sided_meet(monkeypatch):
+    big = checks.cf.bounded_elements(6, 7)
+    a, b = next(
+        (a, b) for a in big for b in big if checks.cf.cof_meet(a, b) not in (a, b)
+    )
+    failures = _cofinite_laws_with_meet(monkeypatch, lambda x, y, m: x if (x, y) == (a, b) else m)
+    assert {"law": "meet-commutative", "a": checks.cf.format_elem(min(a, b, key=big.index))} in failures

@@ -4,12 +4,19 @@
 more than doubles the peak memory of ``check all``, so no module under
 ``src/noise_lattice`` may import it, not even inside a function.
 
+``multiprocessing`` and ``concurrent`` are not imported either, not even
+inside a function: ``check all`` runs its suites on every usable CPU
+with ``os.fork`` and pipes, and a fork-context ``Value``, ``Pipe`` and
+``Process`` would add 1.25-1.4 MB to the parent's peak memory.
+
 numpy is needed only by float-mode linear algebra (spans, ranks, inner
 products) and by sampling (``randsup``, which ``check all`` runs), so no
 module imports it at module level: the functions that use it import it on
-first use.  ``chaos report`` and ``spectrum report`` read the certified
-block counts and build no vector, so they start without numpy in either
-mode.  The cold-start tests run the golden reports in fresh interpreters
+first use.  ``checks.run_all`` imports it before it forks, so the forked
+processes share one import and the parent of ``check all`` loads numpy
+whichever process draws the sampling suites.  ``chaos report`` and
+``spectrum report`` read the certified block counts and build no vector,
+so they start without numpy in either mode.  The cold-start tests run the golden reports in fresh interpreters
 and check that of them only ``check all`` and ``randsup run`` load numpy.
 
 The check suites (``checks``, with ``instances``), the symbolic model
@@ -65,14 +72,24 @@ def _is(name: str, package: str) -> bool:
     return name == package or name.startswith(package + ".")
 
 
-def test_library_never_imports_scipy():
-    found = [
+def _imports_anywhere(*packages) -> list:
+    """file:line of every import of one of ``packages`` in the library, functions included."""
+    return [
         f"{path.name}:{lineno}"
         for path in sorted(SRC.glob("*.py"))
         for lineno, names in _imported_modules(ast.walk(_tree(path)))
-        if any(_is(name, "scipy") for name in names)
+        if any(_is(name, package) for name in names for package in packages)
     ]
+
+
+def test_library_never_imports_scipy():
+    found = _imports_anywhere("scipy")
     assert not found, f"scipy imported by the library: {found}"
+
+
+def test_library_never_imports_multiprocessing_or_concurrent():
+    found = _imports_anywhere("multiprocessing", "concurrent")
+    assert not found, f"multiprocessing or concurrent imported by the library: {found}"
 
 
 def test_no_module_imports_numpy_at_module_level():
