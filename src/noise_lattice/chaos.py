@@ -10,7 +10,10 @@ builds that basis from centred block indicators; ``first_chaos`` and
 
 Atom k's vectors and the constants span every function of its blocks,
 and the atoms join to the discrete field, so a certified algebra is
-classical and never black; only the ``finite-classicality`` suite checks it.
+classical and never black.  ``chaos report`` prints that certificate and,
+as ``dim_h1``, level 1 of ``spectrum.certified_levels``; the suites
+``finite-classicality`` and ``first-level-equals-first-chaos`` check both
+against the first chaos built here.
 """
 
 from __future__ import annotations

@@ -49,7 +49,14 @@ from .finmeas import (
     walsh_character,
 )
 from .kernels import row_echelon_int
-from .ntba import NTBA, coarsen, mk_coordinate_ntba, mk_parity_ntba, validate_family
+from .ntba import (
+    NTBA,
+    coarsen,
+    mk_coordinate_ntba,
+    mk_parity_ntba,
+    presentation_problem,
+    validate_family,
+)
 from .sigma import (
     SigmaField,
     cond_exp,
@@ -67,6 +74,8 @@ from .sigma import (
     trivial,
 )
 from .spectrum import (
+    certified_dims,
+    certified_levels,
     k_restriction_additivity,
     sigma_tower_check,
     spectral_decompose,
@@ -348,8 +357,19 @@ def _recoding_permutation(n: int):
     return space, perm
 
 
+def _float_image(B: NTBA) -> NTBA:
+    """The same blocks on the space with the float probabilities."""
+    space = mk_space(B.space.outcomes, [float(p) for p in B.space.probs])
+    return NTBA(space, [partition(space, a.blocks) for a in B.atoms])
+
+
 def suite_ntba_constructions(rng: random.Random, cases: int) -> SuiteResult:
-    """Constructed algebras validate; elements mirror atomset operations."""
+    """Constructed algebras validate; elements mirror atomset operations.
+
+    Case 0's algebras and their float images, on which ``ntba validate``'s
+    route walks the complement pairs, pass the family audit, and that route
+    gives the audit's verdict.
+    """
     res = SuiteResult("ntba-constructions", cases)
     fixed = [
         mk_coordinate_ntba(mk_dyadic(2)),
@@ -357,10 +377,15 @@ def suite_ntba_constructions(rng: random.Random, cases: int) -> SuiteResult:
         mk_parity_ntba(2),
         mk_parity_ntba(3),
     ]
+    for B in fixed + [_float_image(B) for B in fixed]:
+        verdict = validate_family(B.space, [e.realize() for e in B.elements()])
+        problem = presentation_problem(B.space, B.atoms)
+        if not verdict.valid or problem != verdict.reason:
+            res.failures.append({"case": 0, "reason": verdict.reason, "validate": problem})
     for case in range(cases):
         algebras = fixed if case == 0 else [inst.rand_ntba(rng, 32)]
         for B in algebras:
-            if B.n_atoms <= 4:
+            if case > 0 and B.n_atoms <= 4:
                 verdict = validate_family(
                     B.space, [e.realize() for e in B.elements()]
                 )
@@ -528,12 +553,16 @@ def suite_chaos_additivity(rng: random.Random, cases: int) -> SuiteResult:
 
 
 def suite_classicality(rng: random.Random, cases: int) -> SuiteResult:
-    """Every first chaos here is nonzero and generates the discrete field."""
+    """Every first chaos here has the certified nonzero dim and generates the discrete field."""
     res = SuiteResult("finite-classicality", cases)
     for case in range(cases):
         B = inst.rand_ntba(rng, 32)
         h1 = first_chaos(B).h1
-        if not h1.dim or sigma_of_rvs(B.space, h1.basis) != discrete(B.space):
+        if (
+            not h1.dim
+            or h1.dim != certified_levels(B)[1]
+            or sigma_of_rvs(B.space, h1.basis) != discrete(B.space)
+        ):
             res.failures.append(
                 {"case": case, "space": space_to_json(B.space),
                  "atoms": [_partition_witness(a) for a in B.atoms]}
@@ -582,13 +611,16 @@ def suite_presentation_invariance(rng: random.Random, cases: int) -> SuiteResult
 
 
 def suite_spectral_complete(rng: random.Random, cases: int) -> SuiteResult:
-    """Eigenspaces are orthogonal, fill the space, and pass the identities."""
+    """Eigenspaces are orthogonal, of the certified dims, fill the space, pass the identities."""
     res = SuiteResult("spectral-completeness", cases)
     for case in range(cases):
         B = inst.rand_ntba(rng, 32)
         D = spectral_decompose(B)
         total = sum(p.eigenspace.dim for p in D.points)
+        points, levels = certified_dims(B)
         ok = total == B.space.size
+        ok = ok and points == [(p.generator, p.eigenspace.dim) for p in D.points]
+        ok = ok and levels == D.level_dims()
         for p1, p2 in itertools.combinations(D.points, 2):
             for b1 in p1.eigenspace.basis:
                 for b2 in p2.eigenspace.basis:
@@ -608,7 +640,8 @@ def suite_walsh_oracle(rng: random.Random, cases: int) -> SuiteResult:
     res = SuiteResult("walsh-eigenbasis-oracle", cases)
     for n in (1, 2, 3, 4, 5):
         space = mk_dyadic(n)
-        D = spectral_decompose(mk_coordinate_ntba(space))
+        B = mk_coordinate_ntba(space)
+        D = spectral_decompose(B)
         if len(D.points) != 1 << n:
             res.failures.append({"n": n, "note": "point count"})
             continue
@@ -619,7 +652,7 @@ def suite_walsh_oracle(rng: random.Random, cases: int) -> SuiteResult:
             if p.k != len(p.generator):
                 res.failures.append({"n": n, "note": "k mismatch"})
         dims = D.level_dims()
-        if dims != {k: comb(n, k) for k in range(n + 1)}:
+        if dims != {k: comb(n, k) for k in range(n + 1)} or certified_levels(B) != dims:
             res.failures.append({"n": n, "note": "level dims", "dims": dims})
     return res
 
@@ -628,9 +661,10 @@ def suite_spectral_invariance(rng: random.Random, cases: int) -> SuiteResult:
     """Recoded pair-sign algebras grade exactly like coordinate algebras."""
     res = SuiteResult("spectral-recoding-invariance", cases)
     for n in (1, 2, 3, 4):
-        D = spectral_decompose(mk_parity_ntba(n))
+        B = mk_parity_ntba(n)
+        D = spectral_decompose(B)
         want = {k: comb(n + 1, k) for k in range(n + 2)}
-        if D.level_dims() != want or len(D.points) != 1 << (n + 1):
+        if D.level_dims() != want or certified_levels(B) != want or len(D.points) != 1 << (n + 1):
             res.failures.append({"n": n, "dims": D.level_dims()})
     return res
 
@@ -673,7 +707,8 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
     holds iff N - rank(S) == len(basis), that is iff the basis spans K.
     The basis goes first, so the elimination stops at rank N instead of
     reading every row of S.  Each basis vector must also split,
-    f = Q_x f + Q_x' f, for every co-atom.
+    f = Q_x f + Q_x' f, for every co-atom, and the basis has the certified
+    level 1 dim that ``chaos report`` prints.
     """
     res = SuiteResult("first-level-equals-first-chaos", cases)
     for case in range(cases):
@@ -685,7 +720,8 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
         backend = space.backend
         nums = [f.vec.nums for f in basis]
         stacked = _operator_stack(splits, space.size)
-        ok = backend.rank([f.vec for f in basis]) == len(basis)
+        ok = certified_levels(B)[1] == len(basis)
+        ok = ok and backend.rank([f.vec for f in basis]) == len(basis)
         ok = ok and not any(sum(map(mul, row, v)) for row in stacked for v in nums)
         ok = ok and len(row_echelon_int(nums + stacked)[1]) == space.size
         ok = ok and all(
@@ -845,42 +881,8 @@ def suite_cofinite_truncation(rng: random.Random, cases: int) -> SuiteResult:
 def suite_cofinite_complements(rng: random.Random, cases: int) -> SuiteResult:
     """Complements verify and are unique; the completion is the algebra itself."""
     res = SuiteResult("cofinite-complements-completion", cases)
-    probe = cf.bounded_elements(6, 7)
-    infinite_probes = [
-        cf.ys_elem(cf.progression(2)),
-        cf.ys_elem(cf.progression(2, 1)),
-        cf.ys_elem(cf.progression(3)),
-        cf.ys_elem(cf.tail_set(4)),
-    ]
-    for e in probe + infinite_probes:
-        comp = cf.has_complement(e)
-        if cf.in_algebra(e):
-            if comp is None:
-                res.failures.append({"elem": cf.format_elem(e), "note": "no complement"})
-                continue
-            if cf.cof_meet(e, comp) != cf.ZERO or cf.cof_join(e, comp) != cf.ONE:
-                res.failures.append({"elem": cf.format_elem(e), "note": "bad complement"})
-            others = [
-                c
-                for c in probe
-                if c != comp
-                and cf.cof_meet(e, c) == cf.ZERO
-                and cf.cof_join(e, c) == cf.ONE
-            ]
-            if others:
-                res.failures.append({"elem": cf.format_elem(e), "note": "not unique"})
-        else:
-            if comp is not None:
-                res.failures.append({"elem": cf.format_elem(e), "note": "spurious"})
-            witnesses = [
-                c
-                for c in probe
-                if cf.cof_meet(e, c) == cf.ZERO and cf.cof_join(e, c) == cf.ONE
-            ]
-            if witnesses:
-                res.failures.append(
-                    {"elem": cf.format_elem(e), "note": "closure complement found"}
-                )
+    for e, note in cf.complement_problems():
+        res.failures.append({"elem": cf.format_elem(e), "note": note})
     return res
 
 

@@ -31,12 +31,12 @@ from .finmeas import (
 )
 from .kernels import BACKEND
 from .ntba import (
-    NTBA,
     mk_coordinate_ntba,
     mk_parity_ntba,
     ntba_from_json,
     ntba_to_json,
     presentation_from_json,
+    presentation_problem,
     restrict,
 )
 from .sigma import (
@@ -48,7 +48,7 @@ from .sigma import (
     partition_to_json,
     sigma_of_rvs,
 )
-from .spectrum import certified_dims
+from .spectrum import certified_dims, certified_levels
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -197,22 +197,9 @@ def cmd_ntba(args) -> int:
         print(json.dumps(ntba_to_json(algebra), sort_keys=True))
         return EXIT_OK
     if args.ntba_cmd == "validate":
-        space, atoms = _load(args.file, presentation_from_json)
-        try:
-            algebra = NTBA(space, atoms)
-        except ValueError as exc:
-            valid, reason = False, str(exc)
-        else:
-            # certified atoms make the elements the powerset lattice; only a law within
-            # a tolerance (``ExactBackend.tol``) leaves complement pairs to check, each
-            # once, from the element without the last atom
-            valid = space.backend.tol is None or all(
-                independent(e.realize(), e.complement().realize())
-                for e in algebra.elements() if algebra.n_atoms - 1 not in e.atomset
-            )
-            reason = None if valid else "complement pair not independent"
-        print(json.dumps({"valid": valid, "reason": reason}, sort_keys=True))
-        return EXIT_OK if valid else EXIT_FAIL
+        reason = presentation_problem(*_load(args.file, presentation_from_json))
+        print(json.dumps({"valid": reason is None, "reason": reason}, sort_keys=True))
+        return EXIT_OK if reason is None else EXIT_FAIL
     algebra = _load(args.file, ntba_from_json)
     try:
         e = algebra.element(int(t) for t in args.atomset.split(",") if t != "")
@@ -230,10 +217,8 @@ def cmd_ntba(args) -> int:
 
 def cmd_chaos(args) -> int:
     algebra = _load(args.file, ntba_from_json)
-    # the constructor has checked that every cell is present and that the block
-    # counts multiply to N, so the atoms join to the discrete field, which the
-    # first chaos (b_k - 1 >= 1 centred block indicators per atom) generates
-    dim_h1 = sum(a.n_blocks - 1 for a in algebra.atoms)
+    # the certified atoms join to the discrete field, which the first chaos generates
+    dim_h1 = certified_levels(algebra)[1]
     size = algebra.space.size
     if args.format == "csv":
         print("dim_h1,classical,black,generated_block_count")
@@ -257,12 +242,12 @@ def cmd_spectrum(args) -> int:
             f"a spectrum pattern of {n} atoms has 4^{n} entries, past the guard of "
             f"n <= {MAX_PATTERN_ATOMS} atoms; --format csv prints the levels alone"
         )
-    points, levels = certified_dims(algebra)
     if args.format == "csv":
         print("level,dimension")
-        for k, d in levels.items():
+        for k, d in certified_levels(algebra).items():
             print(f"{k},{d}")
         return EXIT_OK
+    points, levels = certified_dims(algebra)
     masks = range(1 << n)
     rows = []
     for gen, dim in points:
@@ -297,16 +282,6 @@ def _cofinite_row(e) -> dict:
     }
 
 
-def _completion_is_algebra() -> bool:
-    """Whether the complemented elements of the closure are exactly B, on a probe."""
-    from . import cofinite as cf
-
-    probe = cf.bounded_elements(6, 7)
-    return all(
-        (cf.has_complement(e) is not None) == cf.in_algebra(e) for e in probe
-    ) and cf.has_complement(cf.ys_elem(cf.progression(2))) is None
-
-
 def cmd_cofinite(args) -> int:
     from . import cofinite as cf
 
@@ -328,7 +303,7 @@ def _cofinite_dossier(args) -> int:
     crit_all = cf.completion_criterion_check(cf.PrefixJoins(cf.FULL_SET))
     crit_even = cf.completion_criterion_check(cf.PrefixJoins(evens))
     dbl = cf.double_limit_check(cf.PrefixJoins(cf.FULL_SET))
-    completion_is_algebra = _completion_is_algebra()
+    completion_is_algebra = not cf.complement_problems()
     atomless, witness = cf.is_atomless()
     ultras = [
         {
@@ -451,12 +426,12 @@ def cmd_demo(args) -> int:
     pairing = sigma_of_rvs(space3, pairs)
     block_sizes = sorted(len(b) for b in pairing.blocks)
     crit = cf.completion_criterion_check(cf.PrefixJoins(cf.FULL_SET))
-    completion_is_algebra = _completion_is_algebra()
+    completion_is_algebra = not cf.complement_problems()
     results = {
         "parity_h1_dims": h1_dims,
         "pair_signs_span_h1": pair_generators_present,
         "sign_pairing_blocks_n3": {
-            "count": pairing.n_blocks,
+            "count": len(block_sizes),
             "sizes": sorted(set(block_sizes)),
         },
         "increasing_limit_criterion_fails": not crit.holds,
@@ -466,7 +441,7 @@ def cmd_demo(args) -> int:
     passed = (
         all(h1_dims[str(n)] == n + 1 for n in range(1, 7))
         and pair_generators_present
-        and pairing.n_blocks == 8
+        and len(block_sizes) == 8
         and set(block_sizes) == {2}
         and not crit.holds
         and completion_is_algebra

@@ -415,6 +415,36 @@ def has_complement(e: CofElem) -> CofElem | None:
     return complement_in_algebra(e)
 
 
+def complement_problems() -> list:
+    """(element, note) per failure of "the completion is B itself"; empty if none.
+
+    On ``bounded_elements(6, 7)`` and four infinite joins, a member of B has
+    one complement in the probe, and it meets it in 0 and joins it to 1; a
+    non-member has none, from ``has_complement`` or in the probe.
+    """
+    probe = bounded_elements(6, 7)
+    infinite = [
+        ys_elem(s) for s in (progression(2), progression(2, 1), progression(3), tail_set(4))
+    ]
+    problems = []
+    for e in probe + infinite:
+        comp = has_complement(e)
+        found = [c for c in probe if cof_meet(e, c) == ZERO and cof_join(e, c) == ONE]
+        if not in_algebra(e):
+            if comp is not None:
+                problems.append((e, "spurious"))
+            if found:
+                problems.append((e, "closure complement found"))
+        elif comp is None:
+            problems.append((e, "no complement"))
+        else:
+            if cof_meet(e, comp) != ZERO or cof_join(e, comp) != ONE:
+                problems.append((e, "bad complement"))
+            if any(c != comp for c in found):
+                problems.append((e, "not unique"))
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # Monotone sequences from a closed descriptor family
 

@@ -12,7 +12,7 @@ recomputes that lattice from sigma-fields.
 sigma-fields against the defining conditions instead (sublattice,
 distributivity, then complement and independence member by member) and
 reports the first failure with a witness; it is the general-family audit
-and the independent oracle of the ``ntba-constructions`` suite.
+and the ``ntba-constructions`` suite's oracle, for ``presentation_problem`` too.
 """
 
 from __future__ import annotations
@@ -141,6 +141,26 @@ def mk_parity_ntba(n: int, space: ProbSpace | None = None) -> NTBA:
     atoms = [_group(space, [[o[k] == o[k + 1] for o in outcomes]]) for k in range(n)]
     atoms.append(_group(space, [[o[n] == "+" for o in outcomes]]))
     return NTBA(space, atoms)
+
+
+def presentation_problem(space: ProbSpace, atoms) -> str | None:
+    """The constructor's refusal, or the first dependent complement pair, or None.
+
+    An exact product law of the atoms passes to every grouping of them, so
+    only a law within a tolerance (``backend.tol``) leaves complement pairs
+    to check, each once, from the element without the last atom.
+    """
+    try:
+        algebra = NTBA(space, atoms)
+    except ValueError as exc:
+        return str(exc)
+    if space.backend.tol is None:
+        return None
+    last = algebra.n_atoms - 1
+    for e in algebra.elements():
+        if last not in e.atomset and not independent(e.realize(), e.complement().realize()):
+            return "complement pair not independent"
+    return None
 
 
 @dataclass

@@ -9,10 +9,10 @@ products, over k in G, of one mean-zero vector of atom k
 point lies in H_x exactly when G is inside x's atoms, and the atom count
 of G grades the space.
 
-``certified_dims`` reads those dimensions off the block counts b_k of a
-certified ``NTBA`` without building a vector; it is what ``spectrum
-report`` prints.  ``spectral_decompose`` builds every eigenspace, N
-vectors of N entries in all, for the suites that need the vectors.
+``certified_dims`` and ``certified_levels``, which the reports print, read
+those dimensions off the block counts b_k of a certified ``NTBA``.
+``spectral_decompose`` builds every eigenspace, N vectors of N entries in
+all, for the suites, which hold the certified numbers to it.
 """
 
 from __future__ import annotations
@@ -84,15 +84,27 @@ def spectral_decompose(algebra: NTBA) -> SpectralDecomp:
     return SpectralDecomp(algebra, points, levels)
 
 
+def certified_levels(algebra: NTBA) -> dict:
+    """Level k's dim, by increasing k: the t^k coefficient of prod_k (1 + (b_k - 1) t).
+
+    That is the sum of the point dims of ``certified_dims`` by level, in n^2
+    steps; level 1 is the first chaos's.  The dims sum to the product of the
+    b_k, the outcome count, which the ``NTBA`` constructor has checked.
+    """
+    levels = [1]
+    for atom in algebra.atoms:
+        b = atom.n_blocks - 1
+        levels = [low + b * high for low, high in zip(levels + [0], [0] + levels)]
+    return dict(enumerate(levels))
+
+
 def certified_dims(algebra: NTBA) -> tuple:
-    """(points, level dims) from the atoms' block counts, no vector built.
+    """(points, ``certified_levels``) from the atoms' block counts, no vector built.
 
     Points come in ``spectral_decompose``'s order, each as (generator,
     dim): point p drops its last atom k (the lowest set bit of p, bit
     n-1-k) to reach point ``p & (p - 1)`` and multiplies its dim by
-    b_k - 1.  Level k sums the dims of the k-atom points, by increasing k.
-    The dims sum to the product of the b_k, the outcome count, which the
-    ``NTBA`` constructor has checked.
+    b_k - 1.
     """
     n = algebra.n_atoms
     points = [(frozenset(), 1)]
@@ -100,10 +112,7 @@ def certified_dims(algebra: NTBA) -> tuple:
         rest_gen, rest_dim = points[p & (p - 1)]
         k = n - (p & -p).bit_length()
         points.append((rest_gen | {k}, rest_dim * (algebra.atoms[k].n_blocks - 1)))
-    levels = dict.fromkeys(range(n + 1), 0)
-    for gen, dim in points:
-        levels[len(gen)] += dim
-    return points, levels
+    return points, certified_levels(algebra)
 
 
 def verify_spectral_identities(decomp: SpectralDecomp) -> list:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from conftest import rebind_everywhere
 from test_spectrum import LIGHT_BLOCKS
 
-from noise_lattice import checks
+from noise_lattice import checks, spectrum
+from noise_lattice import cofinite as cf
 from noise_lattice import randsup as rs
 from noise_lattice.cli import MAX_PATTERN_ATOMS, UsageError, _load, build_parser, main
 from noise_lattice.cofinite import MAX_BITS
@@ -533,6 +534,42 @@ def test_demo_dossier(capsys):
     assert res["sign_pairing_blocks_n3"] == {"count": 8, "sizes": [2]}
     assert res["completion_verdict"] == "B itself"
     assert rep["passed"] is True
+
+
+def test_a_wrong_complement_fails_both_dossiers_and_the_contract(monkeypatch, capsys):
+    """Both dossiers print the verdict of the route ``check all`` runs."""
+    complement = cf.complement_in_algebra
+
+    def wrong(e):
+        return cf.ONE if e == cf.y(1) else complement(e)
+
+    rebind_everywhere(monkeypatch, complement, wrong)
+    assert main(["cofinite", "demo", "--format", "json"]) == 1
+    assert '"completion_equals_algebra":false' in capsys.readouterr().out
+    assert main(["demo"]) == 1
+    assert "completion_verdict: larger than B" in capsys.readouterr().out
+    suite = checks.suite_cofinite_complements(random.Random(0), 1)
+    assert suite.failures == [
+        {"elem": "y1", "note": "bad complement"},
+        {"elem": "y1", "note": "not unique"},  # x2 complements y1 too
+    ]
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("mixed2.chaos.txt", ["chaos", "report", "mixed2.json"]),
+    ("float2.chaos.json", ["chaos", "report", "float2.json", "--format", "json"]),
+    ("mixed3.spectrum.csv", ["spectrum", "report", "mixed3.json", "--format", "csv"]),
+    ("coords4.spectrum.csv", ["spectrum", "report", "coords4.json", "--format", "csv"]),
+])
+def test_level_reports_walk_no_point(monkeypatch, capsys, golden, args):
+    """``chaos report`` and the csv levels read ``certified_levels`` alone."""
+
+    def refuse(*args):
+        raise AssertionError("certified_dims was called")
+
+    rebind_everywhere(monkeypatch, spectrum.certified_dims, refuse)
+    assert main(args[:2] + [str(GOLDEN / args[2])] + args[3:]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_randsup_run(capsys):

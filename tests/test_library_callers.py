@@ -12,6 +12,14 @@ A result states each verdict once, so every annotated field of a class
 under ``src/noise_lattice`` (a dataclass or ``NamedTuple`` field) must be
 read as an attribute (``obj.field``) somewhere in ``src/`` or ``tests/``;
 a field nobody reads is either unused or repeats another.
+
+``cli`` parses, calls and prints: each verdict and number a command
+prints comes from the library route that ``check all`` runs.  So
+``cli.py`` reads no backend tolerance (``ntba.presentation_problem``
+decides whether complement pairs need checking), no block count
+(``spectrum.certified_levels`` turns them into dims) and no membership of
+the symbolic algebra (``cofinite.complement_problems`` gives the
+completion verdict).
 """
 
 import ast
@@ -24,6 +32,9 @@ SRC = Path(noise_lattice.__file__).parent
 
 # perfbench/layers.py wraps these by name in the traced benchmark run, so
 # they stay until that list drops them, though only tests call them
+# names whose use is a decision that belongs to a library module
+DECISIONS = {"tol", "n_blocks", "in_algebra"}
+
 PINNED = {
     "float_nullspace": "perfbench FLOAT_LINALG span linalg.float_nullspace",
     "canonical_key": "perfbench EXTRA span Subspace.canonical_key",
@@ -112,3 +123,8 @@ def test_every_result_field_is_read():
     ]
     assert not unread, f"nothing reads the fields: {unread}"
 
+
+def test_cli_decides_nothing():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{line} {name}" for name, line in _references(tree) if name in DECISIONS]
+    assert not found, f"cli decides what a library route should: {found}"
