@@ -9,7 +9,7 @@ completion, and seeded Monte-Carlo experiments for random suprema.
 
 __version__ = "0.1.0"
 
-from .chaos import ChaosResult, atomless_split, chaos_membership, first_chaos, up_down_roundtrip
+from .chaos import ChaosResult, chaos_membership, first_chaos, up_down_roundtrip
 from .errors import (
     CapacityError,
     ConsistencyError,

@@ -1,4 +1,4 @@
-"""First chaos space, membership, atom splits and the up/down round trip.
+"""First chaos space, membership and the up/down round trip.
 
 The first chaos of an algebra B is the set of f with f = Q_x f + Q_x' f
 for every x in B.  The atoms of B are independent and join to the
@@ -21,10 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, DomainMismatchError, PreconditionError
-from .finmeas import RV, Subspace, direct_sum, norm2, span_on
+from .errors import ConsistencyError, DomainMismatchError
+from .finmeas import RV, Subspace, direct_sum, span_on
 from .ntba import NTBA, NTBAElement
-from .sigma import cond_exp, sigma_of_rvs, trivial
+from .sigma import cond_exp, sigma_of_rvs
 
 
 @dataclass
@@ -101,39 +101,11 @@ def chaos_membership(algebra: NTBA, f: RV) -> bool:
     return cond_a
 
 
-@dataclass
-class SplitResult:
-    ok: bool
-    max_norm: float
-    best_parts: list
+def up_down_roundtrip(e: NTBAElement, chaos: ChaosResult) -> bool:
+    """Project the first chaos of e's algebra by Q_x, regenerate, and compare with x.
 
-
-def atomless_split(algebra: NTBA, f: RV, epsilon) -> SplitResult:
-    """Look for elements x_1,...,x_m covering 1 with all ||Q_{x_i} f|| <= eps.
-
-    A finite algebra is never atomless, so failure for small eps is the
-    expected outcome and is reported (with the best achievable max-norm)
-    rather than raised.  Shrinking an element never increases the
-    projection norm, so the cover by single atoms is optimal and the best
-    max-norm is the largest ||Q_{atom} f||.  Of the tied optimal covers
-    the whole algebra as one group is preferred, then the single atoms.
+    ``chaos`` is ``first_chaos(e.algebra)``, built once per algebra by the caller.
     """
-    space = algebra.space
-    q0 = cond_exp(trivial(space), f)
-    if not space.backend.is_zero(q0.vec):
-        raise PreconditionError("atomless_split needs a zero-mean input")
-    best = max(norm2(cond_exp(atom, f)) for atom in algebra.atoms)
-    best_parts = [[k] for k in range(algebra.n_atoms)]
-    whole = norm2(f)  # the atoms join to the discrete field: Q_1 f = f
-    if whole <= best:
-        best, best_parts = whole, [list(range(algebra.n_atoms))]
-    ok = best <= space.backend.coerce(epsilon) ** 2
-    elements = [algebra.element(g) for g in best_parts]
-    return SplitResult(ok, float(best) ** 0.5, elements)
-
-
-def up_down_roundtrip(algebra: NTBA, e: NTBAElement, chaos: ChaosResult) -> bool:
-    """Project the first chaos of the algebra by Q_x, regenerate, and compare with x."""
     x = e.realize()
     images = [cond_exp(x, b) for b in chaos.h1.basis]
-    return sigma_of_rvs(algebra.space, images) == x
+    return sigma_of_rvs(e.algebra.space, images) == x

@@ -363,12 +363,34 @@ def _float_image(B: NTBA) -> NTBA:
     return NTBA(space, [partition(space, a.blocks) for a in B.atoms])
 
 
+def _dependent_float_ntba() -> NTBA:
+    """Float atoms of 2, 2 and 4 blocks that the constructor accepts and a complement pair refuses.
+
+    Outcome (a, b, c) has probability w_c/4 + d(-1)^(a+b), with atom 2's
+    block weights w = (0.7, 0.1, 0.1, 0.1) and d = 6e-10.  Every cell is
+    within ``FLOAT_TOL`` = 1e-9 of the product of the atoms' masses, but
+    the pair of atoms {0, 1} and atom 2 is off by d|1 - 4w_c|, 1.08e-9 at
+    c = 0.
+    """
+    cells = list(itertools.product(range(2), range(2), range(4)))
+    w = (0.7, 0.1, 0.1, 0.1)
+    space = mk_space(
+        ["".join(map(str, t)) for t in cells],
+        [w[c] / 4 + 6e-10 * (-1) ** (a + b) for a, b, c in cells],
+    )
+    return NTBA(space, [
+        partition(space, [[i for i, t in enumerate(cells) if t[k] == v] for v in range(b)])
+        for k, b in enumerate((2, 2, 4))
+    ])
+
+
 def suite_ntba_constructions(rng: random.Random, cases: int) -> SuiteResult:
     """Constructed algebras validate; elements mirror atomset operations.
 
-    Case 0's algebras and their float images, on which ``ntba validate``'s
-    route walks the complement pairs, pass the family audit, and that route
-    gives the audit's verdict.
+    Case 0's algebras and their float images pass the family audit, one
+    fixed float presentation that only a complement pair refuses fails
+    it, and ``ntba validate``'s route, which walks the complement pairs of
+    float presentations, gives the audit's verdict on each.
     """
     res = SuiteResult("ntba-constructions", cases)
     fixed = [
@@ -377,10 +399,11 @@ def suite_ntba_constructions(rng: random.Random, cases: int) -> SuiteResult:
         mk_parity_ntba(2),
         mk_parity_ntba(3),
     ]
-    for B in fixed + [_float_image(B) for B in fixed]:
+    audited = [(B, True) for B in fixed + [_float_image(B) for B in fixed]]
+    for B, valid in audited + [(_dependent_float_ntba(), False)]:
         verdict = validate_family(B.space, [e.realize() for e in B.elements()])
         problem = presentation_problem(B.space, B.atoms)
-        if not verdict.valid or problem != verdict.reason:
+        if verdict.valid != valid or problem != verdict.reason:
             res.failures.append({"case": 0, "reason": verdict.reason, "validate": problem})
     for case in range(cases):
         algebras = fixed if case == 0 else [inst.rand_ntba(rng, 32)]
@@ -583,7 +606,7 @@ def suite_up_down(rng: random.Random, cases: int) -> SuiteResult:
     for B in algebras:
         cr = first_chaos(B)
         for e in B.elements():
-            if not up_down_roundtrip(B, e, cr):
+            if not up_down_roundtrip(e, cr):
                 res.failures.append(
                     {"space": space_to_json(B.space),
                      "atoms": [_partition_witness(a) for a in B.atoms],
@@ -749,7 +772,7 @@ def suite_k_additivity(rng: random.Random, cases: int) -> SuiteResult:
         idxs = list(range(B.n_atoms))
         rng.shuffle(idxs)
         e = B.element(idxs[:k])
-        if not k_restriction_additivity(B, e):
+        if not k_restriction_additivity(e):
             res.failures.append(
                 {"case": done, "space": space_to_json(B.space),
                  "element": sorted(e.atomset)}
@@ -951,7 +974,7 @@ def suite_randsup_union_bound(rng: random.Random, cases: int) -> SuiteResult:
     ]
     for counts, ps in configs:
         cfg = rs.SampleConfig(counts, ps, seed=rng.randrange(1 << 31), trials=trials)
-        rep = rs.union_bound_report(cfg, 0)
+        rep = rs.union_bound_report(cfg)
         if not rep.ok:
             res.failures.append({"ps": ps, "estimate": rep.estimate, "exact": rep.exact})
     return res

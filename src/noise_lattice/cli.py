@@ -208,7 +208,7 @@ def cmd_ntba(args) -> int:
     if not e.atomset:
         raise UsageError(f"atom set {args.atomset!r}: restrict needs at least one atom")
     try:
-        r = restrict(algebra, e)
+        r = restrict(e)
     except ValueError as exc:
         raise UsageError(f"{args.file}: {exc}") from None
     print(json.dumps(ntba_to_json(r.algebra), sort_keys=True))
@@ -355,7 +355,7 @@ def cmd_randsup(args) -> int:
     counts = args.atoms or tuple(4 for _ in ps)
     try:
         cfg = rs.SampleConfig(counts, ps, seed=args.seed, trials=args.trials)
-        rep = rs.union_bound_report(cfg, atom=0)
+        rep = rs.union_bound_report(cfg)
     except (ValueError, PreconditionError) as exc:
         raise UsageError(f"--ps/--atoms: {exc}") from None
     results = {
@@ -412,8 +412,8 @@ def cmd_demo(args) -> int:
     pair_generators_present = True
     for n in range(1, 7):
         algebra = mk_parity_ntba(n)
+        h1_dims[str(n)] = certified_levels(algebra)[1]
         cr = first_chaos(algebra)
-        h1_dims[str(n)] = cr.h1.dim
         for k in range(1, n + 1):
             pair = coordinate_sign(algebra.space, k) * coordinate_sign(
                 algebra.space, k + 1

@@ -243,21 +243,31 @@ class Subspace:
         return self.space.backend.rank(vecs) == self.dim
 
 
+def vecs_on(space: ProbSpace, vs) -> list:
+    """The backend vectors of the RVs vs, each of which must live on space."""
+    vecs = []
+    for v in vs:
+        if v.space != space:
+            raise DomainMismatchError("operands live on different spaces")
+        vecs.append(v.vec)
+    return vecs
+
+
 def span(vs, space: ProbSpace | None = None) -> Subspace:
-    """Orthogonal basis of the linear span; empty input gives dimension 0."""
+    """Orthogonal basis of the linear span; empty input gives dimension 0.
+
+    The space is that of the first vector unless given.
+    """
     vs = list(vs)
-    if not vs:
-        if space is None:
+    if space is None:
+        if not vs:
             raise ValueError("empty span needs an explicit space")
-        return Subspace(space, (), ())
-    space = vs[0].space
-    for v in vs[1:]:
-        _same_space(vs[0], v)
+        space = vs[0].space
     return span_on(space, vs)
 
 
 def span_on(space: ProbSpace, vs) -> Subspace:
-    basis, norms2 = space.backend.orthogonalize([v.vec for v in vs], space)
+    basis, norms2 = space.backend.orthogonalize(vecs_on(space, vs), space)
     return Subspace(space, [RV(space, b) for b in basis], norms2=norms2)
 
 
@@ -329,8 +339,13 @@ def space_to_json(space: ProbSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> ProbSpace:
+    if type(obj) is not dict:
+        raise ValueError("a space must be an object with outcomes and probs lists")
     outcomes = obj["outcomes"]
     if type(outcomes) is not list or not all(type(o) is str for o in outcomes):
         raise ValueError("outcomes must be a list of strings")
-    return mk_space(outcomes, obj["probs"])
+    probs = obj["probs"]
+    if type(probs) is not list:
+        raise ValueError("probs must be a list of probabilities")
+    return mk_space(outcomes, probs)
 

@@ -244,8 +244,8 @@ class Restriction:
         return RV(space, space.backend.lift(f.vec, self.quotient.labels))
 
 
-def restrict(algebra: NTBA, e: NTBAElement) -> Restriction:
-    """The algebra of elements below e, on the quotient probability space.
+def restrict(e: NTBAElement) -> Restriction:
+    """The algebra of elements of ``e.algebra`` below e, on the quotient space.
 
     The new outcomes are the blocks of the sigma-field e realizes; the new
     atoms are e's atoms viewed as partitions of those blocks.  The empty
@@ -256,6 +256,7 @@ def restrict(algebra: NTBA, e: NTBAElement) -> Restriction:
     """
     if not e.atomset:
         raise PreconditionError("restrict needs an element with at least one atom")
+    algebra = e.algebra
     space = algebra.space
     x = e.realize()
     out_ids = tuple("|".join(space.outcomes[i] for i in b) for b in x.blocks)
@@ -282,8 +283,13 @@ def ntba_to_json(algebra: NTBA) -> dict:
 
 def presentation_from_json(obj: dict):
     """(space, atoms) of an algebra file, before the atoms are certified."""
+    if type(obj) is not dict:
+        raise ValueError("an algebra must be an object with a space and an atoms list")
     space = space_from_json(obj["space"])
-    return space, [partition_from_json(space, a) for a in obj["atoms"]]
+    atoms = obj["atoms"]
+    if type(atoms) is not list or not all(type(a) is dict for a in atoms):
+        raise ValueError("atoms must be a list of objects with a blocks list")
+    return space, [partition_from_json(space, a) for a in atoms]
 
 
 def ntba_from_json(obj: dict) -> NTBA:

@@ -116,22 +116,22 @@ class UnionBoundReport:
         return self.within_three_sigma and self.below_bound
 
 
-def union_bound_report(cfg: SampleConfig, atom: int) -> UnionBoundReport:
-    """Estimate Pr[atom <= Y_n] and compare with 1 - prod(1-p_k) <= sum p_k.
+def union_bound_report(cfg: SampleConfig) -> UnionBoundReport:
+    """Estimate Pr[atom 0 <= Y_n] and compare with 1 - prod(1-p_k) <= sum p_k.
 
-    A ``PreconditionError`` unless sum(p) < 1 and the atom exists at every level.
+    Every atom count is at least 1, so atom 0 exists at every level, and
+    every atom that does has the same law.  A ``PreconditionError`` unless
+    sum(p) < 1.
     """
     import numpy as np
 
     if sum(cfg.ps) >= 1.0:
         raise PreconditionError("the union-bound experiment needs sum(p) < 1")
-    if not 0 <= atom < min(cfg.atom_counts):
-        raise PreconditionError("the atom must exist at every level")
     hits = 0
     for rng, rows in _blocks(cfg.seed, cfg.trials):
         hit = np.zeros(BLOCK, dtype=bool)
         for n_atoms, p in zip(cfg.atom_counts, cfg.ps):
-            hit |= sample_element(n_atoms, p, rng)[:, atom]
+            hit |= sample_element(n_atoms, p, rng)[:, 0]
         hits += int(np.count_nonzero(hit[:rows]))
     estimate = hits / cfg.trials
     exact = 1.0

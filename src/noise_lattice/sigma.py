@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainMismatchError, PreconditionError
-from .finmeas import RV, ProbSpace, Subspace, indicator
+from .finmeas import RV, ProbSpace, Subspace, indicator, vecs_on
 
 _NOT_CANONICAL = "labels must number the blocks 0, 1, ... in the order of their least outcome"
 
@@ -150,9 +150,10 @@ def sigma_of_rvs(space: ProbSpace, rvs) -> SigmaField:
 
     The backend labels the level sets of each RV (its integer numerators
     over the common denominator, or float values chained within a
-    tolerance); outcomes sharing every label form one block.
+    tolerance); outcomes sharing every label form one block.  An RV on
+    another space is a ``DomainMismatchError``.
     """
-    return _group(space, [space.backend.levels(f.vec) for f in rvs])
+    return _group(space, [space.backend.levels(v) for v in vecs_on(space, rvs)])
 
 
 def meet(x: SigmaField, y: SigmaField) -> SigmaField:
@@ -289,4 +290,9 @@ def partition_to_json(x: SigmaField) -> dict:
 
 
 def partition_from_json(space: ProbSpace, obj: dict) -> SigmaField:
-    return partition(space, obj["blocks"])
+    if type(obj) is not dict:
+        raise ValueError("a partition must be an object with a blocks list")
+    blocks = obj["blocks"]
+    if type(blocks) is not list or not all(type(b) is list for b in blocks):
+        raise ValueError("blocks must be a list of lists of outcome indices")
+    return partition(space, blocks)

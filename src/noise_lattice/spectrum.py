@@ -176,18 +176,19 @@ def _pattern_of(coatoms, v: RV) -> frozenset | None:
     return frozenset(gen)
 
 
-def k_restriction_additivity(algebra: NTBA, e: NTBAElement) -> bool:
-    """Check that the grading adds across the split by e and its complement.
+def k_restriction_additivity(e: NTBAElement) -> bool:
+    """Check that the grading of ``e.algebra`` adds across the split by e and its complement.
 
     The restrictions to e and to its complement are decomposed separately;
     products of their eigenvectors (lifted back to the base space) must
     land in joint eigenspaces of the full algebra whose atom count is the
     sum of the factor atom counts.
     """
+    algebra = e.algebra
     if not e.atomset or e.atomset == frozenset(range(algebra.n_atoms)):
         raise PreconditionError("the element must be neither 0 nor 1")
-    r1 = restrict(algebra, e)
-    r2 = restrict(algebra, e.complement())
+    r1 = restrict(e)
+    r2 = restrict(e.complement())
     d1 = spectral_decompose(r1.algebra)
     d2 = spectral_decompose(r2.algebra)
     coatoms = [algebra.coatom(k).realize() for k in range(algebra.n_atoms)]

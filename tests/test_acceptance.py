@@ -167,7 +167,7 @@ def test_criterion_06_up_down_roundtrip():
     for B in algebras:
         cr = first_chaos(B)
         for e in B.elements():
-            ok = ok and up_down_roundtrip(B, e, cr)
+            ok = ok and up_down_roundtrip(e, cr)
         if not ok:
             break
     verdict(6, "up/down round trip on all elements, algebras up to 5 atoms", ok)
@@ -184,7 +184,7 @@ def test_criterion_07_restriction_additivity():
         k = rng.randint(1, B.n_atoms - 1)
         idxs = list(range(B.n_atoms))
         rng.shuffle(idxs)
-        ok = ok and k_restriction_additivity(B, B.element(idxs[:k]))
+        ok = ok and k_restriction_additivity(B.element(idxs[:k]))
         done += 1
         if not ok:
             break
@@ -209,10 +209,7 @@ def test_criterion_08_dossier():
     ok = ok and not crit.holds and crit.sup == cf.ys_elem(cf.FULL_SET)
     ok = ok and cf.has_complement(cf.ys_elem(cf.progression(2))) is None
     ok = ok and cf.has_complement(cf.ys_elem(cf.progression(3))) is None
-    probe = cf.bounded_elements(6, 7)
-    ok = ok and all(
-        (cf.has_complement(e) is not None) == cf.in_algebra(e) for e in probe
-    )
+    ok = ok and not cf.complement_problems()
     elapsed = time.time() - t0
     verdict(8, f"sign-product dossier, exact ({elapsed:.1f}s < 10s)", ok and elapsed < 10)
 
@@ -256,7 +253,7 @@ def test_criterion_10_randsup():
         pv, _, _ = element_distribution_pvalue(4, p, seed=1234, trials=100_000)
         ok = ok and pv > 0.001
     cfg = SampleConfig((4, 4, 4), (0.1, 0.1, 0.1), seed=99, trials=50_000)
-    rep = union_bound_report(cfg, 0)
+    rep = union_bound_report(cfg)
     ok = ok and abs(rep.exact - (1 - 0.9**3)) < 1e-12
     ok = ok and rep.within_three_sigma and rep.below_bound
     elapsed = time.time() - t0

@@ -1,21 +1,17 @@
-"""First chaos computation, membership, splits, the up/down round trip."""
+"""First chaos computation, membership, the up/down round trip."""
 
 import json
 import random
-from fractions import Fraction
 
-import pytest
-from conftest import exact_nullspace, membership_oracle, rebind_everywhere, set_partitions
+from conftest import exact_nullspace, membership_oracle, rebind_everywhere
 
 from noise_lattice import chaos, finmeas, sigma
 from noise_lattice.chaos import (
-    atomless_split,
     chaos_membership,
     first_chaos,
     up_down_roundtrip,
 )
 from noise_lattice.cli import main
-from noise_lattice.errors import PreconditionError
 from noise_lattice.finmeas import (
     RV,
     constant,
@@ -221,60 +217,14 @@ def test_chaos_projection_additivity_on_disjoint_elements():
             ).values
 
 
-def test_atomless_split_examples():
-    s2 = mk_dyadic(2)
-    B = mk_coordinate_ntba(s2)
-    f = coordinate_sign(s2, 1) + coordinate_sign(s2, 2)
-    res = atomless_split(B, f, 1)
-    assert res.ok
-    assert sorted(sorted(e.atomset) for e in res.best_parts) == [[0], [1]]
-    assert res.max_norm == pytest.approx(1.0)
-    res_tight = atomless_split(B, f, Fraction(1, 2))
-    assert not res_tight.ok
-    assert res_tight.max_norm == pytest.approx(1.0)
-    res_zero = atomless_split(B, constant(s2, 0), Fraction(1, 100))
-    assert res_zero.ok
-    assert len(res_zero.best_parts) == 1
-    assert res_zero.best_parts[0].atomset == B.one().atomset
-
-
-def test_atomless_split_against_cover_enumeration():
-    rng = random.Random(48)
-    algebras = [mk_coordinate_ntba(mk_dyadic(n)) for n in range(1, 6)]
-    algebras += [rand_ntba(rng, 64) for _ in range(20)]
-    for B in algebras:
-        f = rand_rv(rng, B.space, zero_mean=True)
-
-        def group_sq(group):
-            return norm2(cond_exp(B.element(group).realize(), f))
-
-        best = min(
-            max(group_sq(g) for g in cover)
-            for cover in set_partitions(list(range(B.n_atoms)))
-        )
-        for eps in (Fraction(1, 4), Fraction(1), Fraction(3)):
-            res = atomless_split(B, f, eps)
-            assert res.max_norm == float(best) ** 0.5
-            assert res.ok == (best <= eps**2)
-            assert max(group_sq(e.atomset) for e in res.best_parts) == best
-            assert sorted(i for e in res.best_parts for i in e.atomset) == list(range(B.n_atoms))
-
-
-def test_atomless_split_rejects_nonzero_mean():
-    s2 = mk_dyadic(2)
-    B = mk_coordinate_ntba(s2)
-    with pytest.raises(PreconditionError):
-        atomless_split(B, constant(s2, 1), 1)
-
-
 def test_up_down_examples():
     s3 = mk_dyadic(3)
     B = mk_coordinate_ntba(s3)
     cr = first_chaos(B)
-    assert up_down_roundtrip(B, B.one(), cr)
-    assert up_down_roundtrip(B, B.zero(), cr)
+    assert up_down_roundtrip(B.one(), cr)
+    assert up_down_roundtrip(B.zero(), cr)
     e = B.element([0, 2])
-    assert up_down_roundtrip(B, e, cr)
+    assert up_down_roundtrip(e, cr)
     # the image sigma-field really is sigma(xi_1, xi_3)
     imgs = [cond_exp(e.realize(), b) for b in cr.h1.basis]
     want = sigma_of_rvs(s3, [coordinate_sign(s3, 1), coordinate_sign(s3, 3)])
@@ -290,7 +240,7 @@ def test_up_down_all_elements_small_algebras():
         cr = first_chaos(B)
         assert sigma_of_rvs(B.space, cr.h1.basis) == discrete(B.space)
         for e in B.elements():
-            assert up_down_roundtrip(B, e, cr)
+            assert up_down_roundtrip(e, cr)
 
 
 def test_presentation_order_does_not_change_h1():

@@ -663,6 +663,69 @@ def test_malformed_input_files_are_usage_errors(tmp_path, capsys):
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
 
 
+_SPACE2 = {"outcomes": ["a", "b"], "probs": ["1/2", "1/2"]}
+_ATOM2 = {"blocks": [[0], [1]]}
+
+# a malformed FILE, the commands that read it, and the shape the message names
+MALFORMED_SHAPES = {
+    "algebra-list": (
+        [_SPACE2, [_ATOM2]],
+        [["chaos", "report", "FILE"], ["ntba", "validate", "FILE"]],
+        "an algebra must be an object with a space and an atoms list",
+    ),
+    "atoms-string": (
+        {"space": _SPACE2, "atoms": "x"},
+        [["spectrum", "report", "FILE"], ["ntba", "validate", "FILE"]],
+        "atoms must be a list of objects with a blocks list",
+    ),
+    "atoms-of-ints": (
+        {"space": _SPACE2, "atoms": [1]},
+        [["chaos", "report", "FILE"], ["ntba", "restrict", "FILE", "0"]],
+        "atoms must be a list of objects with a blocks list",
+    ),
+    "blocks-int": (
+        {"space": _SPACE2, "atoms": [{"blocks": 5}]},
+        [["chaos", "report", "FILE"], ["ntba", "validate", "FILE"]],
+        "blocks must be a list of lists of outcome indices",
+    ),
+    "block-int": (
+        {"space": _SPACE2, "atoms": [{"blocks": [[0], 1]}]},
+        [["spectrum", "report", "FILE"], ["ntba", "validate", "FILE"]],
+        "blocks must be a list of lists of outcome indices",
+    ),
+    "probs-int": (
+        {"space": {"outcomes": ["a", "b"], "probs": 5}, "atoms": [_ATOM2]},
+        [["chaos", "report", "FILE"], ["ntba", "validate", "FILE"]],
+        "probs must be a list of probabilities",
+    ),
+    "space-file-list": (
+        [_SPACE2],
+        [["space", "load", "FILE"]],
+        "a space must be an object with outcomes and probs lists",
+    ),
+    "partition-file-list": (
+        [[0], [1]],
+        [["sigma", "meet", "SPACE", "ATOM", "FILE"]],
+        "a partition must be an object with a blocks list",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", MALFORMED_SHAPES)
+def test_a_malformed_shape_gets_one_line_naming_the_expected_shape(tmp_path, capsys, shape):
+    obj, commands, message = MALFORMED_SHAPES[shape]
+    paths = {"FILE": tmp_path / f"{shape}.json", "SPACE": tmp_path / "space.json",
+             "ATOM": tmp_path / "atom.json"}
+    for name, content in (("FILE", obj), ("SPACE", _SPACE2), ("ATOM", _ATOM2)):
+        paths[name].write_text(json.dumps(content))
+    for command in commands:
+        argv = [str(paths.get(a, a)) for a in command]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {paths['FILE']}: {message}\n"
+
+
 def test_mixed_probability_file_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "mixed.json"
     f.write_text(json.dumps({"outcomes": ["a", "b"], "probs": ["1/2", 0.5]}))

@@ -14,11 +14,13 @@ from noise_lattice.finmeas import (
     ProbSpace,
     coordinate_sign,
     constant,
+    indicator,
     inner,
     mk_dyadic,
     mk_space,
     product,
     span,
+    span_on,
     space_from_json,
     space_to_json,
     walsh_character,
@@ -90,6 +92,20 @@ def test_inner_space_mismatch():
     g = constant(mk_dyadic(2), 1)
     with pytest.raises(DomainMismatchError):
         inner(f, g)
+
+
+def test_a_space_given_beside_the_vectors_must_be_theirs():
+    # equal sizes, so nothing but the check tells the spaces apart
+    s1 = mk_dyadic(2)
+    s2 = mk_space(["a", "b", "c", "d"], ["1/8", "1/8", "1/4", "1/2"])
+    f = constant(s2, 1) + indicator(s2, [0])
+    with pytest.raises(DomainMismatchError):
+        span([f], space=s1)
+    with pytest.raises(DomainMismatchError):
+        span_on(s1, [f])
+    with pytest.raises(DomainMismatchError):
+        span_on(s1, [constant(s1, 1), f])
+    assert span([f], space=s2).dim == span_on(s2, [f]).dim == 1
 
 
 def test_span_examples():

@@ -131,7 +131,7 @@ def test_lift_rv_matches_the_per_outcome_form(seed, mode):
     e = rand_element(rng, algebra)
     if not e.atomset:
         return
-    r = restrict(algebra, e)
+    r = restrict(e)
     f = rand_rv(rng, r.algebra.space)
     assert all_same(r.lift_rv(f).values, lift_oracle(f, r.quotient.labels))
 

@@ -1,12 +1,13 @@
-"""Every library function has a caller in the library or is exported,
-and every result field is read.
+"""Every library function has a caller in the library, and every result
+field is read.
 
 The library keeps one route per computation; alternative routes and
 helpers only tests use live in ``tests/``.  So every top-level function
 and every method (dunders aside) under ``src/noise_lattice`` must be named
-somewhere in ``src/`` outside its own body, or exported from
-``__init__.py``.  Names are matched as written (``f(...)``, ``obj.f``),
-not resolved, which is enough to catch a function nothing calls.
+somewhere in ``src/`` outside its own body; exporting a name from
+``__init__.py`` is not a call.  Names are matched as written
+(``f(...)``, ``obj.f``), not resolved, which is enough to catch a
+function nothing calls.
 
 A result states each verdict once, so every annotated field of a class
 under ``src/noise_lattice`` (a dataclass or ``NamedTuple`` field) must be
@@ -30,11 +31,11 @@ import noise_lattice
 
 SRC = Path(noise_lattice.__file__).parent
 
-# perfbench/layers.py wraps these by name in the traced benchmark run, so
-# they stay until that list drops them, though only tests call them
 # names whose use is a decision that belongs to a library module
 DECISIONS = {"tol", "n_blocks", "in_algebra"}
 
+# perfbench/layers.py wraps these by name in the traced benchmark run, so
+# they stay until that list drops them, though only tests call them
 PINNED = {
     "float_nullspace": "perfbench FLOAT_LINALG span linalg.float_nullspace",
     "canonical_key": "perfbench EXTRA span Subspace.canonical_key",
@@ -63,21 +64,11 @@ def _references(tree: ast.Module):
             yield node.attr, node.lineno
 
 
-def _exported(tree: ast.Module) -> set:
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-
-
 def test_every_library_function_has_a_library_caller():
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
     }
-    exported = _exported(trees["__init__.py"])
     refs = defaultdict(list)  # name -> (module, line) of each reference
     for module, tree in trees.items():
         for name, line in _references(tree):
@@ -85,7 +76,7 @@ def test_every_library_function_has_a_library_caller():
     uncalled = []
     for module, tree in trees.items():
         for name, node in _definitions(tree):
-            if name in exported or name in PINNED:
+            if name in PINNED:
                 continue
             own_body = range(node.lineno, node.end_lineno + 1)
             if all(m == module and line in own_body for m, line in refs[name]):

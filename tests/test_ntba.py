@@ -359,7 +359,7 @@ def test_generated_subalgebra_atoms_are_nonzero_meets():
 
 def test_restrict_coordinate_to_single_atom():
     B = mk_coordinate_ntba(mk_dyadic(2))
-    r = restrict(B, B.element([0]))
+    r = restrict(B.element([0]))
     assert r.algebra.space.size == 2
     assert r.algebra.n_atoms == 1
     assert r.algebra.space.probs == (Fraction(1, 2), Fraction(1, 2))
@@ -367,14 +367,14 @@ def test_restrict_coordinate_to_single_atom():
 
 def test_restrict_full_element_is_isomorphic():
     B = mk_coordinate_ntba(mk_dyadic(2))
-    r = restrict(B, B.one())
+    r = restrict(B.one())
     assert r.algebra.space.size == B.space.size
     assert [a.blocks for a in r.algebra.atoms] == [a.blocks for a in B.atoms]
 
 
 def test_restrict_parity_to_pair_atoms():
     P2 = mk_parity_ntba(2)
-    r = restrict(P2, P2.element([0, 1]))
+    r = restrict(P2.element([0, 1]))
     assert r.algebra.space.size == 4
     assert r.algebra.n_atoms == 2
 
@@ -382,7 +382,7 @@ def test_restrict_parity_to_pair_atoms():
 def test_restrict_rejects_empty_element():
     B = mk_coordinate_ntba(mk_dyadic(2))
     with pytest.raises(PreconditionError):
-        restrict(B, B.zero())
+        restrict(B.zero())
 
 
 def test_restrict_lift_preserves_inner_products():
@@ -391,7 +391,7 @@ def test_restrict_lift_preserves_inner_products():
 
     rng = random.Random(32)
     B = mk_coordinate_ntba(mk_dyadic(3))
-    r = restrict(B, B.element([0, 2]))
+    r = restrict(B.element([0, 2]))
     f = rand_rv(rng, r.algebra.space)
     g = rand_rv(rng, r.algebra.space)
     assert inner(r.lift_rv(f), r.lift_rv(g)) == inner(f, g)

@@ -75,7 +75,7 @@ def test_join_process_monotone_and_reproducible():
 
 def test_single_level_probability():
     cfg = SampleConfig((1,), (0.25,), seed=3, trials=60_000)
-    rep = union_bound_report(cfg, 0)
+    rep = union_bound_report(cfg)
     assert rep.exact == pytest.approx(0.25)
     assert rep.bound == pytest.approx(0.25)
     assert rep.within_three_sigma
@@ -83,12 +83,12 @@ def test_single_level_probability():
 
 def test_union_bound_examples():
     cfg = SampleConfig((4, 4, 4), (0.1, 0.1, 0.1), seed=42, trials=50_000)
-    rep = union_bound_report(cfg, 0)
+    rep = union_bound_report(cfg)
     assert rep.exact == pytest.approx(1 - 0.9**3)
     assert rep.bound == pytest.approx(0.3)
     assert rep.ok
     cfg2 = SampleConfig((3, 3), (0.4, 0.4), seed=42, trials=50_000)
-    rep2 = union_bound_report(cfg2, 0)
+    rep2 = union_bound_report(cfg2)
     assert rep2.exact == pytest.approx(0.64)
     assert rep2.bound == pytest.approx(0.8)
     assert rep2.ok
@@ -97,10 +97,7 @@ def test_union_bound_examples():
 def test_union_bound_preconditions():
     cfg = SampleConfig((2, 2), (0.6, 0.6), seed=1, trials=10)
     with pytest.raises(PreconditionError):
-        union_bound_report(cfg, 0)
-    cfg2 = SampleConfig((2, 3), (0.1, 0.1), seed=1, trials=10)
-    with pytest.raises(PreconditionError):
-        union_bound_report(cfg2, 2)
+        union_bound_report(cfg)
 
 
 def test_config_validation():
@@ -161,7 +158,7 @@ def test_trials_are_a_prefix_of_longer_runs(k):
 @pytest.mark.parametrize("n, p, trials", [(1, 0.25, 5000), (3, 0.1, 9000), (4, 0.6, 4096)])
 def test_entry_points_agree_on_one_level(n, p, trials):
     cfg = SampleConfig((n,), (p,), seed=17, trials=trials)
-    hits = round(union_bound_report(cfg, 0).estimate * trials)
+    hits = round(union_bound_report(cfg).estimate * trials)
     assert hits == sum(0 in t[0] for t in run_join_process(cfg))
     counts = element_counts(n, p, seed=17, trials=trials)
     assert hits == counts[1::2].sum()
@@ -175,14 +172,14 @@ def test_one_stream_per_block(monkeypatch):
         return trial_rng(seed, block)
 
     monkeypatch.setattr(randsup, "trial_rng", counted)
-    union_bound_report(SampleConfig((4, 4, 4), (0.1, 0.1, 0.1), seed=3, trials=10_000), 0)
+    union_bound_report(SampleConfig((4, 4, 4), (0.1, 0.1, 0.1), seed=3, trials=10_000))
     assert calls == [0, 1, 2]
 
 
 def test_large_trial_counts_are_fast():
     cfg = SampleConfig((4, 4, 4), (0.1, 0.1, 0.1), seed=8, trials=2_000_000)
     t0 = time.perf_counter()
-    rep = union_bound_report(cfg, 0)
+    rep = union_bound_report(cfg)
     assert time.perf_counter() - t0 < 2.0
     assert rep.ok
 

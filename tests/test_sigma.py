@@ -279,6 +279,14 @@ def test_space_mismatch_raises():
         meet(x, y)
 
 
+def test_sigma_of_rvs_refuses_an_rv_on_another_space():
+    s1 = mk_dyadic(2)
+    s2 = mk_space(["a", "b", "c", "d"], ["1/8", "1/8", "1/4", "1/2"])
+    with pytest.raises(DomainMismatchError):
+        sigma_of_rvs(s1, [coordinate_sign(s1, 1), constant(s2, 1)])
+    assert sigma_of_rvs(s2, [constant(s2, 1)]) == trivial(s2)
+
+
 def test_single_outcome_space_degenerates():
     space = mk_space(["only"], [Fraction(1)])
     x = trivial(space)
