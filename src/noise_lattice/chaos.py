@@ -29,9 +29,10 @@ from .sigma import cond_exp, sigma_of_rvs
 
 @dataclass
 class ChaosResult:
-    """The first chaos of an algebra, as an orthogonal basis ``h1``."""
+    """The first chaos of ``algebra``, as an orthogonal basis ``h1``."""
 
     h1: Subspace
+    algebra: NTBA
 
 
 def atom_bases(algebra: NTBA) -> list:
@@ -59,7 +60,7 @@ def atom_bases(algebra: NTBA) -> list:
 
 def first_chaos(algebra: NTBA) -> ChaosResult:
     """The first chaos: every atom's centred block indicators together."""
-    return ChaosResult(direct_sum(algebra.space, atom_bases(algebra)))
+    return ChaosResult(direct_sum(algebra.space, atom_bases(algebra)), algebra)
 
 
 def chaos_membership(algebra: NTBA, f: RV) -> bool:
@@ -104,8 +105,11 @@ def chaos_membership(algebra: NTBA, f: RV) -> bool:
 def up_down_roundtrip(e: NTBAElement, chaos: ChaosResult) -> bool:
     """Project the first chaos of e's algebra by Q_x, regenerate, and compare with x.
 
-    ``chaos`` is ``first_chaos(e.algebra)``, built once per algebra by the caller.
+    ``chaos`` is ``first_chaos(e.algebra)``, built once per algebra by the
+    caller; the first chaos of another algebra is a ``DomainMismatchError``.
     """
+    if chaos.algebra is not e.algebra:
+        raise DomainMismatchError("the first chaos belongs to another algebra")
     x = e.realize()
     images = [cond_exp(x, b) for b in chaos.h1.basis]
     return sigma_of_rvs(e.algebra.space, images) == x

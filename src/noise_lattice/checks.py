@@ -37,6 +37,7 @@ from .chaos import chaos_membership, first_chaos, up_down_roundtrip
 from .errors import NoiseLatticeError
 from .finmeas import (
     coordinate_sign,
+    float_twin,
     indicator,
     inner,
     mk_dyadic,
@@ -359,7 +360,7 @@ def _recoding_permutation(n: int):
 
 def _float_image(B: NTBA) -> NTBA:
     """The same blocks on the space with the float probabilities."""
-    space = mk_space(B.space.outcomes, [float(p) for p in B.space.probs])
+    space = float_twin(B.space)
     return NTBA(space, [partition(space, a.blocks) for a in B.atoms])
 
 

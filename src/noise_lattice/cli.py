@@ -24,8 +24,8 @@ from . import __version__
 from .errors import CapacityError, NoiseLatticeError, PreconditionError
 from .finmeas import (
     coordinate_sign,
+    float_twin,
     mk_dyadic,
-    mk_space,
     space_from_json,
     space_to_json,
 )
@@ -116,9 +116,7 @@ def _print_tree(node, indent: str) -> None:
 def _dyadic_space(args, n: int):
     """The dyadic space on n coordinates, in the backend that ``--mode`` selects."""
     space = mk_dyadic(n)
-    if args.mode == "float":
-        space = mk_space(space.outcomes, [float(p) for p in space.probs])
-    return space
+    return float_twin(space) if args.mode == "float" else space
 
 
 def _load(path: str, parse):

@@ -1,12 +1,14 @@
 """Finite probability spaces, random variables, spanned subspaces, and
 n-fold products with their coordinate maps.
 
-A space carries either exact-rational probabilities (the default for
-dyadic constructions) or float probabilities.  It picks the matching
+A space is its weights over one total: integers over an integer total in
+rational mode (the default for dyadic constructions), the probabilities
+over 1.0 in float mode; ``probs`` is a view.  It picks the matching
 ``linalg`` backend once, when it is built, and every random variable and
-every rank/equality decision downstream goes through that backend.  The
-backend also scales the probabilities once into the weights that the
-inner loops sum: integers over one common total in rational mode.  A
+every rank/equality decision downstream goes through that backend.
+Probabilities from outside are scaled once into weights (``mk_space``);
+a product multiplies the factors' weights and totals, so no space the
+library builds from another passes through a ``Fraction``.  A
 random variable holds the backend's vector of its values (integers over
 one denominator in rational mode), so its arithmetic, inner products,
 projections and spans are backend methods on those vectors.  A product
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from . import linalg
@@ -32,40 +35,38 @@ MAX_OUTCOMES = 1 << 20
 class ProbSpace:
     """A finite outcome set with strictly positive probabilities.
 
-    ``probs`` holds Fractions (rational mode) or floats (float mode);
-    a mix of the two is rejected.  ``backend`` is the ``linalg`` backend
-    that the probabilities select.  ``weights`` and ``total`` are the
-    probabilities as the backend computes with them, p_i = weights[i] /
-    total: in rational mode integers over the lcm of the denominators, in
-    float mode the probabilities themselves over 1.0.
+    Built as ``ProbSpace(outcomes, weights, total)``: p_i = weights[i] /
+    total.  In rational mode the weights and the total are ints, with
+    gcd(total, *weights) divided out when the space is built; in float
+    mode the weights are the probabilities and the total is 1.0 (other
+    float weights are divided by their total).  So equal laws are equal
+    spaces and hash alike.  A mix of ints and floats, or a boolean, is
+    rejected.  ``backend`` is the ``linalg`` backend the weights select,
+    and ``probs`` the probabilities as Fractions or floats, built on
+    first read.
     """
 
     outcomes: tuple
-    probs: tuple
+    weights: tuple
+    total: object
     backend: object = field(init=False, repr=False, compare=False)
-    weights: tuple = field(init=False, repr=False, compare=False)
-    total: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.outcomes) != len(self.probs):
-            raise ValueError("outcomes and probs must have equal length")
-        if not self.outcomes:
-            raise ValueError("a probability space needs at least one outcome")
-        if len(self.outcomes) > MAX_OUTCOMES:
-            n = len(self.outcomes)
-            raise CapacityError(f"{n} outcomes exceed the guard of {MAX_OUTCOMES}")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError("outcome identifiers must be unique")
-        backend = linalg.backend_of(self.probs)
+        _check_outcomes(self.outcomes, len(self.weights))
+        backend = linalg.backend_of(self.weights, self.total)
         object.__setattr__(self, "backend", backend)
-        weights, total = backend.scale(self.probs)
         # not min(weights): a float NaN first would hide a later negative
-        if any(w <= 0 for w in weights):
+        if not self.total > 0 or any(w <= 0 for w in self.weights):
             raise ValueError("probabilities must be strictly positive")
+        weights, total = backend.canonical(self.weights, self.total)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "total", total)
         if not backend.sums_to_one(weights, total):
-            raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
+            raise ValueError(f"probabilities sum to {backend.ratio(sum(weights), total)}, not 1")
+
+    @cached_property
+    def probs(self) -> tuple:
+        return tuple([self.backend.ratio(w, self.total) for w in self.weights])
 
     @property
     def mode(self) -> str:
@@ -76,18 +77,39 @@ class ProbSpace:
         return len(self.outcomes)
 
 
+def _check_outcomes(outcomes, n_probs: int) -> None:
+    """The checks on the outcome list, the size guard before any work per outcome."""
+    if len(outcomes) != n_probs:
+        raise ValueError("outcomes and probs must have equal length")
+    if not outcomes:
+        raise ValueError("a probability space needs at least one outcome")
+    if len(outcomes) > MAX_OUTCOMES:
+        raise CapacityError(f"{len(outcomes)} outcomes exceed the guard of {MAX_OUTCOMES}")
+    if len(set(outcomes)) != len(outcomes):
+        raise ValueError("outcome identifiers must be unique")
+
+
 def mk_space(outcomes, probs) -> ProbSpace:
     """Build a space from raw lists: floats stay floats, anything else (an int, a
-    Fraction, an "a/b" string) becomes a Fraction.
+    Fraction, an "a/b" string) becomes a Fraction, and the probabilities are
+    scaled once into weights (``linalg.scale``).
 
-    A mix of floats and exact values is a ``ValueError`` (``ProbSpace``), and
-    so is a boolean, which ``Fraction`` would read as 0 or 1.
+    A mix of floats and exact values is a ``ValueError``, and so is a
+    boolean, which ``Fraction`` would read as 0 or 1.
     """
     probs = tuple(probs)
     if any(isinstance(p, bool) for p in probs):
         raise ValueError("probabilities must be numbers, not booleans")
     probs = tuple(p if isinstance(p, float) else Fraction(p) for p in probs)
-    return ProbSpace(tuple(outcomes), probs)
+    outcomes = tuple(outcomes)
+    _check_outcomes(outcomes, len(probs))
+    return ProbSpace(outcomes, *linalg.scale(probs))
+
+
+def float_twin(space: ProbSpace) -> ProbSpace:
+    """The same outcomes with float probabilities w / W, each correctly rounded."""
+    total = space.total
+    return ProbSpace(space.outcomes, tuple([w / total for w in space.weights]), 1.0)
 
 
 def mk_dyadic(n: int) -> ProbSpace:
@@ -97,8 +119,7 @@ def mk_dyadic(n: int) -> ProbSpace:
     if n > 20:
         raise CapacityError(f"dyadic spaces are guarded at n <= 20, got {n}")
     outcomes = tuple("".join(t) for t in itertools.product("+-", repeat=n))
-    p = Fraction(1, 1 << n)
-    return ProbSpace(outcomes, (p,) * (1 << n))
+    return ProbSpace(outcomes, (1,) * (1 << n), 1 << n)
 
 
 @dataclass(frozen=True)
@@ -272,7 +293,11 @@ def span_on(space: ProbSpace, vs) -> Subspace:
 
 
 def direct_sum(space: ProbSpace, parts) -> Subspace:
-    """Sum of mutually orthogonal subspaces: their bases side by side."""
+    """Sum of mutually orthogonal subspaces of space: their bases side by side."""
+    parts = list(parts)
+    for p in parts:
+        if p.space != space:
+            raise DomainMismatchError("a part of the direct sum lives on a different space")
     return Subspace(
         space,
         [b for p in parts for b in p.basis],
@@ -311,11 +336,11 @@ def product(*factors: ProbSpace) -> SpaceProduct:
     """The product of n factor spaces with its coordinate maps, built in one step.
 
     Outcome (o_1, ..., o_n) is the text "o_1,...,o_n", listed with the
-    first factor slowest (``SpaceProduct.coords``).  Its probability is
-    prod(w_k) / prod(W_k) over the factors' weights and totals: one
-    Fraction of two integers in rational mode, and in float mode the
-    probabilities multiplied left to right, the same floats as nested
-    two-factor products.  Probabilities multiply, so inner products factor.
+    first factor slowest (``SpaceProduct.coords``).  Its weight is
+    prod(w_k) over the total prod(W_k) of the factors' weights and totals:
+    integers in rational mode, and in float mode the probabilities
+    multiplied left to right, the same floats as nested two-factor
+    products.  Probabilities multiply, so inner products factor.
     """
     if not factors:
         raise ValueError("a product needs at least one factor")
@@ -326,15 +351,15 @@ def product(*factors: ProbSpace) -> SpaceProduct:
     if any(f.backend is not backend for f in factors):
         raise DomainMismatchError("cannot mix rational and float factors")
     outcomes = tuple(map(",".join, itertools.product(*(f.outcomes for f in factors))))
-    total = prod(f.total for f in factors)
-    weights = itertools.product(*(f.weights for f in factors))
-    space = ProbSpace(outcomes, tuple(backend.ratio(prod(w), total) for w in weights))
+    weights = tuple(map(prod, itertools.product(*(f.weights for f in factors))))
+    space = ProbSpace(outcomes, weights, prod(f.total for f in factors))
     coords = tuple(zip(*itertools.product(*(range(f.size) for f in factors))))
     return SpaceProduct(factors, space, coords)
 
 
 def space_to_json(space: ProbSpace) -> dict:
-    probs = [space.backend.to_json(p) for p in space.probs]
+    to_json, total = space.backend.to_json, space.total
+    probs = [to_json(w, total) for w in space.weights]
     return {"outcomes": list(space.outcomes), "probs": probs}
 
 

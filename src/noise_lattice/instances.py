@@ -10,18 +10,17 @@ its coordinate maps; an atom family takes coordinate k's field as atom k.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .finmeas import ProbSpace, RV, constant, mk_space, product
+from .finmeas import ProbSpace, RV, constant, float_twin, product
+from .linalg import _intvec
 from .ntba import NTBA
 from .sigma import SigmaField, _group, lift_partition
 
 
 def _rand_weighted(rng, n: int, prefix: str, mode: str) -> ProbSpace:
     """n outcomes named prefix0, prefix1, ... with random weights 1..9."""
-    weights = [rng.randint(1, 9) for _ in range(n)]
-    total = Fraction(sum(weights)) if mode == "rational" else sum(weights)
-    return mk_space([f"{prefix}{i}" for i in range(n)], [w / total for w in weights])
+    weights = tuple([rng.randint(1, 9) for _ in range(n)])
+    space = ProbSpace(tuple([f"{prefix}{i}" for i in range(n)]), weights, sum(weights))
+    return space if mode == "rational" else float_twin(space)
 
 
 def rand_space(rng, max_size: int = 5, mode: str = "rational") -> ProbSpace:
@@ -42,10 +41,12 @@ def rand_partition(rng, space: ProbSpace) -> SigmaField:
 
 def rand_rv(rng, space: ProbSpace, zero_mean: bool = False) -> RV:
     if space.mode == "rational":
-        vals = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(space.size)]
+        # a/d with d in 1..4, over their common denominator 12
+        draws = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(space.size)]
+        vec = _intvec([a * (12 // d) for a, d in draws], 12)
     else:
-        vals = [rng.uniform(-3.0, 3.0) for _ in range(space.size)]
-    f = RV(space, tuple(vals))
+        vec = [rng.uniform(-3.0, 3.0) for _ in range(space.size)]
+    f = RV(space, vec)
     if zero_mean:
         f = f - constant(space, f.mean())
     return f

@@ -1,18 +1,20 @@
 """Exact rational and float linear algebra on coordinate vectors.
 
 Every rank/equality decision is made inside one backend, never by mixing
-the two: ``EXACT`` for spaces with Fraction probabilities, ``FLOAT`` for
-float ones.  A probability space picks its backend once (``backend_of``),
+the two: ``EXACT`` for spaces with integer weights, ``FLOAT`` for float
+ones.  A probability space picks its backend once (``backend_of``),
 and the modules above ask that backend for zero, one, constants, weights,
 vectors and their arithmetic, block averages, inner products, projections,
 equality, rank and orthogonalization instead of branching on the mode
 themselves.  The float tolerances live here and nowhere else.
 
-Exact mode computes on integers.  A rational space holds integer weights
-w_i over one total W, the lcm of its denominators (``ExactBackend.scale``),
-and a random variable is an ``IntVec``: integer numerators over one
-denominator, reduced by one gcd, so equal values are equal vectors.
-Fractions become such a vector once, at the boundary (``to_int``).  Sums,
+Exact mode computes on integers.  A rational space is integer weights w_i
+over one total W, reduced by one gcd (``ExactBackend.canonical``), and a
+random variable is an ``IntVec``: integer numerators over one denominator,
+reduced the same way, so equal laws are equal spaces and equal values
+equal vectors.  Fractions become weights or such a vector once, at the
+boundary (``scale``, ``to_int``); a product or quotient of spaces
+multiplies or sums weights and never builds a probability.  Sums,
 products and comparisons of probabilities and of values are then Python
 ``int`` arithmetic and the elimination kernels; a ``Fraction`` is built
 only for a scalar handed back (a block mass, an inner product, a mean, a
@@ -105,7 +107,7 @@ def exact_orthogonalize(int_vecs, weights, total):
 
     ``int_vecs`` are integer vectors (a vector's numerators: its
     denominator does not change the span), and ``weights`` the integer
-    outcome weights over ``total`` (see ``ExactBackend.scale``).  Returns
+    outcome weights over ``total`` (see ``ExactBackend.canonical``).  Returns
     (basis, norms2): the basis as integers over denominator 1 and the exact
     squared weighted norms as Fractions.
     """
@@ -164,7 +166,7 @@ class ExactBackend:
     A vector is an ``IntVec``: the values of one random variable as
     integer numerators over one denominator, reduced, so that equal values
     are equal vectors.  A space's ``weights`` are integers w_i over its
-    ``total`` W (``scale``), so sums and products of probabilities are int
+    ``total`` W (``canonical``), so sums and products of probabilities are int
     arithmetic and every comparison an integer cross-multiplication, with
     no tolerance.  A ``Fraction`` is built only for a scalar handed back
     (a mass, an inner product, a mean) or when ``values`` is read.
@@ -182,12 +184,16 @@ class ExactBackend:
     def coerce(self, c) -> Fraction:
         return Fraction(c)
 
-    def to_json(self, p) -> str:
-        return f"{p.numerator}/{p.denominator}"
+    def to_json(self, weight, total) -> str:
+        """The probability weight / total as "a/b" in lowest terms."""
+        g = gcd(weight, total)
+        return f"{weight // g}/{total // g}"
 
-    def scale(self, probs):
-        """(weights, W): integer weights over the lcm W of the denominators."""
-        weights, total = to_int(probs)
+    def canonical(self, weights, total):
+        """(weights, W) with gcd(W, *weights) divided out, so equal laws are equal."""
+        g = gcd(total, *weights)
+        if g > 1:
+            return tuple([w // g for w in weights]), total // g
         return tuple(weights), total
 
     def sums_to_one(self, weights, total) -> bool:
@@ -335,11 +341,14 @@ class FloatBackend:
     def coerce(self, c) -> float:
         return float(c)
 
-    def to_json(self, p) -> float:
-        return float(p)
+    def to_json(self, weight, total) -> float:
+        return weight / total
 
-    def scale(self, probs):
-        return probs, 1.0
+    def canonical(self, weights, total):
+        """(probabilities, 1.0): the weights over their total."""
+        if total != 1.0:
+            return tuple([w / total for w in weights]), 1.0
+        return tuple(weights), total
 
     def sums_to_one(self, weights, total) -> bool:
         return abs(sum(weights) - total) <= PROB_SUM_TOL
@@ -409,7 +418,7 @@ class FloatBackend:
         return labels
 
     def mean(self, u, space) -> float:
-        return sum(p * v for p, v in zip(space.probs, u))
+        return sum(p * v for p, v in zip(space.weights, u))
 
     def block_means(self, labels, block_weights, u, weights) -> FloatVec:
         sums = [0] * len(block_weights)
@@ -450,10 +459,30 @@ EXACT = ExactBackend()
 FLOAT = FloatBackend()
 
 
-def backend_of(probs):
-    """The backend of a probability vector: all Fractions or all floats."""
+_MIXED = "probabilities must be all Fractions or all floats"
+
+
+def scale(probs):
+    """(weights, W) of parsed probabilities, all Fractions or all floats.
+
+    Fractions become integer weights over the lcm W of their denominators,
+    floats (a float subclass as a plain float) stay themselves over W = 1.0.
+    """
     if all(isinstance(p, Fraction) for p in probs):
-        return EXACT
+        weights, total = to_int(probs)
+        return tuple(weights), total
     if all(isinstance(p, float) for p in probs):
+        return tuple(map(float, probs)), 1.0
+    raise ValueError(_MIXED)
+
+
+def backend_of(weights, total):
+    """The backend of a space's weights over its total: all ints or all floats."""
+    types = {type(total), *map(type, weights)}
+    if types == {int}:
+        return EXACT
+    if types == {float}:
         return FLOAT
-    raise ValueError("probabilities must be all Fractions or all floats")
+    if bool in types:
+        raise ValueError("probabilities must be numbers, not booleans")
+    raise ValueError(_MIXED)

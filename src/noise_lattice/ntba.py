@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import CapacityError, DomainMismatchError, PreconditionError
-from .finmeas import RV, ProbSpace, mk_dyadic, mk_space, space_from_json, space_to_json
+from .finmeas import RV, ProbSpace, mk_dyadic, space_from_json, space_to_json
 from .sigma import (
     SigmaField,
     _group,
@@ -265,7 +265,7 @@ def restrict(e: NTBAElement) -> Restriction:
         if name in seen:
             raise ValueError(f"quotient outcome {name!r} names two blocks: outcome ids contain '|'")
         seen.add(name)
-    qspace = mk_space(out_ids, x.masses)
+    qspace = ProbSpace(out_ids, x.weights, space.total)
     atom_indices = tuple(sorted(e.atomset))
     new_atoms = [
         _group(qspace, [[algebra.atoms[ai].labels[b[0]] for b in x.blocks]])

@@ -439,7 +439,7 @@ def product_oracle(a: ProbSpace, b: ProbSpace) -> SpaceProduct:
         tuple(ia for ia in range(a.size) for _ in range(b.size)),
         tuple(ib for _ in range(a.size) for ib in range(b.size)),
     )
-    return SpaceProduct((a, b), ProbSpace(outcomes, probs), coords)
+    return SpaceProduct((a, b), mk_space(outcomes, probs), coords)
 
 
 def rand_ntba_chained(rng, max_outcomes: int = 64, mode: str = "rational") -> NTBA:

@@ -3,6 +3,7 @@
 import json
 import random
 
+import pytest
 from conftest import exact_nullspace, membership_oracle, rebind_everywhere
 
 from noise_lattice import chaos, finmeas, sigma
@@ -12,12 +13,14 @@ from noise_lattice.chaos import (
     up_down_roundtrip,
 )
 from noise_lattice.cli import main
+from noise_lattice.errors import DomainMismatchError
 from noise_lattice.finmeas import (
     RV,
     constant,
     coordinate_sign,
     indicator,
     mk_dyadic,
+    mk_space,
     norm2,
     span_on,
 )
@@ -231,6 +234,14 @@ def test_up_down_examples():
     assert sigma_of_rvs(s3, imgs) == want
 
 
+def test_up_down_refuses_the_first_chaos_of_another_algebra():
+    space = mk_dyadic(3)
+    C, P = mk_coordinate_ntba(space), mk_parity_ntba(2, space)
+    assert up_down_roundtrip(C.element({0}), first_chaos(C))
+    with pytest.raises(DomainMismatchError):
+        up_down_roundtrip(C.element({0}), first_chaos(P))
+
+
 def test_up_down_all_elements_small_algebras():
     rng = random.Random(45)
     algebras = [mk_coordinate_ntba(mk_dyadic(n)) for n in (1, 2, 3)]
@@ -256,7 +267,7 @@ def test_presentation_order_does_not_change_h1():
 
 def test_float_mode_first_chaos():
     space = mk_dyadic(2)
-    fspace = type(space)(space.outcomes, tuple(float(p) for p in space.probs))
+    fspace = mk_space(space.outcomes, [float(p) for p in space.probs])
     from noise_lattice.sigma import partition
 
     atoms = [

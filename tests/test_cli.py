@@ -736,6 +736,31 @@ def test_mixed_probability_file_is_a_usage_error(tmp_path, capsys):
     assert "all Fractions or all floats" in captured.err
 
 
+# files with two faults, each with the one message the checks give first
+TWO_FAULTS = {
+    "duplicate-and-mixed": (["a", "a"], ["1/2", 0.5], "outcome identifiers must be unique"),
+    "length-and-duplicate": (["a", "a", "b"], ["1/2", "1/2"], "outcomes and probs must have equal length"),
+    "boolean-and-length": (["a"], [True, "1/2"], "probabilities must be numbers, not booleans"),
+    "literal-and-duplicate": (["a", "a"], ["x", "1/2"], "Invalid literal for Fraction: 'x'"),
+    "mixed-and-negative": (["a", "b"], [-0.5, "3/2"], "probabilities must be all Fractions or all floats"),
+    "negative-and-sum": (["a", "b"], ["-1/2", "1/4"], "probabilities must be strictly positive"),
+    "nan-and-negative": (["a", "b", "c"], [float("nan"), -1.0, 0.5], "probabilities must be strictly positive"),
+    "sum": (["a", "b"], ["1/2", "1/4"], "probabilities sum to 3/4, not 1"),
+    "sum-float": (["a", "b"], [0.5, 0.25], "probabilities sum to 0.75, not 1"),
+}
+
+
+@pytest.mark.parametrize("case", TWO_FAULTS)
+def test_a_probability_file_with_two_faults_names_the_first(tmp_path, capsys, case):
+    outcomes, probs, message = TWO_FAULTS[case]
+    f = tmp_path / f"{case}.json"
+    f.write_text(json.dumps({"outcomes": outcomes, "probs": probs}))
+    assert main(["space", "load", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {f}: {message}\n"
+
+
 def test_deeply_nested_file_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "deep.json"
     f.write_text("[" * 100_000)

@@ -25,7 +25,7 @@ from noise_lattice.spectrum import spectral_decompose
 
 
 def to_float_space(space: ProbSpace) -> ProbSpace:
-    return ProbSpace(space.outcomes, tuple(float(p) for p in space.probs))
+    return mk_space(space.outcomes, [float(p) for p in space.probs])
 
 
 def to_float_partition(space, part) -> SigmaField:

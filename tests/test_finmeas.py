@@ -14,6 +14,7 @@ from noise_lattice.finmeas import (
     ProbSpace,
     coordinate_sign,
     constant,
+    direct_sum,
     indicator,
     inner,
     mk_dyadic,
@@ -165,7 +166,7 @@ def test_product_capacity_guard():
 def test_outcome_guard_names_its_limit():
     n = MAX_OUTCOMES + 1
     with pytest.raises(CapacityError) as exc:
-        ProbSpace(("w",) * n, (Fraction(1, n),) * n)  # the guard fires before any other check
+        ProbSpace(("w",) * n, (1,) * n, n)  # the guard fires before any other check
     assert str(exc.value) == f"{n} outcomes exceed the guard of {MAX_OUTCOMES}"
 
 
@@ -311,9 +312,21 @@ def test_float_mode_space():
 
 
 def test_mixed_probabilities_rejected():
-    for probs in ((Fraction(1, 2), 0.5), (0.5, Fraction(1, 2))):
-        with pytest.raises(ValueError):
-            ProbSpace(("a", "b"), probs)
+    for weights, total in (((1, 0.5), 2), ((0.5, 0.5), 1), ((1, 1), 2.0), ((Fraction(1, 2),) * 2, 1)):
+        with pytest.raises(ValueError, match="^probabilities must be all Fractions or all floats$"):
+            ProbSpace(("a", "b"), weights, total)
+    for weights, total in (((True, 1), 2), ((1, 1), True), ((True,), True)):
+        with pytest.raises(ValueError, match="^probabilities must be numbers, not booleans$"):
+            ProbSpace(("a", "b")[: len(weights)], weights, total)
     for probs in (("1/2", 0.5), (0.5, Fraction(1, 2))):
         with pytest.raises(ValueError, match="all Fractions or all floats"):
             mk_space(["a", "b"], probs)
+
+
+def test_direct_sum_refuses_a_part_on_another_space():
+    dyadic = mk_dyadic(2)
+    s2 = mk_space(["a", "b", "c", "d"], ["1/8", "1/8", "1/4", "1/2"])
+    with pytest.raises(DomainMismatchError):
+        direct_sum(dyadic, [span([indicator(s2, [0])])])
+    ok = direct_sum(dyadic, [span([indicator(dyadic, [0])]), span([indicator(dyadic, [3])])])
+    assert ok.space is dyadic and ok.dim == 2
