@@ -19,20 +19,22 @@ against the first chaos built here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import ConsistencyError, DomainMismatchError
+from .errors import ConsistencyError, DomainMismatchError, Record
 from .finmeas import RV, Subspace, direct_sum, span_on
 from .ntba import NTBA, NTBAElement
 from .sigma import cond_exp, sigma_of_rvs
 
 
-@dataclass
-class ChaosResult:
+class ChaosResult(Record):
     """The first chaos of ``algebra``, as an orthogonal basis ``h1``."""
 
     h1: Subspace
     algebra: NTBA
+
+    def __init__(self, h1: Subspace, algebra: NTBA):
+        self.h1 = h1
+        self.algebra = algebra
 
 
 def atom_bases(algebra: NTBA) -> list:

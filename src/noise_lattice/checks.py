@@ -25,7 +25,6 @@ import os
 import pickle
 import random
 import signal
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from operator import itemgetter, mul
@@ -34,7 +33,7 @@ from . import cofinite as cf
 from . import instances as inst
 from . import randsup as rs
 from .chaos import chaos_membership, first_chaos, up_down_roundtrip
-from .errors import NoiseLatticeError
+from .errors import NoiseLatticeError, Record
 from .finmeas import (
     coordinate_sign,
     float_twin,
@@ -84,11 +83,15 @@ from .spectrum import (
 )
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     cases: int
-    failures: list = field(default_factory=list)
+    failures: list
+
+    def __init__(self, name: str, cases: int, failures: list | None = None):
+        self.name = name
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -37,12 +37,11 @@ raises ``CapacityError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import lcm
 from operator import and_, or_
 from typing import NamedTuple
 
-from .errors import CapacityError, PreconditionError, UnsupportedSequenceError
+from .errors import CapacityError, Frozen, PreconditionError, Record, UnsupportedSequenceError
 
 MAX_BITS = 1 << 20
 
@@ -449,41 +448,49 @@ def complement_problems() -> list:
 # Monotone sequences from a closed descriptor family
 
 
-@dataclass(frozen=True)
-class PrefixJoins:
+class PrefixJoins(Frozen):
     """Increasing: term n is the join of y(k) for k in the index set, k <= n."""
 
     index_set: NatSet
+
+    def __init__(self, index_set: NatSet):
+        self.__dict__["index_set"] = index_set
 
     def term(self, n: int) -> CofElem:
         return ys_elem(self.index_set.intersect(range_set(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class TailChain:
+class TailChain(Frozen):
     """Decreasing: term n is t(start + n - 1)."""
 
-    start: int = 1
+    start: int
+
+    def __init__(self, start: int = 1):
+        self.__dict__["start"] = start
 
     def term(self, n: int) -> CofElem:
         return x(self.start + n - 1)
 
 
-@dataclass(frozen=True)
-class ComplementChain:
+class ComplementChain(Frozen):
     """Decreasing: complements (in B) of the prefix joins of an index set."""
 
     index_set: NatSet
+
+    def __init__(self, index_set: NatSet):
+        self.__dict__["index_set"] = index_set
 
     def term(self, n: int) -> CofElem:
         return complement_in_algebra(PrefixJoins(self.index_set).term(n))
 
 
-@dataclass(frozen=True)
-class EventuallyConstant:
+class EventuallyConstant(Frozen):
     """Explicit monotone prefix, then the last element forever."""
 
     elems: tuple
+
+    def __init__(self, elems: tuple):
+        self.__dict__["elems"] = elems
 
     def term(self, n: int) -> CofElem:
         return self.elems[min(n, len(self.elems)) - 1]
@@ -529,12 +536,17 @@ def _increasing_in_algebra(seq):
     return False
 
 
-@dataclass
-class CompletionCheck:
+class CompletionCheck(Record):
     holds: bool
     sup: CofElem
     inf_complements: CofElem
     joined: CofElem
+
+    def __init__(self, holds: bool, sup: CofElem, inf_complements: CofElem, joined: CofElem):
+        self.holds = holds
+        self.sup = sup
+        self.inf_complements = inf_complements
+        self.joined = joined
 
 
 def completion_criterion_check(seq) -> CompletionCheck:
@@ -557,10 +569,13 @@ def completion_criterion_check(seq) -> CompletionCheck:
     return CompletionCheck(joined == ONE, sup, infc, joined)
 
 
-@dataclass
-class DoubleLimitCheck:
+class DoubleLimitCheck(Record):
     equal: bool
     joined_limits: CofElem
+
+    def __init__(self, equal: bool, joined_limits: CofElem):
+        self.equal = equal
+        self.joined_limits = joined_limits
 
 
 def double_limit_check(seq) -> DoubleLimitCheck:
@@ -595,10 +610,12 @@ def double_limit_check(seq) -> DoubleLimitCheck:
 # Ultrafilters and atomlessness
 
 
-@dataclass(frozen=True)
-class CofUltrafilter:
+class CofUltrafilter(Frozen):
     kind: str  # "principal" | "frechet"
-    index: int | None = None
+    index: int | None
+
+    def __init__(self, kind: str, index: int | None = None):
+        self.__dict__.update(kind=kind, index=index)
 
     def contains(self, e: CofElem) -> bool:
         if self.kind == "principal":

@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types, and the bases of result records and immutable values,
+shared across the library."""
 
 
 class NoiseLatticeError(Exception):
@@ -23,3 +24,49 @@ class UnsupportedSequenceError(NoiseLatticeError):
 
 class ConsistencyError(NoiseLatticeError):
     """Two independent computations of the same quantity disagree."""
+
+
+class Record:
+    """Base of the library's result records.
+
+    A record's fields are the names annotated in its class body, in order,
+    and its ``__init__`` sets them.  Two records are equal when they are of
+    one class with equal fields, and ``repr`` lists the fields by name, as
+    for a dataclass.  A record is mutable and unhashable; a ``Frozen`` one
+    is neither.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """Base of the library's immutable values: records hashed as their tuple of fields.
+
+    ``__init__`` sets the fields once, through the instance ``__dict__``;
+    assigning or deleting an attribute afterwards raises ``AttributeError``.
+    """
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

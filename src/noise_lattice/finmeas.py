@@ -20,49 +20,61 @@ factor, of a random variable or of a partition, reads that map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 
 from . import linalg
-from .errors import CapacityError, DomainMismatchError
+from .errors import CapacityError, DomainMismatchError, Frozen
 
 MAX_OUTCOMES = 1 << 20
 
 
-@dataclass(frozen=True)
-class ProbSpace:
+class ProbSpace(Frozen):
     """A finite outcome set with strictly positive probabilities.
 
     Built as ``ProbSpace(outcomes, weights, total)``: p_i = weights[i] /
     total.  In rational mode the weights and the total are ints, with
     gcd(total, *weights) divided out when the space is built; in float
     mode the weights are the probabilities and the total is 1.0 (other
-    float weights are divided by their total).  So equal laws are equal
-    spaces and hash alike.  A mix of ints and floats, or a boolean, is
-    rejected.  ``backend`` is the ``linalg`` backend the weights select,
-    and ``probs`` the probabilities as Fractions or floats, built on
-    first read.
+    float weights are divided by their total).  So equal laws of one mode
+    are equal spaces, and equal laws hash alike.  A mix of ints and
+    floats, or a boolean, is rejected.  ``backend`` is the ``linalg``
+    backend the weights select, and ``probs`` the probabilities as
+    Fractions or floats, built on first read.
     """
 
     outcomes: tuple
     weights: tuple
     total: object
-    backend: object = field(init=False, repr=False, compare=False)
+    backend: object
 
-    def __post_init__(self):
-        _check_outcomes(self.outcomes, len(self.weights))
-        backend = linalg.backend_of(self.weights, self.total)
-        object.__setattr__(self, "backend", backend)
+    def __init__(self, outcomes, weights, total):
+        _check_outcomes(outcomes, len(weights))
+        backend = linalg.backend_of(weights, total)
         # not min(weights): a float NaN first would hide a later negative
-        if not self.total > 0 or any(w <= 0 for w in self.weights):
+        if not total > 0 or any(w <= 0 for w in weights):
             raise ValueError("probabilities must be strictly positive")
-        weights, total = backend.canonical(self.weights, self.total)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "total", total)
+        weights, total = backend.canonical(weights, total)
         if not backend.sums_to_one(weights, total):
             raise ValueError(f"probabilities sum to {backend.ratio(sum(weights), total)}, not 1")
+        self.__dict__.update(outcomes=outcomes, weights=weights, total=total, backend=backend)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the backend too: one outcome weighs 1 over 1 in either mode
+        return self is other or (
+            (self.outcomes, self.weights, self.total, self.backend.name)
+            == (other.outcomes, other.weights, other.total, other.backend.name)
+        )
+
+    def __hash__(self):
+        return hash((self.outcomes, self.weights, self.total))
+
+    def __repr__(self):
+        fields = f"outcomes={self.outcomes!r}, weights={self.weights!r}, total={self.total!r}"
+        return f"ProbSpace({fields})"
 
     @cached_property
     def probs(self) -> tuple:
@@ -122,8 +134,7 @@ def mk_dyadic(n: int) -> ProbSpace:
     return ProbSpace(outcomes, (1,) * (1 << n), 1 << n)
 
 
-@dataclass(frozen=True)
-class RV:
+class RV(Frozen):
     """A random variable: one real value per outcome.
 
     Built as ``RV(space, values)``.  It holds its values as the space's
@@ -138,8 +149,14 @@ class RV:
     space: ProbSpace
     vec: object
 
+    def __init__(self, space: ProbSpace, vec):
+        self.__dict__.update(space=space, vec=vec)
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "vec", self.space.backend.vector(self.vec, self.space.size))
+        """The conversion of ``vec``, a method of its own: perfbench counts
+        the random variables built by wrapping it."""
+        self.__dict__["vec"] = self.space.backend.vector(self.vec, self.space.size)
 
     @property
     def values(self) -> tuple:
@@ -305,8 +322,7 @@ def direct_sum(space: ProbSpace, parts) -> Subspace:
     )
 
 
-@dataclass(frozen=True)
-class SpaceProduct:
+class SpaceProduct(Frozen):
     """The product of n factor spaces with its coordinate maps.
 
     ``coords[k][i]`` is the outcome index in ``factors[k]`` of outcome i
@@ -317,6 +333,9 @@ class SpaceProduct:
     factors: tuple
     space: ProbSpace
     coords: tuple
+
+    def __init__(self, factors: tuple, space: ProbSpace, coords: tuple):
+        self.__dict__.update(factors=factors, space=space, coords=coords)
 
     def factor(self, k: int) -> ProbSpace:
         """Factor k (0-based); an index outside 0..n-1 is a ``ValueError``."""

@@ -18,10 +18,9 @@ and the ``ntba-constructions`` suite's oracle, for ``presentation_problem`` too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 
-from .errors import CapacityError, DomainMismatchError, PreconditionError
+from .errors import CapacityError, DomainMismatchError, Frozen, PreconditionError, Record
 from .finmeas import RV, ProbSpace, mk_dyadic, space_from_json, space_to_json
 from .sigma import (
     SigmaField,
@@ -98,10 +97,12 @@ class NTBA:
         return self.element(i for i in range(self.n_atoms) if i != k)
 
 
-@dataclass(frozen=True)
-class NTBAElement:
+class NTBAElement(Frozen):
     algebra: NTBA
     atomset: frozenset
+
+    def __init__(self, algebra: NTBA, atomset: frozenset):
+        self.__dict__.update(algebra=algebra, atomset=atomset)
 
     def realize(self) -> SigmaField:
         """The sigma-field this element stands for: the join of its atoms."""
@@ -163,11 +164,15 @@ def presentation_problem(space: ProbSpace, atoms) -> str | None:
     return None
 
 
-@dataclass
-class FamilyVerdict:
+class FamilyVerdict(Record):
     valid: bool
-    reason: str | None = None
-    witness: tuple | None = None
+    reason: str | None
+    witness: tuple | None
+
+    def __init__(self, valid: bool, reason: str | None = None, witness: tuple | None = None):
+        self.valid = valid
+        self.reason = reason
+        self.witness = witness
 
 
 def validate_family(space: ProbSpace, elems) -> FamilyVerdict:
@@ -228,13 +233,17 @@ def validate_family(space: ProbSpace, elems) -> FamilyVerdict:
     return FamilyVerdict(True)
 
 
-@dataclass
-class Restriction:
+class Restriction(Record):
     """restrict() result: the quotient algebra plus the lifting maps."""
 
     algebra: NTBA
     quotient: SigmaField  # on the base space; block k is quotient outcome k
     atom_indices: tuple  # result atom -> original atom index
+
+    def __init__(self, algebra: NTBA, quotient: SigmaField, atom_indices: tuple):
+        self.algebra = algebra
+        self.quotient = quotient
+        self.atom_indices = atom_indices
 
     def lift_rv(self, f: RV) -> RV:
         """Extend an RV on the quotient to the base space, constant on blocks."""

@@ -22,39 +22,38 @@ importing this module does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError, Frozen, PreconditionError, Record
 
 BLOCK = 4096  # trials per Philox stream
 MAX_LEVEL_ATOMS = 1024  # one level's (BLOCK, n_k) float draw stays within 32 MiB
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(Frozen):
     atom_counts: tuple
     ps: tuple
     seed: int
     trials: int
 
-    def __post_init__(self):
-        if len(self.atom_counts) != len(self.ps):
+    def __init__(self, atom_counts: tuple, ps: tuple, seed: int, trials: int):
+        if len(atom_counts) != len(ps):
             raise ValueError("atom_counts and ps must have equal length")
-        if not self.ps:
+        if not ps:
             raise ValueError("at least one level is required")
-        if any(not 0.0 < p < 1.0 for p in self.ps):
+        if any(not 0.0 < p < 1.0 for p in ps):
             raise PreconditionError("each p must lie strictly between 0 and 1")
-        if any(n < 1 for n in self.atom_counts):
+        if any(n < 1 for n in atom_counts):
             raise ValueError("each atom count must be at least 1")
-        if any(b < a for a, b in zip(self.atom_counts, self.atom_counts[1:])):
+        if any(b < a for a, b in zip(atom_counts, atom_counts[1:])):
             raise ValueError("atom counts must be nondecreasing")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("at least one trial is required")
-        if self.atom_counts[-1] > MAX_LEVEL_ATOMS:
+        if atom_counts[-1] > MAX_LEVEL_ATOMS:
             raise CapacityError(
-                f"{self.atom_counts[-1]} atoms at one level exceed the guard of "
+                f"{atom_counts[-1]} atoms at one level exceed the guard of "
                 f"{MAX_LEVEL_ATOMS} per level"
             )
+        self.__dict__.update(atom_counts=atom_counts, ps=ps, seed=seed, trials=trials)
 
 
 def trial_rng(seed: int, block: int) -> np.random.Generator:
@@ -102,14 +101,21 @@ def run_join_process(cfg: SampleConfig) -> list:
     return out
 
 
-@dataclass
-class UnionBoundReport:
+class UnionBoundReport(Record):
     estimate: float
     exact: float
     bound: float
     sigma: float
     within_three_sigma: bool
     below_bound: bool
+
+    def __init__(self, estimate, exact, bound, sigma, within_three_sigma, below_bound):
+        self.estimate = estimate
+        self.exact = exact
+        self.bound = bound
+        self.sigma = sigma
+        self.within_three_sigma = within_three_sigma
+        self.below_bound = below_bound
 
     @property
     def ok(self) -> bool:

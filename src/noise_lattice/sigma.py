@@ -28,17 +28,15 @@ criterion).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DomainMismatchError, PreconditionError
+from .errors import DomainMismatchError, Frozen, PreconditionError
 from .finmeas import RV, ProbSpace, Subspace, indicator, vecs_on
 
 _NOT_CANONICAL = "labels must number the blocks 0, 1, ... in the order of their least outcome"
 
 
-@dataclass(frozen=True)
-class SigmaField:
+class SigmaField(Frozen):
     """A partition as its canonical label vector.
 
     ``labels[i]`` is the index of the block holding outcome i, the blocks
@@ -49,15 +47,24 @@ class SigmaField:
     them on first read.
     """
 
-    space: ProbSpace = field(hash=False)
+    space: ProbSpace
     labels: tuple
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, space: ProbSpace, labels):
+        labels = tuple(labels)
         first_seen = tuple(dict.fromkeys(labels))
-        if len(labels) != self.space.size or first_seen != tuple(range(len(first_seen))):
+        if len(labels) != space.size or first_seen != tuple(range(len(first_seen))):
             raise ValueError(_NOT_CANONICAL)
+        self.__dict__.update(space=space, labels=labels)
+
+    def __eq__(self, other):
+        # the fields spelled out, not ``Frozen._key``: the lattice scans compare fields often
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.space, self.labels) == (other.space, other.labels)
+
+    def __hash__(self):
+        return hash((self.labels,))
 
     @cached_property
     def n_blocks(self) -> int:
@@ -99,7 +106,7 @@ def _number(space: ProbSpace, keys) -> SigmaField:
 
     Keys are numbered in the order they are first seen, so the labels come
     out canonical; each key is hashed once.  Canonical by construction, the
-    field is built past ``__post_init__``'s check of its labels.
+    field is built past ``__init__``'s check of its labels.
     """
     index: dict = {}
     labels = tuple([index.setdefault(k, len(index)) for k in keys])

@@ -18,31 +18,38 @@ all, for the suites, which hold the certified numbers to it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .chaos import atom_bases
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, Record
 from .finmeas import RV, Subspace, constant, direct_sum, span_on
 from .ntba import NTBA, NTBAElement, restrict
 from .sigma import cond_exp, sigma_of_rvs, subspace_of
 
 
-@dataclass
-class SpectralPoint:
+class SpectralPoint(Record):
     eigenspace: Subspace
     generator: frozenset  # atom indices of the filter generator
     k: int
+
+    def __init__(self, eigenspace: Subspace, generator: frozenset, k: int):
+        self.eigenspace = eigenspace
+        self.generator = generator
+        self.k = k
 
     def in_spectral_set(self, atomset) -> bool:
         """Whether this point lies in S_x for the element with that atomset."""
         return self.generator <= frozenset(atomset)
 
 
-@dataclass
-class SpectralDecomp:
+class SpectralDecomp(Record):
     algebra: NTBA
     points: list
     levels: dict  # k -> Subspace
+
+    def __init__(self, algebra: NTBA, points: list, levels: dict):
+        self.algebra = algebra
+        self.points = points
+        self.levels = levels
 
     def level_dims(self) -> dict:
         """Dimension of each level k, by increasing k; the levels fill the space."""

@@ -95,6 +95,14 @@ def test_inner_space_mismatch():
         inner(f, g)
 
 
+def test_one_outcome_spaces_of_two_modes_differ():
+    # weight 1 over total 1 in both modes: only the backend tells them apart
+    exact, floating = mk_space(["a"], [1]), mk_space(["a"], [1.0])
+    assert exact != floating and hash(exact) == hash(floating)
+    with pytest.raises(DomainMismatchError):
+        RV(exact, (1,)) + RV(floating, (1.0,))
+
+
 def test_a_space_given_beside_the_vectors_must_be_theirs():
     # equal sizes, so nothing but the check tells the spaces apart
     s1 = mk_dyadic(2)

@@ -10,9 +10,9 @@ somewhere in ``src/`` outside its own body; exporting a name from
 function nothing calls.
 
 A result states each verdict once, so every annotated field of a class
-under ``src/noise_lattice`` (a dataclass or ``NamedTuple`` field) must be
-read as an attribute (``obj.field``) somewhere in ``src/`` or ``tests/``;
-a field nobody reads is either unused or repeats another.
+under ``src/noise_lattice`` (an ``errors.Record`` or ``NamedTuple``
+field) must be read as an attribute (``obj.field``) somewhere in ``src/``
+or ``tests/``; a field nobody reads is either unused or repeats another.
 
 ``cli`` parses, calls and prints: each verdict and number a command
 prints comes from the library route that ``check all`` runs.  So

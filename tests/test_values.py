@@ -1,0 +1,190 @@
+"""The library's records and values behave as the dataclasses they replaced.
+
+Each class under ``src/noise_lattice`` that was a dataclass now derives
+from ``errors.Record`` (results) or ``errors.Frozen`` (hashed, immutable
+values), so that no command loads ``dataclasses``.  Here each one is held
+to a dataclass twin with the old declaration, built from the same field
+values: ``==`` and ``!=`` between any two samples, of one class or two,
+``hash`` and ``repr`` agree.  Values also survive a pickle round trip,
+refuse assignment and keep their cached properties.  The one deliberate
+difference, a one-outcome rational space against its float twin, is
+``test_finmeas.py::test_one_outcome_spaces_of_two_modes_differ``.
+"""
+
+import itertools
+import pickle
+from dataclasses import field, make_dataclass
+
+import pytest
+
+from noise_lattice import cofinite as cf
+from noise_lattice.chaos import ChaosResult, first_chaos
+from noise_lattice.checks import SuiteResult
+from noise_lattice.errors import Frozen
+from noise_lattice.finmeas import (
+    RV,
+    ProbSpace,
+    SpaceProduct,
+    constant,
+    indicator,
+    mk_dyadic,
+    mk_space,
+    product,
+)
+from noise_lattice.ntba import (
+    FamilyVerdict,
+    NTBAElement,
+    Restriction,
+    mk_coordinate_ntba,
+    mk_parity_ntba,
+    restrict,
+    validate_family,
+)
+from noise_lattice.randsup import SampleConfig, UnionBoundReport, union_bound_report
+from noise_lattice.sigma import SigmaField, discrete, partition, trivial
+from noise_lattice.spectrum import SpectralDecomp, SpectralPoint, spectral_decompose
+
+FROZEN = {"frozen": True}
+RECORD = {}
+
+# class -> (dataclass options, fields as make_dataclass takes them), as declared before
+DECLARED = {
+    ProbSpace: (FROZEN, ["outcomes", "weights", "total",
+                         ("backend", object, field(init=False, repr=False, compare=False))]),
+    RV: (FROZEN, ["space", "vec"]),
+    SpaceProduct: (FROZEN, ["factors", "space", "coords"]),
+    SigmaField: (FROZEN, [("space", object, field(hash=False)), "labels"]),
+    NTBAElement: (FROZEN, ["algebra", "atomset"]),
+    cf.PrefixJoins: (FROZEN, ["index_set"]),
+    cf.TailChain: (FROZEN, [("start", int, field(default=1))]),
+    cf.ComplementChain: (FROZEN, ["index_set"]),
+    cf.EventuallyConstant: (FROZEN, ["elems"]),
+    cf.CofUltrafilter: (FROZEN, ["kind", ("index", object, field(default=None))]),
+    SampleConfig: (FROZEN, ["atom_counts", "ps", "seed", "trials"]),
+    FamilyVerdict: (RECORD, ["valid", ("reason", object, field(default=None)),
+                             ("witness", object, field(default=None))]),
+    Restriction: (RECORD, ["algebra", "quotient", "atom_indices"]),
+    SpectralPoint: (RECORD, ["eigenspace", "generator", "k"]),
+    SpectralDecomp: (RECORD, ["algebra", "points", "levels"]),
+    ChaosResult: (RECORD, ["h1", "algebra"]),
+    SuiteResult: (RECORD, ["name", "cases", ("failures", list, field(default_factory=list))]),
+    cf.CompletionCheck: (RECORD, ["holds", "sup", "inf_complements", "joined"]),
+    cf.DoubleLimitCheck: (RECORD, ["equal", "joined_limits"]),
+    UnionBoundReport: (RECORD, ["estimate", "exact", "bound", "sigma",
+                                "within_three_sigma", "below_bound"]),
+}
+
+TWINS = {
+    cls: make_dataclass(cls.__name__, fields, **options)
+    for cls, (options, fields) in DECLARED.items()
+}
+
+
+def _twin(x):
+    """The dataclass twin of x, built from x's field values."""
+    twin = TWINS[type(x)]
+    names = [f if isinstance(f, str) else f[0] for f in DECLARED[type(x)][1]]
+    init = [n for n in names if n != "backend"]
+    return twin(*[getattr(x, n) for n in init])
+
+
+def _samples() -> list:
+    """Equal but distinct instances, and unequal ones, of every class."""
+    half = mk_space(["a", "b"], ["1/3", "2/3"])
+    floats = mk_space(["a", "b"], [0.25, 0.75])
+    dyadic = mk_dyadic(2)
+    other = mk_space(["w", "x", "y", "z"], ["1/8", "1/8", "1/4", "1/2"])
+    coords, parity = mk_coordinate_ntba(dyadic), mk_parity_ntba(1)
+    decomp = spectral_decompose(coords)
+    point = decomp.points[0]
+    cfg = SampleConfig((2, 3), (0.1, 0.2), seed=3, trials=50)
+    return [
+        half, ProbSpace(("a", "b"), (2, 4), 6), floats, dyadic, mk_dyadic(2), other,
+        constant(half, 1), constant(half, 1), indicator(half, [0]), constant(floats, 1),
+        product(half, dyadic), product(half, dyadic), product(dyadic, half),
+        discrete(dyadic), partition(dyadic, [[3], [2], [1], [0]]), trivial(dyadic),
+        discrete(other),
+        coords.element({0}), coords.element([0]), coords.element({1}), parity.element({0}),
+        cf.PrefixJoins(cf.FULL_SET), cf.PrefixJoins(cf.progression(2)),
+        cf.PrefixJoins(cf.progression(2)), cf.ComplementChain(cf.progression(2)),
+        cf.TailChain(), cf.TailChain(1), cf.TailChain(3),
+        cf.EventuallyConstant((cf.y(1), cf.y(2))), cf.EventuallyConstant((cf.y(1),)),
+        cf.CofUltrafilter("frechet"), cf.CofUltrafilter("principal", 2),
+        cf.CofUltrafilter("principal", 2),
+        cfg, SampleConfig((2, 3), (0.1, 0.2), seed=3, trials=50),
+        SampleConfig((2, 3), (0.1, 0.2), seed=4, trials=50),
+        FamilyVerdict(True), FamilyVerdict(True), FamilyVerdict(False, "no", (1,)),
+        validate_family(dyadic, [trivial(dyadic), discrete(dyadic)]),
+        restrict(coords.element({0})), restrict(coords.element({0})),
+        point, decomp.points[1], SpectralPoint(point.eigenspace, point.generator, point.k),
+        decomp, SpectralDecomp(decomp.algebra, list(decomp.points), decomp.levels),
+        first_chaos(coords), ChaosResult(first_chaos(coords).h1, coords),
+        SuiteResult("s", 2), SuiteResult("s", 2, []), SuiteResult("s", 2, [{"case": 0}]),
+        cf.completion_criterion_check(cf.PrefixJoins(cf.FULL_SET)),
+        cf.completion_criterion_check(cf.PrefixJoins(cf.FULL_SET)),
+        cf.double_limit_check(cf.PrefixJoins(cf.progression(2))),
+        cf.double_limit_check(cf.PrefixJoins(cf.progression(2))),
+        union_bound_report(cfg), union_bound_report(cfg),
+    ]
+
+
+SAMPLES = _samples()
+
+
+def test_every_converted_class_has_samples():
+    assert set(DECLARED) == {type(x) for x in SAMPLES}
+
+
+def test_equality_matches_the_dataclass_twin():
+    twins = [_twin(x) for x in SAMPLES]
+    for (x, tx), (y, ty) in itertools.product(zip(SAMPLES, twins), repeat=2):
+        assert (x == y) is (tx == ty), (x, y)
+        assert (x != y) is (tx != ty), (x, y)
+
+
+def test_equal_fields_of_another_class_or_a_tuple_are_unequal():
+    s = cf.progression(2)
+    assert cf.PrefixJoins(s) != cf.ComplementChain(s)
+    for x in SAMPLES:
+        fields = tuple(vars(_twin(x)).values())
+        assert x != fields and fields != x
+
+
+def test_hash_and_repr_match_the_dataclass_twin():
+    for x in SAMPLES:
+        twin = _twin(x)
+        assert repr(x) == repr(twin)
+        if isinstance(x, Frozen):
+            assert hash(x) == hash(twin)
+        else:
+            for obj in (x, twin):
+                with pytest.raises(TypeError):
+                    hash(obj)
+
+
+def test_values_survive_a_pickle_round_trip():
+    for x in SAMPLES:
+        if isinstance(x, Frozen) and not isinstance(x, NTBAElement):
+            again = pickle.loads(pickle.dumps(x))
+            assert again == x and hash(again) == hash(x) and repr(again) == repr(x)
+    # an algebra compares by identity, so an element comes back in its loaded algebra
+    e = mk_coordinate_ntba(mk_dyadic(2)).element({0})
+    again, algebra = pickle.loads(pickle.dumps((e, e.algebra)))
+    assert again == algebra.element(e.atomset) and again != e
+    result = SuiteResult("s", 2, [{"case": 0}])
+    assert pickle.loads(pickle.dumps(result)) == result
+
+
+def test_values_refuse_assignment_and_keep_cached_properties():
+    for x in SAMPLES:
+        if isinstance(x, Frozen):
+            name = next(iter(vars(x)))
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+    space = mk_space(["a", "b"], ["1/3", "2/3"])
+    sigma = partition(space, [[1], [0]])
+    assert space.probs is space.probs and sigma.blocks is sigma.blocks
+    again = pickle.loads(pickle.dumps(sigma))
+    assert again.blocks == sigma.blocks and again.space.probs == space.probs
