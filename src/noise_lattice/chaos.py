@@ -41,22 +41,18 @@ def atom_bases(algebra: NTBA) -> list:
     """Per atom, the span of its mean-zero part, as one Subspace each.
 
     Atom k gives the centred indicators 1_B - P(B) of all its blocks but
-    the last (the last is minus the sum of the others), orthogonalized by
+    the last (the last is minus the sum of the others), built from the
+    block weights over the space's total and orthogonalized by
     ``span_on``: b_k - 1 vectors.  Vectors of different atoms are already
     orthogonal, because the atoms are independent.
     """
     space = algebra.space
-    one = space.backend.one
+    centred = space.backend.centred_indicator
+    total, size = space.total, space.size
     out = []
     for atom in algebra.atoms:
-        rows = []
-        for block, p in zip(atom.blocks[:-1], atom.masses):
-            vals = [-p] * space.size
-            inside = one - p
-            for i in block:
-                vals[i] = inside
-            rows.append(RV(space, tuple(vals)))
-        out.append(span_on(space, rows))
+        blocks = zip(atom.blocks[:-1], atom.weights)
+        out.append(span_on(space, [RV(space, centred(b, w, total, size)) for b, w in blocks]))
     return out
 
 

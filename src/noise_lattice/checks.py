@@ -197,7 +197,7 @@ def _projections_commute(x: SigmaField, y: SigmaField) -> bool:
 
     def product(a, b):
         cols = list(zip(*b))
-        return [sum(u * v for u, v in zip(row, col) if u and v) for row in a for col in cols]
+        return [sum(map(mul, row, col)) for row in a for col in cols]
 
     return product(mx, my) == product(my, mx)
 
@@ -726,16 +726,17 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
 
     The first chaos is taken from its definition: the kernel K of the
     stacked dense operators S = [I - Q_x - Q_x'] over the co-atoms x.
-    Level 1's basis must be linearly independent, lie in K (every row of S
-    has zero dot product with every basis vector), and have rank N when
-    stacked on S.  K is the orthogonal complement of the row space of S,
-    so the two meet only in 0, and an independent basis inside K adds its
-    length to the rank of S: given independence and containment, rank N
-    holds iff N - rank(S) == len(basis), that is iff the basis spans K.
-    The basis goes first, so the elimination stops at rank N instead of
-    reading every row of S.  Each basis vector must also split,
-    f = Q_x f + Q_x' f, for every co-atom, and the basis has the certified
-    level 1 dim that ``chaos report`` prints.
+    Level 1's h basis vectors must be linearly independent, lie in K
+    (every row of S has zero dot product with every basis vector), and S
+    must have rank N - h.  K is the orthogonal complement of the row space
+    R of S, and the standard inner product is positive definite over Q, so
+    R and K meet only in 0: rank(S) <= N - h once an independent basis of
+    h vectors lies in K, with equality iff the basis spans K.  So S alone
+    is eliminated, and only until it reaches N - h pivots.  Its rows go in
+    reverse order, which reaches them soonest; the order changes the cost,
+    not the rank.  Each basis vector must also split, f = Q_x f + Q_x' f,
+    for every co-atom, and the basis has the certified level 1 dim that
+    ``chaos report`` prints.
     """
     res = SuiteResult("first-level-equals-first-chaos", cases)
     for case in range(cases):
@@ -750,7 +751,8 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
         ok = certified_levels(B)[1] == len(basis)
         ok = ok and backend.rank([f.vec for f in basis]) == len(basis)
         ok = ok and not any(sum(map(mul, row, v)) for row in stacked for v in nums)
-        ok = ok and len(row_echelon_int(nums + stacked)[1]) == space.size
+        rank = space.size - len(basis)
+        ok = ok and len(row_echelon_int(stacked[::-1], rank)[1]) == rank
         ok = ok and all(
             backend.equal(f.vec, (cond_exp(x, f) + cond_exp(xc, f)).vec)
             for f in basis

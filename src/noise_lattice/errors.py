@@ -1,5 +1,5 @@
-"""Exception types, and the bases of result records and immutable values,
-shared across the library."""
+"""Exception types, the bases of result records and immutable values, and
+the descriptor of their derived attributes, shared across the library."""
 
 
 class NoiseLatticeError(Exception):
@@ -70,3 +70,27 @@ class Frozen(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class derived:
+    """A method read as an attribute, computed on first read and kept.
+
+    The value goes into the instance ``__dict__`` under the method's name,
+    past ``Frozen.__setattr__``, and shadows this non-data descriptor from
+    then on, so later reads are plain attribute reads.  Unlike
+    ``functools.cached_property`` it takes no lock: two threads reading
+    at once may both compute the value, which is a pure function of
+    fields that never change.  A kept value is not a field: it takes no
+    part in equality, hashing or ``repr``, and a pickle carries it.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value

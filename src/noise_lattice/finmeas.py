@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 
 from . import linalg
-from .errors import CapacityError, DomainMismatchError, Frozen
+from .errors import CapacityError, DomainMismatchError, Frozen, derived
 
 MAX_OUTCOMES = 1 << 20
 
@@ -41,7 +40,8 @@ class ProbSpace(Frozen):
     are equal spaces, and equal laws hash alike.  A mix of ints and
     floats, or a boolean, is rejected.  ``backend`` is the ``linalg``
     backend the weights select, and ``probs`` the probabilities as
-    Fractions or floats, built on first read.
+    Fractions or floats, built on first read.  ``size``, the outcome
+    count, is kept when the space is built; it is not a field.
     """
 
     outcomes: tuple
@@ -58,7 +58,9 @@ class ProbSpace(Frozen):
         weights, total = backend.canonical(weights, total)
         if not backend.sums_to_one(weights, total):
             raise ValueError(f"probabilities sum to {backend.ratio(sum(weights), total)}, not 1")
-        self.__dict__.update(outcomes=outcomes, weights=weights, total=total, backend=backend)
+        self.__dict__.update(
+            outcomes=outcomes, weights=weights, total=total, backend=backend, size=len(outcomes)
+        )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -76,17 +78,13 @@ class ProbSpace(Frozen):
         fields = f"outcomes={self.outcomes!r}, weights={self.weights!r}, total={self.total!r}"
         return f"ProbSpace({fields})"
 
-    @cached_property
+    @derived
     def probs(self) -> tuple:
         return tuple([self.backend.ratio(w, self.total) for w in self.weights])
 
     @property
     def mode(self) -> str:
         return self.backend.name
-
-    @property
-    def size(self) -> int:
-        return len(self.outcomes)
 
 
 def _check_outcomes(outcomes, n_probs: int) -> None:
@@ -195,11 +193,7 @@ def constant(space: ProbSpace, c) -> RV:
 
 
 def indicator(space: ProbSpace, idxs) -> RV:
-    one, zero = space.backend.one, space.backend.zero
-    vals = [zero] * space.size
-    for i in idxs:
-        vals[i] = one
-    return RV(space, tuple(vals))
+    return RV(space, space.backend.indicator(idxs, space.size))
 
 
 def coordinate_sign(space: ProbSpace, k: int) -> RV:

@@ -23,7 +23,7 @@ def weighted_dot_int(u, v, w):
     return total
 
 
-def row_echelon_int(rows):
+def row_echelon_int(rows, limit=None):
     """Row echelon form, built one row at a time.  Returns (rows, pivot_cols).
 
     Each input row is reduced against the rows kept so far: while its
@@ -33,10 +33,19 @@ def row_echelon_int(rows):
     leading column as pivot.  The kept rows come back sorted by pivot
     column, one per rank, so they span the row space of the input.  The
     input is not mutated.
+
+    The elimination stops once ``limit`` rows are kept (by default the
+    column count, the largest rank there is), so the pivot count is
+    min(rank, limit): a caller that knows a bound on the rank asks
+    whether it is reached without reading the rows past it.
     """
     kept = {}  # pivot column -> primitive row whose leading entry sits there
     nc = len(rows[0]) if rows else 0
+    if limit is None:
+        limit = nc
     for row in rows:
+        if len(kept) >= limit:
+            break
         r = list(row)
         c = 0
         while True:
@@ -53,8 +62,6 @@ def row_echelon_int(rows):
             p, e = p // g, e // g
             for j in range(c, nc):
                 r[j] = p * r[j] - e * pivot_row[j]
-        if len(kept) == nc:
-            break
     piv_cols = sorted(kept)
     return [kept[c] for c in piv_cols], piv_cols
 

@@ -14,11 +14,15 @@ random variable is an ``IntVec``: integer numerators over one denominator,
 reduced the same way, so equal laws are equal spaces and equal values
 equal vectors.  Fractions become weights or such a vector once, at the
 boundary (``scale``, ``to_int``); a product or quotient of spaces
-multiplies or sums weights and never builds a probability.  Sums,
-products and comparisons of probabilities and of values are then Python
-``int`` arithmetic and the elimination kernels; a ``Fraction`` is built
-only for a scalar handed back (a block mass, an inner product, a mean, a
-projection coefficient) or when a vector's values are read.  A float vector
+multiplies or sums weights and never builds a probability.  Indicators
+and centred block indicators are built as integers from the block
+weights over the total, and a projection's coefficients are reduced
+integer pairs.  Sums, products and comparisons of probabilities and of
+values are then Python ``int`` arithmetic and the elimination kernels; a
+``Fraction`` is built only for a scalar handed back (a block mass, an
+inner product, a mean, a squared norm) or when a vector's values are
+read.  Both backends pickle by name, so a loaded space keeps ``EXACT`` or
+``FLOAT`` itself.  A float vector
 is a ``FloatVec``, the tuple of its floats; the float backend uses the
 probabilities themselves as weights, with W = 1.0, and numpy, which it
 imports on first use, so a rational computation never loads numpy.  The
@@ -169,7 +173,8 @@ class ExactBackend:
     ``total`` W (``canonical``), so sums and products of probabilities are int
     arithmetic and every comparison an integer cross-multiplication, with
     no tolerance.  A ``Fraction`` is built only for a scalar handed back
-    (a mass, an inner product, a mean) or when ``values`` is read.
+    (a mass, an inner product, a mean, a squared norm) or when ``values``
+    is read.
 
     ``tol`` is None: an exact product law of certified atoms passes to the
     fields of disjoint groups of atoms (the grouping property; Kallenberg,
@@ -180,6 +185,10 @@ class ExactBackend:
     zero = Fraction(0)
     one = Fraction(1)
     tol = None
+
+    def __reduce__(self):
+        # pickled by name, so a loaded space keeps the one backend
+        return "EXACT"
 
     def coerce(self, c) -> Fraction:
         return Fraction(c)
@@ -222,6 +231,22 @@ class ExactBackend:
     def values(self, u) -> tuple:
         nums, den = u
         return tuple([Fraction(n, den) for n in nums])
+
+    def indicator(self, idxs, size) -> IntVec:
+        """The vector that is 1 at the indices and 0 elsewhere."""
+        nums = [0] * size
+        for i in idxs:
+            nums[i] = 1
+        return tuple.__new__(IntVec, (tuple(nums), 1))
+
+    def centred_indicator(self, block, weight, total, size) -> IntVec:
+        """1_B - P(B) for the block B of that weight over the total W: the
+        numerators W - w_B inside B and -w_B outside, over W."""
+        nums = [-weight] * size
+        inside = total - weight
+        for i in block:
+            nums[i] = inside
+        return _intvec(nums, total)
 
     def add(self, u, v) -> IntVec:
         (a, da), (b, db) = u, v
@@ -296,16 +321,26 @@ class ExactBackend:
     def project(self, u, basis, norms2, space) -> IntVec:
         """The sum over an orthogonal basis of <u, b> / |b|^2 times b.
 
-        One Fraction coefficient per basis vector; the combination is one
-        integer sum over the lcm of their denominators.
+        With u = n_u / d_u, b = n_b / d_b and |b|^2 = p / q, the coefficient
+        of n_b is <u, b> / (|b|^2 d_b) = (sum_i w_i n_u,i n_b,i) q over
+        d_u d_b^2 W p: one pair of integers, reduced by one gcd.  The
+        combination is one integer sum over the lcm of the denominators.
         """
-        coeffs = [self.dot(u, b, space) / (n2 * b.den) for b, n2 in zip(basis, norms2)]
-        den = lcm(*[c.denominator for c in coeffs])
-        nums = [0] * len(u.nums)
-        for c, b in zip(coeffs, basis):
-            m = c.numerator * (den // c.denominator)
+        nums_u, den_u = u
+        weights = space.weights
+        den_u *= space.total
+        coeffs = []
+        for (nums_b, den_b), n2 in zip(basis, norms2):
+            c = weighted_dot_int(nums_u, nums_b, weights) * n2.denominator
+            d = den_u * den_b * den_b * n2.numerator
+            g = gcd(c, d)
+            coeffs.append((c // g, d // g))
+        den = lcm(*[d for _, d in coeffs])
+        nums = [0] * len(nums_u)
+        for (c, d), (nums_b, _) in zip(coeffs, basis):
+            m = c * (den // d)
             if m:
-                nums = [x + m * y for x, y in zip(nums, b.nums)]
+                nums = [x + m * y for x, y in zip(nums, nums_b)]
         return _intvec(nums, den)
 
     def orthogonalize(self, vectors, space):
@@ -337,6 +372,9 @@ class FloatBackend:
     zero = 0.0
     one = 1.0
     tol = FLOAT_TOL
+
+    def __reduce__(self):
+        return "FLOAT"
 
     def coerce(self, c) -> float:
         return float(c)
@@ -376,6 +414,21 @@ class FloatBackend:
 
     def values(self, u) -> tuple:
         return tuple(u)
+
+    def indicator(self, idxs, size) -> FloatVec:
+        vals = [0.0] * size
+        for i in idxs:
+            vals[i] = 1.0
+        return FloatVec(vals)
+
+    def centred_indicator(self, block, weight, total, size) -> FloatVec:
+        """1_B - P(B), with P(B) = w_B / W as ``ratio`` gives it."""
+        p = weight / total
+        vals = [-p] * size
+        inside = 1.0 - p
+        for i in block:
+            vals[i] = inside
+        return FloatVec(vals)
 
     def add(self, u, v) -> FloatVec:
         return FloatVec([a + b for a, b in zip(u, v)])

@@ -28,9 +28,8 @@ criterion).
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
-from .errors import DomainMismatchError, Frozen, PreconditionError
+from .errors import DomainMismatchError, Frozen, PreconditionError, derived
 from .finmeas import RV, ProbSpace, Subspace, indicator, vecs_on
 
 _NOT_CANONICAL = "labels must number the blocks 0, 1, ... in the order of their least outcome"
@@ -66,11 +65,11 @@ class SigmaField(Frozen):
     def __hash__(self):
         return hash((self.labels,))
 
-    @cached_property
+    @derived
     def n_blocks(self) -> int:
         return max(self.labels) + 1
 
-    @cached_property
+    @derived
     def blocks(self) -> tuple:
         """The blocks, each increasing, in the order of their least outcome."""
         blocks = [[] for _ in range(self.n_blocks)]
@@ -78,14 +77,14 @@ class SigmaField(Frozen):
             blocks[k].append(i)
         return tuple(map(tuple, blocks))
 
-    @cached_property
+    @derived
     def weights(self) -> tuple:
         weights = [0] * self.n_blocks
         for k, w in zip(self.labels, self.space.weights):
             weights[k] += w
         return tuple(weights)
 
-    @cached_property
+    @derived
     def masses(self) -> tuple:
         space = self.space
         return tuple(space.backend.ratio(w, space.total) for w in self.weights)
@@ -106,14 +105,15 @@ def _number(space: ProbSpace, keys) -> SigmaField:
 
     Keys are numbered in the order they are first seen, so the labels come
     out canonical; each key is hashed once.  Canonical by construction, the
-    field is built past ``__init__``'s check of its labels.
+    field is built past ``__init__``'s check of its labels, with its block
+    count, the number of keys, already known.
     """
     index: dict = {}
     labels = tuple([index.setdefault(k, len(index)) for k in keys])
     if len(labels) != space.size:
         raise ValueError(_NOT_CANONICAL)
     field = object.__new__(SigmaField)
-    field.__dict__.update(space=space, labels=labels)
+    field.__dict__.update(space=space, labels=labels, n_blocks=len(index))
     return field
 
 
@@ -172,18 +172,20 @@ def meet(x: SigmaField, y: SigmaField) -> SigmaField:
     _chk(x, y)
     nx = x.n_blocks
     parent = list(range(nx + y.n_blocks))  # x-block a is node a, y-block b is nx + b
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # the root walks are written out, with path halving, rather than called
     for a, b in set(zip(x.labels, y.labels)):
-        ra, rb = find(a), find(nx + b)
-        if ra != rb:
-            parent[rb] = ra
-    root = [find(a) for a in range(nx)]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        b += nx
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+    root = []
+    for a in range(nx):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        root.append(a)
     return _number(x.space, map(root.__getitem__, x.labels))
 
 
@@ -249,9 +251,11 @@ def _product_problem(fields, given=None):
     is_product = space.backend.is_product
     weights = [f.weights for f in fields]
     for total, blocks in groups:
-        for key in itertools.product(*blocks):
+        # each key of block labels beside its tuple of block weights
+        factors = itertools.product(*(list(map(w.__getitem__, b)) for w, b in zip(weights, blocks)))
+        for key, ws in zip(itertools.product(*blocks), factors):
             cell = table.get(key)
-            if cell is None or not is_product(cell, [w[k] for w, k in zip(weights, key)], total):
+            if cell is None or not is_product(cell, ws, total):
                 return key
     return None
 

@@ -12,7 +12,9 @@ spans computed one outcome at a time on the values rather than on integer
 vectors, a family of sigma-fields audited by recomputing every meet
 and join it reads, first-chaos membership decided on sigma-field meets
 and joins rather than on atom bitmasks, and product spaces and random
-atom families built by chaining two-factor products.  Tests compare the
+atom families built by chaining two-factor products, indicators and
+centred block indicators written out value by value, and the random
+instances drawn with ``randint`` and ``randrange``.  Tests compare the
 production path against these.
 """
 
@@ -31,8 +33,11 @@ from noise_lattice.finmeas import (
     ProbSpace,
     SpaceProduct,
     Subspace,
+    constant,
+    float_twin,
     indicator,
     mk_space,
+    product,
     span_on,
 )
 from noise_lattice.kernels import row_echelon_int
@@ -169,6 +174,24 @@ def project_oracle(sub: Subspace, f: RV) -> tuple:
         c = inner_oracle(f, b) / n2
         out = tuple(o + x * c for o, x in zip(out, b.values))
     return out
+
+
+def indicator_oracle(space: ProbSpace, idxs) -> tuple:
+    """The values of 1_idxs: the backend's one at the indices, its zero elsewhere."""
+    idxs = set(idxs)
+    backend = space.backend
+    return tuple(backend.one if i in idxs else backend.zero for i in range(space.size))
+
+
+def centred_oracle(space: ProbSpace, block) -> tuple:
+    """The values of 1_B - P(B), with P(B) summed from the probabilities over B.
+
+    In float mode the sum runs in outcome order from 0, as the block
+    weights do, so the floats are the library's own.
+    """
+    p = sum(space.probs[i] for i in block)
+    inside = space.backend.one - p
+    return tuple(inside if i in block else -p for i in range(space.size))
 
 
 def lift_oracle(f: RV, index) -> tuple:
@@ -477,6 +500,62 @@ def rand_ntba_chained(rng, max_outcomes: int = 64, mode: str = "rational") -> NT
         lifted.append(lift_partition(prod, discrete(nxt), 1))
         space = prod.space
     return NTBA(space, lifted)
+
+
+# ``instances``' draws as first written, with ``randint`` and ``randrange``:
+# the library draws the same integers through ``choice`` over a range.
+
+
+def _rand_weighted_oracle(rng, n: int, prefix: str, mode: str) -> ProbSpace:
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    space = ProbSpace(tuple(f"{prefix}{i}" for i in range(n)), tuple(weights), sum(weights))
+    return space if mode == "rational" else float_twin(space)
+
+
+def rand_space_oracle(rng, max_size: int = 5, mode: str = "rational") -> ProbSpace:
+    return _rand_weighted_oracle(rng, rng.randint(2, max_size), "w", mode)
+
+
+def _rand_onto_oracle(rng, n: int) -> list:
+    k = rng.randint(1, n)
+    labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+    rng.shuffle(labels)
+    return labels
+
+
+def _groups_of(labels) -> list:
+    groups: dict = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(i)
+    return list(groups.values())
+
+
+def rand_partition_oracle(rng, space: ProbSpace) -> SigmaField:
+    return partition(space, _groups_of(_rand_onto_oracle(rng, space.size)))
+
+
+def rand_rv_oracle(rng, space: ProbSpace, zero_mean: bool = False) -> RV:
+    if space.mode == "rational":
+        vals = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(space.size)]
+    else:
+        vals = [rng.uniform(-3.0, 3.0) for _ in range(space.size)]
+    f = RV(space, vals)
+    return f - constant(space, f.mean()) if zero_mean else f
+
+
+def rand_independent_pair_oracle(rng):
+    prod = product(rand_space_oracle(rng, 4), rand_space_oracle(rng, 4))
+    x = lift_partition(prod, rand_partition_oracle(rng, prod.factors[0]), 0)
+    y = lift_partition(prod, rand_partition_oracle(rng, prod.factors[1]), 1)
+    return prod, x, y
+
+
+def rand_element_oracle(rng, algebra: NTBA):
+    return algebra.element([i for i in range(algebra.n_atoms) if rng.random() < 0.5])
+
+
+def rand_atom_groups_oracle(rng, algebra: NTBA) -> list:
+    return _groups_of(_rand_onto_oracle(rng, algebra.n_atoms))
 
 
 def mat_mul(a, b):

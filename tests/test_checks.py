@@ -5,7 +5,9 @@ M over one scale L, Q = M / L.  These tests hold M, the commuting
 verdict and the rank of the stacked first-chaos operators against the
 ``Fraction`` matrices of ``conftest``.  The three suites that decide a
 kernel by rank and by sending a basis to 0 are also run with one fault
-injected at a time, and each fault must fail some case.  The truncation
+injected at a time, and each fault must fail some case; the first-level
+suite's elimination stops at the rank it certifies, and keeps the
+verdict of eliminating the basis with the stack.  The truncation
 suite must realize each distinct element once.  The cofinite
 lattice-law suite reads its laws from one meet table and one join table,
 so a result outside its element set is a reported failure and a one-sided
@@ -192,6 +194,22 @@ def test_first_level_suite_catches_a_dropped_basis_vector(monkeypatch):
     assert res.failures
 
 
+def test_first_level_suite_catches_a_dropped_vector_by_its_rank_step(monkeypatch):
+    """The certified dim is patched to agree with the shorter basis, which
+    stays independent, inside the kernel and split by every co-atom: only
+    the stack's rank falls short of N - h."""
+    original = checks.certified_levels
+
+    def agreeing(B):
+        levels = original(B)
+        levels[1] -= 1
+        return levels
+
+    monkeypatch.setattr(checks, "certified_levels", agreeing)
+    res = _with_level_one(monkeypatch, lambda sub: (sub.basis[1:], sub.norms2[1:]))
+    assert res.failures
+
+
 def test_first_level_suite_catches_a_basis_vector_outside_the_kernel(monkeypatch):
     def moved(sub):
         first = indicator(sub.space, [0])
@@ -247,6 +265,42 @@ def test_first_level_rank_clauses_agree_with_the_kernel_dimension():
             assert new == (old and inside)
             verdicts.append(new)
     assert verdicts.count(True) == 30
+
+
+def test_echelon_limit_stops_at_that_rank_and_keeps_the_verdict():
+    """``row_echelon_int(rows, limit)`` is the elimination of the shortest
+    prefix of rows of rank ``limit`` (all rows when the rank is lower), and
+    no limit is a limit of the column count.  So it reaches ``limit``
+    pivots iff the rank is at least ``limit``: on random integer matrices,
+    and on the first-level stacks S, reversed as the suite reads them,
+    where N - h pivots agree with rank N of [basis; S]."""
+    rng = random.Random(34)
+    for _ in range(300):
+        nc = rng.randint(1, 7)
+        m = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(rng.randint(1, 9))]
+        assert row_echelon_int(m) == row_echelon_int(m, nc)
+        rank = exact_rank(m)
+        for limit in range(nc + 1):
+            ech, piv = row_echelon_int(m, limit)
+            assert len(piv) == min(rank, limit)
+            prefix = next(
+                (m[:j] for j in range(len(m) + 1) if exact_rank(m[:j]) == limit), m
+            )
+            assert (ech, piv) == row_echelon_int(prefix)
+    for seed in (1, 2, 3):
+        rng = random.Random(f"{seed}:suite_first_level_is_h1")
+        for _ in range(30):
+            B = rand_ntba(rng, 64)
+            n = B.space.size
+            nums = [f.vec.nums for f in checks.spectral_decompose(B).levels[1].basis]
+            splits = [(B.coatom(k).realize(), B.atoms[k]) for k in range(B.n_atoms)]
+            stacked = checks._operator_stack(splits, n)
+            limit = n - len(nums)
+            reached = len(row_echelon_int(stacked[::-1], limit)[1]) == limit
+            assert reached == (exact_rank(nums + stacked) == n)
+            for short in (nums[1:], nums[:-1]):  # a vector dropped: the limit is out of reach
+                limit = n - len(short)
+                assert len(row_echelon_int(stacked[::-1], limit)[1]) < limit
 
 
 def test_truncation_suite_realizes_each_element_once(monkeypatch):

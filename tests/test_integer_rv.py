@@ -13,8 +13,10 @@ from fractions import Fraction
 import pytest
 from conftest import (
     add_oracle,
+    centred_oracle,
     cond_exp_oracle,
     gram_schmidt_oracle,
+    indicator_oracle,
     inner_oracle,
     level_sets_oracle,
     lift_oracle,
@@ -31,8 +33,9 @@ from hypothesis import strategies as st
 from test_integer_weights import field_of, masses, space_of, values
 
 from noise_lattice import linalg
-from noise_lattice.finmeas import RV, constant, inner, mk_space, span_on
-from noise_lattice.instances import rand_element, rand_ntba, rand_rv
+from noise_lattice.chaos import atom_bases, first_chaos
+from noise_lattice.finmeas import RV, constant, indicator, inner, mk_space, span_on
+from noise_lattice.instances import rand_element, rand_ntba, rand_partition, rand_rv, rand_space
 from noise_lattice.ntba import restrict
 from noise_lattice.sigma import cond_exp, sigma_of_rvs, subspace_of
 
@@ -84,6 +87,46 @@ def test_inner_cond_exp_and_projections_match_the_per_outcome_forms(case):
         assert all_same(sub.project(f).values, want)
         assert sub.contains(f) == space.backend.equal(tuple(f.values), want)
         assert sub.contains(sub.project(f))
+
+
+def _centred(space, field):
+    """The centred indicators of the field's blocks, as the backend builds them."""
+    build = space.backend.centred_indicator
+    return [build(b, w, space.total, space.size) for b, w in zip(field.blocks, field.weights)]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_indicators_and_centred_vectors_match_their_value_forms(mode):
+    """Built from the block weights over the total, the vectors have the
+    values of the oracles: equal Fractions, or the same floats as the
+    float expressions -p and 1.0 - p."""
+    rng = random.Random(38)
+    for _ in range(50):
+        space = rand_space(rng, 7, mode)
+        x = rand_partition(rng, space)
+        for block, vec in zip(x.blocks, _centred(space, x)):
+            assert all_same(indicator(space, block).values, indicator_oracle(space, block))
+            assert all_same(RV(space, vec).values, centred_oracle(space, block))
+        assert all_same(indicator(space, []).values, indicator_oracle(space, []))
+
+
+def test_atom_bases_and_projections_match_their_fraction_routes():
+    """On 50 random rational algebras each atom's basis spans the oracle's
+    centred indicators, and projecting onto it, onto the first chaos and onto
+    L2 of an element gives the per-outcome projection's Fractions."""
+    rng = random.Random(39)
+    for _ in range(50):
+        B = rand_ntba(rng, 32)
+        space = B.space
+        bases = atom_bases(B)
+        for atom, sub in zip(B.atoms, bases):
+            want = [RV(space, centred_oracle(space, b)) for b in atom.blocks[:-1]]
+            assert sub.canonical_key() == span_on(space, want).canonical_key()
+        f = rand_rv(rng, space)
+        x = rand_element(rng, B).realize()
+        h1 = first_chaos(B).h1
+        for sub in (*bases, h1, subspace_of(x), span_on(space, [f * f, cond_exp(x, f)])):
+            assert sub.project(f).values == project_oracle(sub, f)
 
 
 @settings(max_examples=200, deadline=None)

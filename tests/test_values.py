@@ -6,7 +6,8 @@ values), so that no command loads ``dataclasses``.  Here each one is held
 to a dataclass twin with the old declaration, built from the same field
 values: ``==`` and ``!=`` between any two samples, of one class or two,
 ``hash`` and ``repr`` agree.  Values also survive a pickle round trip,
-refuse assignment and keep their cached properties.  The one deliberate
+with the same backend object, so a loaded copy works beside its original;
+they refuse assignment and keep their derived attributes.  The one deliberate
 difference, a one-outcome rational space against its float twin, is
 ``test_finmeas.py::test_one_outcome_spaces_of_two_modes_differ``.
 """
@@ -18,15 +19,17 @@ from dataclasses import field, make_dataclass
 import pytest
 
 from noise_lattice import cofinite as cf
+from noise_lattice import linalg
 from noise_lattice.chaos import ChaosResult, first_chaos
 from noise_lattice.checks import SuiteResult
-from noise_lattice.errors import Frozen
+from noise_lattice.errors import Frozen, derived
 from noise_lattice.finmeas import (
     RV,
     ProbSpace,
     SpaceProduct,
     constant,
     indicator,
+    inner,
     mk_dyadic,
     mk_space,
     product,
@@ -175,6 +178,59 @@ def test_values_survive_a_pickle_round_trip():
     assert pickle.loads(pickle.dumps(result)) == result
 
 
+def _spaces_in(x) -> list:
+    """The spaces a sample holds in its fields, itself if it is one."""
+    if isinstance(x, ProbSpace):
+        return [x]
+    fields = [getattr(x, name) for name in x._fields]
+    return [f for f in fields if isinstance(f, ProbSpace)]
+
+
+def test_a_loaded_value_keeps_its_backend_and_works_beside_the_original():
+    for backend in (linalg.EXACT, linalg.FLOAT):
+        assert pickle.loads(pickle.dumps(backend)) is backend
+    for x in SAMPLES:
+        if isinstance(x, Frozen):
+            again = pickle.loads(pickle.dumps(x))
+            for s, t in zip(_spaces_in(x), _spaces_in(again)):
+                assert t.backend is s.backend
+                both = product(s, t)  # a DomainMismatchError if the backends differ
+                assert both.space.backend is s.backend
+                f, g = indicator(s, [0]), indicator(t, [0])
+                assert (f + g).space.backend is s.backend
+                assert f - g == constant(s, 0) and inner(f, g) == inner(f, f)
+    algebra = mk_coordinate_ntba(mk_dyadic(2))
+    copy = pickle.loads(pickle.dumps(algebra))
+    got, want = restrict(copy.element({0})), restrict(algebra.element({0}))
+    assert got.algebra.space == want.algebra.space and got.algebra.atoms == want.algebra.atoms
+    assert got.algebra.space.backend is want.algebra.space.backend
+    assert product(got.algebra.space, want.algebra.space).space.size == 4
+
+
+class _Counted(Frozen):
+    """A value whose derived attribute counts how often it is computed."""
+
+    n: int
+
+    def __init__(self, n):
+        self.__dict__.update(n=n, calls=[])
+
+    @derived
+    def double(self):
+        self.calls.append(None)
+        return 2 * self.n
+
+
+def test_a_derived_attribute_is_computed_once_and_kept_in_the_instance():
+    x = _Counted(3)
+    assert x.double == 6 and x.double == 6 and len(x.calls) == 1
+    assert vars(x)["double"] == 6 and isinstance(_Counted.double, derived)
+    with pytest.raises(AttributeError):
+        x.double = 7
+    assert x.double == 6 and x == _Counted(3) and hash(x) == hash(_Counted(3))
+    assert repr(x) == "_Counted(n=3)"
+
+
 def test_values_refuse_assignment_and_keep_cached_properties():
     for x in SAMPLES:
         if isinstance(x, Frozen):
@@ -186,5 +242,11 @@ def test_values_refuse_assignment_and_keep_cached_properties():
     space = mk_space(["a", "b"], ["1/3", "2/3"])
     sigma = partition(space, [[1], [0]])
     assert space.probs is space.probs and sigma.blocks is sigma.blocks
+    for name in ("n_blocks", "blocks", "weights", "masses"):
+        with pytest.raises(AttributeError):
+            setattr(sigma, name, None)
+    with pytest.raises(AttributeError):
+        space.probs = None
     again = pickle.loads(pickle.dumps(sigma))
-    assert again.blocks == sigma.blocks and again.space.probs == space.probs
+    assert vars(again)["blocks"] == sigma.blocks and vars(again.space)["probs"] == space.probs
+    assert again.masses == sigma.masses and again.n_blocks == 2
