@@ -32,10 +32,6 @@ class ChaosResult(Record):
     h1: Subspace
     algebra: NTBA
 
-    def __init__(self, h1: Subspace, algebra: NTBA):
-        self.h1 = h1
-        self.algebra = algebra
-
 
 def atom_bases(algebra: NTBA) -> list:
     """Per atom, the span of its mean-zero part, as one Subspace each.

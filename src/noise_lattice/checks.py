@@ -102,6 +102,11 @@ def _partition_witness(part: SigmaField) -> list:
     return [list(b) for b in part.blocks]
 
 
+def _algebra_witness(B: NTBA) -> dict:
+    """An algebra in a failure record: its space and the blocks of each atom."""
+    return {"space": space_to_json(B.space), "atoms": [_partition_witness(a) for a in B.atoms]}
+
+
 # ---------------------------------------------------------------------------
 # finmeas suites
 
@@ -428,10 +433,7 @@ def suite_ntba_constructions(rng: random.Random, cases: int) -> SuiteResult:
             ok = ok and join(p1, comp) == discrete(B.space)
             ok = ok and independent(p1, comp)
             if not ok:
-                res.failures.append(
-                    {"case": case, "space": space_to_json(B.space),
-                     "atoms": [_partition_witness(a) for a in B.atoms]}
-                )
+                res.failures.append({"case": case, **_algebra_witness(B)})
     return res
 
 
@@ -590,10 +592,7 @@ def suite_classicality(rng: random.Random, cases: int) -> SuiteResult:
             or h1.dim != certified_levels(B)[1]
             or sigma_of_rvs(B.space, h1.basis) != discrete(B.space)
         ):
-            res.failures.append(
-                {"case": case, "space": space_to_json(B.space),
-                 "atoms": [_partition_witness(a) for a in B.atoms]}
-            )
+            res.failures.append({"case": case, **_algebra_witness(B)})
     return res
 
 
@@ -611,11 +610,7 @@ def suite_up_down(rng: random.Random, cases: int) -> SuiteResult:
         cr = first_chaos(B)
         for e in B.elements():
             if not up_down_roundtrip(e, cr):
-                res.failures.append(
-                    {"space": space_to_json(B.space),
-                     "atoms": [_partition_witness(a) for a in B.atoms],
-                     "element": sorted(e.atomset)}
-                )
+                res.failures.append({**_algebra_witness(B), "element": sorted(e.atomset)})
     return res
 
 
@@ -655,10 +650,7 @@ def suite_spectral_complete(rng: random.Random, cases: int) -> SuiteResult:
         if ok and B.n_atoms <= 4:
             ok = not verify_spectral_identities(D)
         if not ok:
-            res.failures.append(
-                {"case": case, "space": space_to_json(B.space),
-                 "atoms": [_partition_witness(a) for a in B.atoms]}
-            )
+            res.failures.append({"case": case, **_algebra_witness(B)})
     return res
 
 
@@ -759,10 +751,7 @@ def suite_first_level_is_h1(rng: random.Random, cases: int) -> SuiteResult:
             for x, xc in splits
         )
         if not ok:
-            res.failures.append(
-                {"case": case, "space": space_to_json(space),
-                 "atoms": [_partition_witness(a) for a in B.atoms]}
-            )
+            res.failures.append({"case": case, **_algebra_witness(B)})
     return res
 
 
@@ -796,10 +785,7 @@ def suite_sigma_tower(rng: random.Random, cases: int) -> SuiteResult:
         algebras.append(inst.rand_ntba(rng, 32))
     for B in algebras:
         if not sigma_tower_check(spectral_decompose(B)):
-            res.failures.append(
-                {"space": space_to_json(B.space),
-                 "atoms": [_partition_witness(a) for a in B.atoms]}
-            )
+            res.failures.append(_algebra_witness(B))
     return res
 
 

@@ -453,9 +453,6 @@ class PrefixJoins(Frozen):
 
     index_set: NatSet
 
-    def __init__(self, index_set: NatSet):
-        self.__dict__["index_set"] = index_set
-
     def term(self, n: int) -> CofElem:
         return ys_elem(self.index_set.intersect(range_set(1, n + 1)))
 
@@ -463,10 +460,7 @@ class PrefixJoins(Frozen):
 class TailChain(Frozen):
     """Decreasing: term n is t(start + n - 1)."""
 
-    start: int
-
-    def __init__(self, start: int = 1):
-        self.__dict__["start"] = start
+    start: int = 1
 
     def term(self, n: int) -> CofElem:
         return x(self.start + n - 1)
@@ -477,9 +471,6 @@ class ComplementChain(Frozen):
 
     index_set: NatSet
 
-    def __init__(self, index_set: NatSet):
-        self.__dict__["index_set"] = index_set
-
     def term(self, n: int) -> CofElem:
         return complement_in_algebra(PrefixJoins(self.index_set).term(n))
 
@@ -488,9 +479,6 @@ class EventuallyConstant(Frozen):
     """Explicit monotone prefix, then the last element forever."""
 
     elems: tuple
-
-    def __init__(self, elems: tuple):
-        self.__dict__["elems"] = elems
 
     def term(self, n: int) -> CofElem:
         return self.elems[min(n, len(self.elems)) - 1]
@@ -542,12 +530,6 @@ class CompletionCheck(Record):
     inf_complements: CofElem
     joined: CofElem
 
-    def __init__(self, holds: bool, sup: CofElem, inf_complements: CofElem, joined: CofElem):
-        self.holds = holds
-        self.sup = sup
-        self.inf_complements = inf_complements
-        self.joined = joined
-
 
 def completion_criterion_check(seq) -> CompletionCheck:
     """Whether sup of the sequence joined with inf of the complements is top.
@@ -572,10 +554,6 @@ def completion_criterion_check(seq) -> CompletionCheck:
 class DoubleLimitCheck(Record):
     equal: bool
     joined_limits: CofElem
-
-    def __init__(self, equal: bool, joined_limits: CofElem):
-        self.equal = equal
-        self.joined_limits = joined_limits
 
 
 def double_limit_check(seq) -> DoubleLimitCheck:
@@ -612,10 +590,7 @@ def double_limit_check(seq) -> DoubleLimitCheck:
 
 class CofUltrafilter(Frozen):
     kind: str  # "principal" | "frechet"
-    index: int | None
-
-    def __init__(self, kind: str, index: int | None = None):
-        self.__dict__.update(kind=kind, index=index)
+    index: int | None = None
 
     def contains(self, e: CofElem) -> bool:
         if self.kind == "principal":

@@ -1,5 +1,12 @@
 """Exception types, the bases of result records and immutable values, and
-the descriptor of their derived attributes, shared across the library."""
+the descriptor of their derived attributes, shared across the library.
+
+A record declares its fields once, as the annotated names of its class
+body, and ``Record.__init__`` builds it from their values, given by
+position only; a trailing field may have a default, the class attribute
+of its name.  A class keeps an ``__init__`` of its own only where its
+constructor converts or validates.
+"""
 
 
 class NoiseLatticeError(Exception):
@@ -29,16 +36,31 @@ class ConsistencyError(NoiseLatticeError):
 class Record:
     """Base of the library's result records.
 
-    A record's fields are the names annotated in its class body, in order,
-    and its ``__init__`` sets them.  Two records are equal when they are of
-    one class with equal fields, and ``repr`` lists the fields by name, as
-    for a dataclass.  A record is mutable and unhashable; a ``Frozen`` one
-    is neither.
+    A record's fields are the names annotated in its class body, in order.
+    ``__init__`` takes their values positionally only and stores them in
+    the instance ``__dict__``; a trailing field may have a default, the
+    class attribute of its name, which is stored alike when left out.  Two
+    records are equal when they are of one class with equal fields, and
+    ``repr`` lists the fields by name, as for a dataclass.  A record is
+    mutable and unhashable; a ``Frozen`` one is neither.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        own = vars(cls)
         cls._fields = tuple(cls.__annotations__)
+        cls._defaults = tuple([own[name] for name in cls._fields if name in own])
+        if any(name in own for name in cls._fields[: len(cls._fields) - len(cls._defaults)]):
+            raise TypeError(f"{cls.__qualname__}: a field without a default follows a default")
+
+    def __init__(self, *values):
+        fields, defaults = self._fields, self._defaults
+        if len(values) != len(fields):
+            if not len(fields) - len(defaults) <= len(values) < len(fields):
+                name = f"{self.__class__.__qualname__}({', '.join(fields)})"
+                raise TypeError(f"{name}: {len(values)} values given")
+            values += defaults[len(values) - len(fields) :]
+        self.__dict__.update(zip(fields, values))
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

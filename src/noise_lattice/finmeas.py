@@ -328,9 +328,6 @@ class SpaceProduct(Frozen):
     space: ProbSpace
     coords: tuple
 
-    def __init__(self, factors: tuple, space: ProbSpace, coords: tuple):
-        self.__dict__.update(factors=factors, space=space, coords=coords)
-
     def factor(self, k: int) -> ProbSpace:
         """Factor k (0-based); an index outside 0..n-1 is a ``ValueError``."""
         n = len(self.factors)

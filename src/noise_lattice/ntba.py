@@ -77,12 +77,6 @@ class NTBA:
             raise ValueError("atomset contains unknown atom indices")
         return NTBAElement(self, aset)
 
-    def zero(self) -> "NTBAElement":
-        return self.element(())
-
-    def one(self) -> "NTBAElement":
-        return self.element(range(self.n_atoms))
-
     def elements(self):
         """All 2^n elements, by increasing atom-index bitmask."""
         n = self.n_atoms
@@ -100,9 +94,6 @@ class NTBA:
 class NTBAElement(Frozen):
     algebra: NTBA
     atomset: frozenset
-
-    def __init__(self, algebra: NTBA, atomset: frozenset):
-        self.__dict__.update(algebra=algebra, atomset=atomset)
 
     def realize(self) -> SigmaField:
         """The sigma-field this element stands for: the join of its atoms."""
@@ -166,13 +157,8 @@ def presentation_problem(space: ProbSpace, atoms) -> str | None:
 
 class FamilyVerdict(Record):
     valid: bool
-    reason: str | None
-    witness: tuple | None
-
-    def __init__(self, valid: bool, reason: str | None = None, witness: tuple | None = None):
-        self.valid = valid
-        self.reason = reason
-        self.witness = witness
+    reason: str | None = None
+    witness: tuple | None = None
 
 
 def validate_family(space: ProbSpace, elems) -> FamilyVerdict:
@@ -239,11 +225,6 @@ class Restriction(Record):
     algebra: NTBA
     quotient: SigmaField  # on the base space; block k is quotient outcome k
     atom_indices: tuple  # result atom -> original atom index
-
-    def __init__(self, algebra: NTBA, quotient: SigmaField, atom_indices: tuple):
-        self.algebra = algebra
-        self.quotient = quotient
-        self.atom_indices = atom_indices
 
     def lift_rv(self, f: RV) -> RV:
         """Extend an RV on the quotient to the base space, constant on blocks."""

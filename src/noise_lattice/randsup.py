@@ -109,14 +109,6 @@ class UnionBoundReport(Record):
     within_three_sigma: bool
     below_bound: bool
 
-    def __init__(self, estimate, exact, bound, sigma, within_three_sigma, below_bound):
-        self.estimate = estimate
-        self.exact = exact
-        self.bound = bound
-        self.sigma = sigma
-        self.within_three_sigma = within_three_sigma
-        self.below_bound = below_bound
-
     @property
     def ok(self) -> bool:
         return self.within_three_sigma and self.below_bound

@@ -31,11 +31,6 @@ class SpectralPoint(Record):
     generator: frozenset  # atom indices of the filter generator
     k: int
 
-    def __init__(self, eigenspace: Subspace, generator: frozenset, k: int):
-        self.eigenspace = eigenspace
-        self.generator = generator
-        self.k = k
-
     def in_spectral_set(self, atomset) -> bool:
         """Whether this point lies in S_x for the element with that atomset."""
         return self.generator <= frozenset(atomset)
@@ -45,11 +40,6 @@ class SpectralDecomp(Record):
     algebra: NTBA
     points: list
     levels: dict  # k -> Subspace
-
-    def __init__(self, algebra: NTBA, points: list, levels: dict):
-        self.algebra = algebra
-        self.points = points
-        self.levels = levels
 
     def level_dims(self) -> dict:
         """Dimension of each level k, by increasing k; the levels fill the space."""

@@ -5,9 +5,9 @@ The library keeps one route per computation; alternative routes and
 helpers only tests use live in ``tests/``.  So every top-level function
 and every method (dunders aside) under ``src/noise_lattice`` must be named
 somewhere in ``src/`` outside its own body; exporting a name from
-``__init__.py`` is not a call.  Names are matched as written
-(``f(...)``, ``obj.f``), not resolved, which is enough to catch a
-function nothing calls.
+``__init__.py`` is not a call, nor is assigning a variable or attribute
+of the same name.  Names are matched as written (``f(...)``, ``obj.f``),
+not resolved, which is enough to catch a function nothing calls.
 
 A result states each verdict once, so every annotated field of a class
 under ``src/noise_lattice`` (an ``errors.Record`` or ``NamedTuple``
@@ -56,11 +56,11 @@ def _definitions(tree: ast.Module):
 
 
 def _references(tree: ast.Module):
-    """(name, line) of every name read or attribute accessed."""
+    """(name, line) of every name or attribute read; an assignment is no reference."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno
 
 

@@ -52,7 +52,7 @@ def test_coordinate_ntba_shape():
     B = mk_coordinate_ntba(mk_dyadic(2))
     assert B.n_atoms == 2
     assert len(list(B.elements())) == 4
-    assert B.one().realize() == discrete(B.space)
+    assert B.element(range(B.n_atoms)).realize() == discrete(B.space)
     verdict = validate_family(B.space, [e.realize() for e in B.elements()])
     assert verdict.valid
 
@@ -64,7 +64,7 @@ def test_second_ntba_structure_on_same_space():
     verdict = validate_family(s2, [trivial(s2), x1, prod, discrete(s2)])
     assert verdict.valid
     B = NTBA(s2, [x1, prod])
-    assert B.one().realize() == discrete(s2)
+    assert B.element(range(B.n_atoms)).realize() == discrete(s2)
 
 
 def verdict_cases():
@@ -314,7 +314,7 @@ def test_atoms_must_generate():
 
 def test_complement_examples():
     P2 = mk_parity_ntba(2)
-    assert P2.zero().complement() == P2.one()
+    assert P2.element(()).complement() == P2.element(range(P2.n_atoms))
     x3_elem = P2.element([2])
     comp = x3_elem.complement()
     assert comp.atomset == frozenset({0, 1})
@@ -367,7 +367,7 @@ def test_restrict_coordinate_to_single_atom():
 
 def test_restrict_full_element_is_isomorphic():
     B = mk_coordinate_ntba(mk_dyadic(2))
-    r = restrict(B.one())
+    r = restrict(B.element(range(B.n_atoms)))
     assert r.algebra.space.size == B.space.size
     assert [a.blocks for a in r.algebra.atoms] == [a.blocks for a in B.atoms]
 
@@ -382,7 +382,7 @@ def test_restrict_parity_to_pair_atoms():
 def test_restrict_rejects_empty_element():
     B = mk_coordinate_ntba(mk_dyadic(2))
     with pytest.raises(PreconditionError):
-        restrict(B.zero())
+        restrict(B.element(()))
 
 
 def test_restrict_lift_preserves_inner_products():

@@ -225,9 +225,9 @@ def test_k_additivity_examples():
     P = mk_parity_ntba(2)
     assert k_restriction_additivity(P.element([0, 1]))
     with pytest.raises(PreconditionError):
-        k_restriction_additivity(B.zero())
+        k_restriction_additivity(B.element(()))
     with pytest.raises(PreconditionError):
-        k_restriction_additivity(B.one())
+        k_restriction_additivity(B.element(range(B.n_atoms)))
 
 
 def test_k_additivity_random():

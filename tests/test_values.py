@@ -5,24 +5,31 @@ from ``errors.Record`` (results) or ``errors.Frozen`` (hashed, immutable
 values), so that no command loads ``dataclasses``.  Here each one is held
 to a dataclass twin with the old declaration, built from the same field
 values: ``==`` and ``!=`` between any two samples, of one class or two,
-``hash`` and ``repr`` agree.  Values also survive a pickle round trip,
+``hash`` and ``repr`` agree.  A class that only stores its fields has no
+``__init__`` of its own but ``Record``'s, built from its annotations: it
+refuses too few or too many values, as its twin does, stores a left-out
+default in the instance as if it were given, and refuses a field without
+a default after one with.  Values also survive a pickle round trip,
 with the same backend object, so a loaded copy works beside its original;
 they refuse assignment and keep their derived attributes.  The one deliberate
 difference, a one-outcome rational space against its float twin, is
 ``test_finmeas.py::test_one_outcome_spaces_of_two_modes_differ``.
 """
 
+import ast
 import itertools
 import pickle
-from dataclasses import field, make_dataclass
+from dataclasses import MISSING, field, fields, make_dataclass
+from pathlib import Path
 
 import pytest
 
+import noise_lattice
 from noise_lattice import cofinite as cf
 from noise_lattice import linalg
 from noise_lattice.chaos import ChaosResult, first_chaos
 from noise_lattice.checks import SuiteResult
-from noise_lattice.errors import Frozen, derived
+from noise_lattice.errors import Frozen, Record, derived
 from noise_lattice.finmeas import (
     RV,
     ProbSpace,
@@ -78,8 +85,8 @@ DECLARED = {
 }
 
 TWINS = {
-    cls: make_dataclass(cls.__name__, fields, **options)
-    for cls, (options, fields) in DECLARED.items()
+    cls: make_dataclass(cls.__name__, declared, **options)
+    for cls, (options, declared) in DECLARED.items()
 }
 
 
@@ -136,6 +143,121 @@ SAMPLES = _samples()
 
 def test_every_converted_class_has_samples():
     assert set(DECLARED) == {type(x) for x in SAMPLES}
+
+
+# the classes whose __init__ does work of its own: converts, validates or copies
+OWN_INIT = {ProbSpace, RV, SigmaField, SampleConfig, SuiteResult}
+
+
+def _parameters(cls) -> tuple:
+    """(required, defaults) of the positional values cls's twin takes."""
+    params = [f for f in fields(TWINS[cls]) if f.init]
+    defaults = [f.default for f in params if f.default is not MISSING]
+    return len(params) - len(defaults), defaults
+
+
+def test_a_record_that_only_stores_its_fields_takes_them_as_its_twin_does():
+    shared = [cls for cls in DECLARED if cls.__init__ is Record.__init__]
+    assert set(DECLARED) - set(shared) == OWN_INIT
+    for cls in shared:
+        required, defaults = _parameters(cls)
+        for n in range(required + len(defaults) + 2):
+            values = tuple(range(n))
+            if required <= n <= required + len(defaults):
+                assert vars(cls(*values)) == vars(TWINS[cls](*values)), (cls, n)
+            else:
+                for build in (cls, TWINS[cls]):
+                    with pytest.raises(TypeError):
+                        build(*values)
+
+
+def test_a_left_out_default_is_stored_as_if_given():
+    defaulted = set()
+    for cls in DECLARED:
+        required, defaults = _parameters(cls)
+        if cls.__init__ is Record.__init__ and defaults:
+            values = tuple(range(required))
+            short, full = cls(*values), cls(*values, *defaults)
+            assert vars(short) == vars(full) == vars(TWINS[cls](*values))
+            assert pickle.dumps(short) == pickle.dumps(full)
+            defaulted.add(cls)
+    assert defaulted == {cf.TailChain, cf.CofUltrafilter, FamilyVerdict}
+
+
+def test_a_field_without_a_default_after_one_with_is_refused():
+    with pytest.raises(TypeError):
+        make_dataclass("Late", [("early", int, field(default=0)), "late"])
+    with pytest.raises(TypeError):
+
+        class Late(Record):
+            early: int = 0
+            late: int
+
+
+def _stores_only_parameters(init: ast.FunctionDef) -> bool:
+    """Whether each statement of init, past a docstring, stores parameters
+    unchanged: ``self.x = x``, ``self.__dict__[k] = x`` or
+    ``self.__dict__.update(...)`` of parameters."""
+    self_name, *params = [a.arg for a in init.args.args]
+
+    def param(node):
+        return isinstance(node, ast.Name) and node.id in params
+
+    def on_self(node, attr=None):
+        return (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == self_name
+            and attr in (None, node.attr)
+        )
+
+    for i, stmt in enumerate(init.body):
+        value = getattr(stmt, "value", None)
+        if i == 0 and isinstance(stmt, ast.Expr) and isinstance(value, ast.Constant):
+            continue
+        if isinstance(stmt, ast.Assign) and param(value):
+            targets = [t.value if isinstance(t, ast.Subscript) else t for t in stmt.targets]
+            if all(on_self(t) for t in targets):
+                continue
+        if (
+            isinstance(stmt, ast.Expr)
+            and isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "update"
+            and on_self(value.func.value, "__dict__")
+            and all(param(v) for v in value.args + [k.value for k in value.keywords])
+        ):
+            continue
+        return False
+    return True
+
+
+def test_no_record_in_the_library_has_a_constructor_that_only_stores():
+    src = Path(noise_lattice.__file__).parent
+    classes = {
+        f"{path.name}:{node.lineno} {node.name}": node
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    }
+    records, grown = {"Record"}, True
+    while grown:
+        more = {
+            node.name
+            for node in classes.values()
+            if any(isinstance(b, ast.Name) and b.id in records for b in node.bases)
+        }
+        grown, records = not more <= records, records | more
+    assert {"Frozen", "NTBAElement", "SuiteResult"} <= records
+    storing = [
+        where
+        for where, node in classes.items()
+        if node.name in records
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+        and _stores_only_parameters(item)
+    ]
+    assert not storing, f"records whose __init__ only stores its fields: {storing}"
 
 
 def test_equality_matches_the_dataclass_twin():
