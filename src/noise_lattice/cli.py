@@ -379,7 +379,7 @@ def cmd_randsup(args) -> int:
 def cmd_check(args) -> int:
     from . import checks
 
-    results = checks.run_all(args.seed, args.cases, inject_fault=args.inject_fault)
+    results = checks.run_all(args.seed, args.cases)
     payload = [
         {
             "suite": r.name,
@@ -392,7 +392,7 @@ def cmd_check(args) -> int:
     passed = all(r.passed for r in results)
     report = _report(
         "check all",
-        {"cases": args.cases, "inject_fault": args.inject_fault},
+        {"cases": args.cases, "inject_fault": False},  # the old key keeps inputs_digest unchanged
         payload,
         passed,
         seed=args.seed,
@@ -525,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("check_cmd", choices=["all"])
     ck.add_argument("--seed", type=int, default=0)
     ck.add_argument("--cases", type=_int_at_least(1), default=None)
-    ck.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     ck.add_argument("--format", choices=["text", "json"], default="json")
     ck.set_defaults(fn=cmd_check)
 

@@ -11,7 +11,8 @@ verdict of eliminating the basis with the stack.  The truncation
 suite must realize each distinct element once.  The cofinite
 lattice-law suite reads its laws from one meet table and one join table,
 so a result outside its element set is a reported failure and a one-sided
-meet is seen.
+meet is seen.  The monotone-limit suite holds each fixed descriptor's
+limit to a written-out element, so a wrong limit is a reported failure.
 """
 
 import random
@@ -353,3 +354,14 @@ def test_cofinite_laws_catch_a_one_sided_meet(monkeypatch):
     )
     failures = _cofinite_laws_with_meet(monkeypatch, lambda x, y, m: x if (x, y) == (a, b) else m)
     assert {"law": "meet-commutative", "a": checks.cf.format_elem(min(a, b, key=big.index))} in failures
+
+
+def test_monotone_limit_suite_checks_each_fixed_limit(monkeypatch):
+    cf = checks.cf
+    assert not _run_suite(checks.suite_cofinite_limits, 60).failures
+    original = cf.monotone_limit
+    monkeypatch.setattr(
+        cf, "monotone_limit", lambda d: cf.ZERO if isinstance(d, cf.EventuallyConstant) else original(d)
+    )
+    failures = _run_suite(checks.suite_cofinite_limits, 60).failures
+    assert failures == [{"descriptor": repr(cf.EventuallyConstant((cf.y(1), cf.y(1)))), "limit": "0"}]

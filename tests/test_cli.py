@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from conftest import rebind_everywhere
+from test_run_all import skewed_independence
 from test_spectrum import LIGHT_BLOCKS
 
 from noise_lattice import checks, spectrum
@@ -596,12 +597,14 @@ def test_check_all_is_deterministic_and_passes(capsys):
     assert all(s["passed"] for s in rep["results"])
 
 
-def test_check_fault_injection(capsys):
-    code = main(["check", "all", "--seed", "9", "--cases", "2", "--inject-fault"])
+def test_check_fault_injection(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(checks, "SUITES", [*checks.SUITES, (skewed_independence, 1)])
+    code = main(["check", "all", "--seed", "9", "--cases", "2"])
     assert code == 1
     rep = json.loads(capsys.readouterr().out)
     bad = [s for s in rep["results"] if not s["passed"]]
-    assert [s["suite"] for s in bad] == ["injected-fault"]
+    assert [s["suite"] for s in bad] == ["skewed-independence"]
     witness = bad[0]["failures"][0]
     assert "space" in witness and "x" in witness and "y" in witness
 
@@ -981,18 +984,26 @@ FORMAT_INPUTS = {
 }
 
 
-def _format_choices(parser, path=()):
-    """(subcommand path, --format choices) for every parser under ``parser``."""
+def _actions(parser, path=()):
+    """(subcommand path, action) for every action of ``parser`` and of each parser under it."""
     for action in parser._actions:
+        yield path, action
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                yield from _format_choices(sub, path + (name,))
-        elif "--format" in action.option_strings:
-            yield path, action.choices
+                yield from _actions(sub, path + (name,))
+
+
+def test_no_option_is_hidden_from_help(capsys):
+    hidden = [(path, a.dest) for path, a in _actions(build_parser()) if a.help == argparse.SUPPRESS]
+    assert hidden == []
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "all", "--inject-fault"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
 
 def test_every_format_choice_changes_the_output(capsys):
-    found = dict(_format_choices(build_parser()))
+    found = {path: a.choices for path, a in _actions(build_parser()) if "--format" in a.option_strings}
     assert set(found) == set(FORMAT_INPUTS), "each --format command needs an input here"
     for path, choices in found.items():
         outputs = {}

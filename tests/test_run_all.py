@@ -4,7 +4,8 @@
 extra usable CPU.  Most tests here report three usable CPUs, so two
 children are forked on any host.  Results come back in ``SUITES`` order
 and equal a plain loop's, each suite's generator state and witness
-payload included.  A suite that raises anywhere makes ``run_all`` raise
+payload included; a failing suite appended to ``SUITES`` comes back last,
+with its witness.  A suite that raises anywhere makes ``run_all`` raise
 the first raising suite's exception, with its type and message.  A child
 that dies, or whose results cannot be pickled, is one ``error:`` line and
 exit 1.  No child outlives ``run_all`` on any path.  With one usable CPU
@@ -26,6 +27,8 @@ from test_golden_reports import GOLDEN
 from noise_lattice import checks
 from noise_lattice.cli import main
 from noise_lattice.errors import ConsistencyError
+from noise_lattice.finmeas import mk_space, space_to_json
+from noise_lattice.sigma import independent, partition
 
 SRC = Path(checks.__file__).parent
 
@@ -69,13 +72,27 @@ def _with_witness(fn):
     return suite
 
 
+def skewed_independence(rng, n):
+    """A suite that fails: two halvings of a skewed four-point space, taken as independent."""
+    skew = mk_space(
+        ["a", "b", "c", "d"], [Fraction(1, 3), Fraction(1, 6), Fraction(1, 4), Fraction(1, 4)]
+    )
+    x = partition(skew, [[0, 1], [2, 3]])
+    y = partition(skew, [[0, 2], [1, 3]])
+    res = checks.SuiteResult("skewed-independence", n)
+    if not independent(x, y):
+        res.failures.append({"case": 0, "space": space_to_json(skew), "x": x.blocks, "y": y.blocks})
+    return res
+
+
 @pytest.mark.parametrize("seed, cases", [(1, 1), (2, 3), (7, 2)])
-def test_forked_run_equals_the_serial_loop(forks, seed, cases):
+def test_forked_run_equals_the_serial_loop(forks, monkeypatch, seed, cases):
     serial = _serial(seed, cases)
     assert checks.run_all(seed, cases) == serial
-    faulted = checks.run_all(seed, cases, inject_fault=True)
+    monkeypatch.setattr(checks, "SUITES", [*checks.SUITES, (skewed_independence, 1)])
+    faulted = checks.run_all(seed, cases)
     assert faulted[:-1] == serial
-    assert faulted[-1].name == "injected-fault" and faulted[-1].failures
+    assert faulted[-1].name == "skewed-independence" and faulted[-1].failures
     assert len(forks) == 4
     _no_child_left()
 
