@@ -280,6 +280,13 @@ def _cofinite_row(e) -> dict:
     }
 
 
+def _ultrafilter_row(u) -> dict:
+    """An ultrafilter of the algebra with the infimum of its members."""
+    from . import cofinite as cf
+
+    return {"kind": u.kind, "index": u.index, "infimum": cf.format_elem(u.infimum())}
+
+
 def cmd_cofinite(args) -> int:
     from . import cofinite as cf
 
@@ -303,14 +310,6 @@ def _cofinite_dossier(args) -> int:
     dbl = cf.double_limit_check(cf.PrefixJoins(cf.FULL_SET))
     completion_is_algebra = not cf.complement_problems()
     atomless, witness = cf.is_atomless()
-    ultras = [
-        {
-            "kind": u.kind,
-            "index": u.index,
-            "infimum": cf.format_elem(u.infimum()),
-        }
-        for u in cf.enumerate_ultrafilters(6)
-    ]
     results = {
         "closure_examples": rows,
         "increasing_limit_criterion": {
@@ -328,12 +327,8 @@ def _cofinite_dossier(args) -> int:
         "double_limit_identity": dbl.equal,
         "completion_equals_algebra": completion_is_algebra,
         "atomless": atomless,
-        "atomless_witness": {
-            "kind": witness.kind,
-            "index": witness.index,
-            "infimum": cf.format_elem(witness.infimum()),
-        },
-        "ultrafilters": ultras,
+        "atomless_witness": _ultrafilter_row(witness),
+        "ultrafilters": [_ultrafilter_row(u) for u in cf.enumerate_ultrafilters(6)],
     }
     passed = (
         not crit_all.holds

@@ -41,7 +41,7 @@ from math import lcm
 from operator import and_, or_
 from typing import NamedTuple
 
-from .errors import CapacityError, Frozen, PreconditionError, Record, UnsupportedSequenceError
+from .errors import CapacityError, Frozen, Record, UnsupportedSequenceError
 
 MAX_BITS = 1 << 20
 
@@ -292,9 +292,6 @@ def progression(step: int, offset: int = 0) -> NatSet:
 # Elements of the algebra, its closure, and the lattice operations
 
 
-_TAILED_NEEDS_COFINITE = "a tailed element needs a cofinite index set"
-
-
 class _CofFields(NamedTuple):
     tailed: bool
     index_set: NatSet
@@ -317,7 +314,7 @@ class CofElem(_CofFields):
 
     def __new__(cls, tailed: bool, index_set: NatSet):
         if tailed and not index_set.is_cofinite:
-            raise ValueError(_TAILED_NEEDS_COFINITE)
+            raise ValueError("a tailed element needs a cofinite index set")
         return tuple.__new__(cls, (tailed, index_set))
 
     @property
@@ -362,23 +359,19 @@ def cof_meet(a: CofElem, b: CofElem) -> CofElem:
     Rewritten over the independent generators y(1), ..., y(m-1), t(m) at a
     tail m past both preperiods (t(k) = y(k) v ... v y(m-1) v t(m)), each
     element is a join of generators, and the meet keeps the shared ones.
-    The result is built as a tuple, past ``CofElem.__new__``, with its one
-    check inline.
+    The result is built as a tuple, past ``CofElem.__new__``: it keeps the
+    tailed-cofinite invariant by construction, since it is tailed only when
+    both operands are, and two cofinite sets meet in a cofinite set.
     """
-    tailed = a.tailed and b.tailed
     s = a.index_set._combine(b.index_set, and_, 0)
-    if tailed and (s.per, s.nper) != (1, 1):
-        raise ValueError(_TAILED_NEEDS_COFINITE)
-    return tuple.__new__(CofElem, (tailed, s))
+    return tuple.__new__(CofElem, (a.tailed and b.tailed, s))
 
 
 def cof_join(a: CofElem, b: CofElem) -> CofElem:
-    """Lattice join, built like ``cof_meet``'s result."""
-    tailed = a.tailed or b.tailed
+    """Lattice join, built like ``cof_meet``'s result: a tailed join unions
+    a cofinite set, whose one-bit period absorbs the other's."""
     s = a.index_set._combine(b.index_set, or_, 1)
-    if tailed and (s.per, s.nper) != (1, 1):
-        raise ValueError(_TAILED_NEEDS_COFINITE)
-    return tuple.__new__(CofElem, (tailed, s))
+    return tuple.__new__(CofElem, (a.tailed or b.tailed, s))
 
 
 def cof_leq(a: CofElem, b: CofElem) -> bool:
@@ -394,13 +387,6 @@ def closure_membership(e: CofElem) -> str:
     return "B" if in_algebra(e) else "Cl(B)\\B"
 
 
-def complement_in_algebra(e: CofElem) -> CofElem:
-    """Boolean complement within B; defined for members of B only."""
-    if not in_algebra(e):
-        raise PreconditionError("only members of the algebra are complemented")
-    return CofElem(not e.tailed, e.index_set.complement())
-
-
 def has_complement(e: CofElem) -> CofElem | None:
     """The unique complement in the closure, or None.
 
@@ -411,7 +397,7 @@ def has_complement(e: CofElem) -> CofElem | None:
     """
     if not in_algebra(e):
         return None
-    return complement_in_algebra(e)
+    return CofElem(not e.tailed, e.index_set.complement())
 
 
 def complement_problems() -> list:
@@ -472,7 +458,7 @@ class ComplementChain(Frozen):
     index_set: NatSet
 
     def term(self, n: int) -> CofElem:
-        return complement_in_algebra(PrefixJoins(self.index_set).term(n))
+        return has_complement(PrefixJoins(self.index_set).term(n))
 
 
 class EventuallyConstant(Frozen):
@@ -546,7 +532,7 @@ def completion_criterion_check(seq) -> CompletionCheck:
     if isinstance(seq, PrefixJoins):
         infc = monotone_limit(ComplementChain(seq.index_set))
     else:
-        infc = complement_in_algebra(seq.elems[-1])
+        infc = has_complement(seq.elems[-1])
     joined = cof_join(sup, infc)
     return CompletionCheck(joined == ONE, sup, infc, joined)
 
@@ -560,23 +546,17 @@ def double_limit_check(seq) -> DoubleLimitCheck:
     """Compare (lim x_n) v (lim x'_n) with lim_m lim_n (x_m v x'_n).
 
     The inner limit over n is taken first (a decreasing chain once m is
-    fixed), then m grows; both sides are evaluated in closed form and are
-    expected to agree for every descriptor in the family.
+    fixed), then m grows.  The left side is ``completion_criterion_check``'s
+    join, under its guard; the right side is evaluated in closed form, and
+    the two are expected to agree for every descriptor in the family.
     """
-    if not _increasing_in_algebra(seq):
-        raise UnsupportedSequenceError(
-            "need an increasing sequence of algebra elements"
-        )
+    lhs = completion_criterion_check(seq).joined
     if isinstance(seq, EventuallyConstant):
-        last = seq.elems[-1]
-        both = cof_join(last, complement_in_algebra(last))
-        return DoubleLimitCheck(True, both)
+        # both sequences are constant from some term on
+        return DoubleLimitCheck(True, lhs)
     i = seq.index_set
-    lhs = cof_join(monotone_limit(seq), monotone_limit(ComplementChain(i)))
     if i.is_finite:
-        m = i.max_or_zero() + 1
-        inner = cof_join(seq.term(m), complement_in_algebra(ys_elem(i)))
-        rhs = inner
+        rhs = cof_join(seq.term(i.max_or_zero() + 1), has_complement(ys_elem(i)))
     else:
         # inner limit at level m: join of the prefix with the complement's
         # eventual part, a tailless element; the outer limit is increasing.

@@ -87,14 +87,18 @@ class ProbSpace(Frozen):
         return self.backend.name
 
 
+def _check_count(outcomes) -> None:
+    if len(outcomes) > MAX_OUTCOMES:
+        raise CapacityError(f"{len(outcomes)} outcomes exceed the guard of {MAX_OUTCOMES}")
+
+
 def _check_outcomes(outcomes, n_probs: int) -> None:
     """The checks on the outcome list, the size guard before any work per outcome."""
     if len(outcomes) != n_probs:
         raise ValueError("outcomes and probs must have equal length")
     if not outcomes:
         raise ValueError("a probability space needs at least one outcome")
-    if len(outcomes) > MAX_OUTCOMES:
-        raise CapacityError(f"{len(outcomes)} outcomes exceed the guard of {MAX_OUTCOMES}")
+    _check_count(outcomes)
     if len(set(outcomes)) != len(outcomes):
         raise ValueError("outcome identifiers must be unique")
 
@@ -105,13 +109,14 @@ def mk_space(outcomes, probs) -> ProbSpace:
     scaled once into weights (``linalg.scale``).
 
     A mix of floats and exact values is a ``ValueError``, and so is a
-    boolean, which ``Fraction`` would read as 0 or 1.
+    boolean, which ``Fraction`` would read as 0 or 1.  Too many outcomes
+    is a ``CapacityError`` before any probability is read.
     """
-    probs = tuple(probs)
+    outcomes, probs = tuple(outcomes), tuple(probs)
+    _check_count(outcomes)
     if any(isinstance(p, bool) for p in probs):
         raise ValueError("probabilities must be numbers, not booleans")
     probs = tuple(p if isinstance(p, float) else Fraction(p) for p in probs)
-    outcomes = tuple(outcomes)
     _check_outcomes(outcomes, len(probs))
     return ProbSpace(outcomes, *linalg.scale(probs))
 

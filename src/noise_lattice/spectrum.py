@@ -115,35 +115,36 @@ def certified_dims(algebra: NTBA) -> tuple:
 def verify_spectral_identities(decomp: SpectralDecomp) -> list:
     """The failures of the decomposition against the defining spectral identities.
 
-    Checks, per element pair, that the spectral sets intersect like the
-    lattice meets; per element, that the union of eigenspaces tagged by its
-    spectral set recovers the L2 space of the element; and per point, that
-    the elements containing it form a filter.  The list is empty when
-    every identity holds.
+    Spectral sets are measured, not read off the generators: point i lies
+    in S_x when the conditional expectation given the realized x fixes
+    the first vector of its eigenspace.  Checks, per element, that the
+    measured S_x is the set the generator rule (``in_spectral_set``) gives
+    and that the union of eigenspaces tagged by it recovers the L2 space
+    of the element; per element pair, that the spectral sets intersect
+    like the lattice meets; and per point, that the elements containing
+    it form a filter.  The list is empty when every identity holds.
     """
     algebra = decomp.algebra
+    equal = algebra.space.backend.equal
+    firsts = [p.eigenspace.basis[0] for p in decomp.points]
     failures = []
-    elements = list(algebra.elements())
-    masks = [e.atomset for e in elements]
-    spec_sets = {
-        m: frozenset(i for i, p in enumerate(decomp.points) if p.in_spectral_set(m))
-        for m in masks
-    }
+    spec_sets = {}
+    for e in algebra.elements():
+        field = e.realize()
+        spec = frozenset(i for i, b in enumerate(firsts) if equal(cond_exp(field, b).vec, b.vec))
+        spec_sets[e.atomset] = spec
+        if spec != {i for i, p in enumerate(decomp.points) if p.in_spectral_set(e.atomset)}:
+            failures.append(("spectral-set-rule", e.atomset))
+        got = span_on(algebra.space, [b for i in spec for b in decomp.points[i].eigenspace.basis])
+        want = subspace_of(field)
+        if not (got.dim == want.dim and want.contains_subspace(got)):
+            failures.append(("spectral-set-subspace", e.atomset))
+    masks = list(spec_sets)
     for mx, my in itertools.combinations_with_replacement(masks, 2):
         if spec_sets[mx] & spec_sets[my] != spec_sets[mx & my]:
             failures.append(("meet-of-spectral-sets", mx, my))
-    for e in elements:
-        vecs = [
-            b
-            for i in spec_sets[e.atomset]
-            for b in decomp.points[i].eigenspace.basis
-        ]
-        got = span_on(algebra.space, vecs)
-        want = subspace_of(e.realize())
-        if not (got.dim == want.dim and want.contains_subspace(got)):
-            failures.append(("spectral-set-subspace", e.atomset))
-    for i, p in enumerate(decomp.points):
-        containing = [m for m in masks if p.in_spectral_set(m)]
+    for i in range(len(decomp.points)):
+        containing = [m for m in masks if i in spec_sets[m]]
         cset = set(containing)
         for mx in containing:
             for my in masks:

@@ -539,7 +539,7 @@ def test_demo_dossier(capsys):
 
 def test_a_wrong_complement_fails_both_dossiers_and_the_contract(monkeypatch, capsys):
     """Both dossiers print the verdict of the route ``check all`` runs."""
-    complement = cf.complement_in_algebra
+    complement = cf.has_complement
 
     def wrong(e):
         return cf.ONE if e == cf.y(1) else complement(e)

@@ -116,7 +116,7 @@ def _check_against_case_oracles(a, b):
     assert _tail_and_ys(cf.cof_meet(a, b)) == cof_meet_oracle(a, b)
     assert _tail_and_ys(cf.cof_join(a, b)) == cof_join_oracle(a, b)
     if cf.in_algebra(a):
-        assert _tail_and_ys(cf.complement_in_algebra(a)) == complement_oracle(a)
+        assert _tail_and_ys(cf.has_complement(a)) == complement_oracle(a)
 
 
 def test_lattice_ops_match_case_oracles_exhaustively():
@@ -290,6 +290,23 @@ def test_closure_membership_examples():
     assert cf.closure_membership(cf.x(4)) == "B"
     assert cf.closure_membership(cf.ys_elem(cf.progression(3))) == "Cl(B)\\B"
     assert cf.closure_membership(cf.parse_elem("y1|y2|y5")) == "B"
+
+
+def test_meet_and_join_keep_the_tailed_cofinite_invariant():
+    """``cof_meet`` and ``cof_join`` build their results past ``CofElem.__new__``;
+    each result must rebuild through it, so a tailed one has a cofinite set."""
+    rng = random.Random(41)
+
+    def bits(lo):
+        return [rng.randint(0, 1) for _ in range(rng.randint(lo, 8))]
+
+    drawn = [cf.natset(bits(0), bits(1)) for _ in range(400)]
+    elems = cf.bounded_elements(5, 6) + [
+        cf.cof_elem(rng.choice([None, rng.randint(1, 12)]), s) for s in drawn
+    ]
+    for a, b in itertools.product(elems, repeat=2):
+        for r in (cf.cof_meet(a, b), cf.cof_join(a, b)):
+            assert cf.CofElem(*r) == r
 
 
 def test_lattice_laws_on_bounded_probe():
@@ -517,7 +534,7 @@ def test_ultrafilter_dichotomy_on_bounded_probe():
     probe = [e for e in cf.bounded_elements(4, 5) if cf.in_algebra(e)]
     for u in cf.enumerate_ultrafilters(5):
         for e in probe:
-            comp = cf.complement_in_algebra(e)
+            comp = cf.has_complement(e)
             assert u.contains(e) != u.contains(comp)
             if u.contains(e) and cf.cof_leq(e, comp):
                 raise AssertionError("filter contains both an element and below")

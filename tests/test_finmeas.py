@@ -178,6 +178,12 @@ def test_outcome_guard_names_its_limit():
     assert str(exc.value) == f"{n} outcomes exceed the guard of {MAX_OUTCOMES}"
 
 
+def test_outcome_guard_fires_before_any_probability_is_read():
+    n = MAX_OUTCOMES + 1
+    with pytest.raises(CapacityError, match=f"^{n} outcomes exceed the guard"):
+        mk_space(("w",) * n, ["x"] * n)
+
+
 def test_outcome_ids_must_be_a_list_of_strings():
     for outcomes in ([1, 2, 3, 4], "abcd", ["a", "b", "c", 4]):
         with pytest.raises(ValueError, match="^outcomes must be a list of strings$"):

@@ -28,6 +28,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import noise_lattice
+from test_traced_targets import load_layers
 
 SRC = Path(noise_lattice.__file__).parent
 
@@ -41,6 +42,15 @@ PINNED = {
     "canonical_key": "perfbench EXTRA span Subspace.canonical_key",
     "equals": "perfbench EXTRA span Subspace.equals",
 }
+
+
+def test_each_pinned_name_is_still_wrapped_by_perfbench():
+    """A ``PINNED`` exemption expires with its pin: once perfbench stops
+    wrapping a name, the name needs a library caller like any other."""
+    layers = load_layers()
+    extra = [f"{module}.{t}" for module, names in layers.EXTRA.items() for t in names]
+    wrapped = {t.rsplit(".", 1)[-1] for t in [*layers.FLOAT_LINALG, *layers.NAMED, *extra]}
+    assert not set(PINNED) - wrapped, f"perfbench no longer wraps: {set(PINNED) - wrapped}"
 
 
 def _definitions(tree: ast.Module):

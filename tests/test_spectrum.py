@@ -17,6 +17,7 @@ from noise_lattice.finmeas import inner, mk_dyadic, mk_space, walsh_character
 from noise_lattice.instances import rand_ntba
 from noise_lattice.ntba import (
     NTBA,
+    NTBAElement,
     coarsen,
     mk_coordinate_ntba,
     mk_parity_ntba,
@@ -25,6 +26,8 @@ from noise_lattice.ntba import (
 )
 from noise_lattice.sigma import _group, discrete, partition, sigma_of_rvs, subspace_of, trivial
 from noise_lattice.spectrum import (
+    SpectralDecomp,
+    SpectralPoint,
     _pattern_of,
     certified_dims,
     k_restriction_additivity,
@@ -195,6 +198,37 @@ def test_identities_random():
     for _ in range(8):
         B = rand_ntba(rng, 16)
         assert verify_spectral_identities(spectral_decompose(B)) == []
+
+
+def test_spectral_sets_are_measured_not_read_off_the_generators():
+    """Swapped generator labels break only the identity that compares the
+    measured spectral sets with the generator rule."""
+    D = spectral_decompose(mk_coordinate_ntba(mk_dyadic(2)))
+    points = list(D.points)
+    (i,) = [j for j, p in enumerate(points) if p.generator == {0}]
+    (j,) = [j for j, p in enumerate(points) if p.generator == {1}]
+    points[i] = SpectralPoint(points[i].eigenspace, frozenset({1}), 1)
+    points[j] = SpectralPoint(points[j].eigenspace, frozenset({0}), 1)
+    failures = verify_spectral_identities(SpectralDecomp(D.algebra, points, D.levels))
+    assert len(failures) == 2
+    assert set(failures) == {
+        ("spectral-set-rule", frozenset({0})),
+        ("spectral-set-rule", frozenset({1})),
+    }
+
+
+def test_a_realize_that_drops_an_atom_breaks_the_meets_and_filters(monkeypatch):
+    D = spectral_decompose(mk_coordinate_ntba(mk_dyadic(2)))
+    realize = NTBAElement.realize
+
+    def dropped(e):
+        atoms = sorted(e.atomset)
+        return realize(NTBAElement(e.algebra, frozenset(atoms[1:])) if len(atoms) == 2 else e)
+
+    monkeypatch.setattr(NTBAElement, "realize", dropped)
+    kinds = {f[0] for f in verify_spectral_identities(D)}
+    assert {"meet-of-spectral-sets", "filter-upward", "spectral-set-rule"} <= kinds
+    assert "spectral-set-subspace" not in kinds
 
 
 def test_grading_report_and_consistency():
