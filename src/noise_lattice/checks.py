@@ -1083,7 +1083,10 @@ def run_all(seed: int, cases: int | None = None) -> list:
     """
     if cases is not None and cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
-    import numpy  # noqa: F401  the sampling suites need it: loaded once, before the forks
+    # the sampling suites need numpy, loaded here once, before the forks; under
+    # numpy 2.x that leaves numpy.random unloaded, so each process that runs a
+    # sampling suite imports it on first use
+    import numpy  # noqa: F401
 
     jobs = [(fn, d if cases is None else min(d, cases)) for fn, d in SUITES]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

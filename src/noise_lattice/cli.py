@@ -48,7 +48,7 @@ from .sigma import (
     partition_to_json,
     sigma_of_rvs,
 )
-from .spectrum import certified_dims, certified_levels
+from .spectrum import certified_dims, certified_levels, membership
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,9 +56,9 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 # spectrum report's JSON and text pattern holds 4^n membership bits: on ntba
-# coords 12 the JSON report takes 4.3 s and 223 MB (34 MB printed) and the text
-# report 11 s and 161 MB (202 MB printed, a line per bit; one Xeon core, Python
-# 3.11), and each atom more multiplies that by 4
+# coords 12 the JSON report takes 2.0 s and 222 MB (34 MB printed) and the text
+# report 7 s and 158 MB (202 MB printed, a line per bit; one shared Xeon vCPU,
+# Python 3.11), and each atom more multiplies that by 4
 MAX_PATTERN_ATOMS = 12
 
 
@@ -246,19 +246,11 @@ def cmd_spectrum(args) -> int:
             print(f"{k},{d}")
         return EXIT_OK
     points, levels = certified_dims(algebra)
-    masks = range(1 << n)
-    rows = []
-    for gen, dim in points:
-        g = sum(1 << k for k in gen)
-        rows.append({
-            "generator_atoms": sorted(gen),
-            "k": len(gen),
-            "dim": dim,
-            # membership bit per element, indexed by atomset bitmask
-            "pattern": [int(g & m == g) for m in masks],
-        })
     results = {
-        "points": rows,
+        "points": [
+            {"generator_atoms": sorted(g), "k": len(g), "dim": d, "pattern": membership(g, n)}
+            for g, d in points
+        ],
         "levels": {str(k): d for k, d in levels.items()},
         # at finite scale every generator has finitely many atoms, so the
         # grading is always classical

@@ -92,10 +92,14 @@ def _check_count(outcomes) -> None:
         raise CapacityError(f"{len(outcomes)} outcomes exceed the guard of {MAX_OUTCOMES}")
 
 
-def _check_outcomes(outcomes, n_probs: int) -> None:
-    """The checks on the outcome list, the size guard before any work per outcome."""
+def _check_length(outcomes, n_probs: int) -> None:
     if len(outcomes) != n_probs:
         raise ValueError("outcomes and probs must have equal length")
+
+
+def _check_outcomes(outcomes, n_probs: int) -> None:
+    """The checks on the outcome list, the size guard before any work per outcome."""
+    _check_length(outcomes, n_probs)
     if not outcomes:
         raise ValueError("a probability space needs at least one outcome")
     _check_count(outcomes)
@@ -110,12 +114,14 @@ def mk_space(outcomes, probs) -> ProbSpace:
 
     A mix of floats and exact values is a ``ValueError``, and so is a
     boolean, which ``Fraction`` would read as 0 or 1.  Too many outcomes
-    is a ``CapacityError`` before any probability is read.
+    is a ``CapacityError`` before any probability is read, and lists of
+    two lengths are a ``ValueError`` before any probability is parsed.
     """
     outcomes, probs = tuple(outcomes), tuple(probs)
     _check_count(outcomes)
     if any(isinstance(p, bool) for p in probs):
         raise ValueError("probabilities must be numbers, not booleans")
+    _check_length(outcomes, len(probs))
     probs = tuple(p if isinstance(p, float) else Fraction(p) for p in probs)
     _check_outcomes(outcomes, len(probs))
     return ProbSpace(outcomes, *linalg.scale(probs))

@@ -31,10 +31,6 @@ class SpectralPoint(Record):
     generator: frozenset  # atom indices of the filter generator
     k: int
 
-    def in_spectral_set(self, atomset) -> bool:
-        """Whether this point lies in S_x for the element with that atomset."""
-        return self.generator <= frozenset(atomset)
-
 
 class SpectralDecomp(Record):
     algebra: NTBA
@@ -112,16 +108,27 @@ def certified_dims(algebra: NTBA) -> tuple:
     return points, certified_levels(algebra)
 
 
+def membership(generator, n: int) -> list:
+    """The S_x membership of the point with that generator: per element, in
+    ``NTBA.elements()`` order, 1 when the element holds every generator atom.
+    The row doubles once per atom k, the elements without k coming first.
+    """
+    row = [1]
+    for k in range(n):
+        row = [0] * len(row) + row if k in generator else row + row
+    return row
+
+
 def verify_spectral_identities(decomp: SpectralDecomp) -> list:
     """The failures of the decomposition against the defining spectral identities.
 
     Spectral sets are measured, not read off the generators: point i lies
     in S_x when the conditional expectation given the realized x fixes
-    the first vector of its eigenspace.  Checks, per element, that the
-    measured S_x is the set the generator rule (``in_spectral_set``) gives
-    and that the union of eigenspaces tagged by it recovers the L2 space
-    of the element; per element pair, that the spectral sets intersect
-    like the lattice meets; and per point, that the elements containing
+    the first vector of its eigenspace.  Per element, the measured S_x
+    must be the points whose ``membership`` row, the pattern that
+    ``spectrum report`` prints, has x's bit, and their eigenspaces must
+    span the L2 space of the element; per element pair, the spectral sets
+    intersect like the lattice meets; per point, the elements containing
     it form a filter.  The list is empty when every identity holds.
     """
     algebra = decomp.algebra
@@ -129,11 +136,12 @@ def verify_spectral_identities(decomp: SpectralDecomp) -> list:
     firsts = [p.eigenspace.basis[0] for p in decomp.points]
     failures = []
     spec_sets = {}
-    for e in algebra.elements():
+    rows = [membership(p.generator, algebra.n_atoms) for p in decomp.points]
+    for x, e in enumerate(algebra.elements()):
         field = e.realize()
         spec = frozenset(i for i, b in enumerate(firsts) if equal(cond_exp(field, b).vec, b.vec))
         spec_sets[e.atomset] = spec
-        if spec != {i for i, p in enumerate(decomp.points) if p.in_spectral_set(e.atomset)}:
+        if spec != {i for i, row in enumerate(rows) if row[x]}:
             failures.append(("spectral-set-rule", e.atomset))
         got = span_on(algebra.space, [b for i in spec for b in decomp.points[i].eigenspace.basis])
         want = subspace_of(field)

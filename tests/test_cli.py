@@ -19,7 +19,7 @@ from conftest import rebind_everywhere
 from test_run_all import skewed_independence
 from test_spectrum import LIGHT_BLOCKS
 
-from noise_lattice import checks, spectrum
+from noise_lattice import checks, cli, spectrum
 from noise_lattice import cofinite as cf
 from noise_lattice import randsup as rs
 from noise_lattice.cli import MAX_PATTERN_ATOMS, UsageError, _load, build_parser, main
@@ -419,8 +419,14 @@ def test_reports_accept_a_float_file_that_validate_rejects(capsys):
     capsys.readouterr()
 
 
-def test_spectrum_pattern_guard(tmp_path, capsys):
-    """The 4^n-entry pattern is refused past n = 12 atoms; the levels alone are not."""
+def test_spectrum_pattern_guard(tmp_path, capsys, monkeypatch):
+    """The 4^n-entry pattern is refused past n = 12 atoms before any row is built;
+    the levels alone are not."""
+
+    def unbuilt(generator, n):
+        raise AssertionError("a pattern row was built past the guard")
+
+    monkeypatch.setattr(cli, "membership", unbuilt)
     f = tmp_path / "b.json"
     f.write_text(json.dumps(ntba_to_json(mk_coordinate_ntba(mk_dyadic(13)))))
     for fmt in ("json", "text"):
@@ -745,6 +751,7 @@ TWO_FAULTS = {
     "length-and-duplicate": (["a", "a", "b"], ["1/2", "1/2"], "outcomes and probs must have equal length"),
     "boolean-and-length": (["a"], [True, "1/2"], "probabilities must be numbers, not booleans"),
     "literal-and-duplicate": (["a", "a"], ["x", "1/2"], "Invalid literal for Fraction: 'x'"),
+    "literal-and-length": (["a"], ["x", "1/2"], "outcomes and probs must have equal length"),
     "mixed-and-negative": (["a", "b"], [-0.5, "3/2"], "probabilities must be all Fractions or all floats"),
     "negative-and-sum": (["a", "b"], ["-1/2", "1/4"], "probabilities must be strictly positive"),
     "nan-and-negative": (["a", "b", "c"], [float("nan"), -1.0, 0.5], "probabilities must be strictly positive"),

@@ -20,7 +20,9 @@ prints comes from the library route that ``check all`` runs.  So
 decides whether complement pairs need checking), no block count
 (``spectrum.certified_levels`` turns them into dims) and no membership of
 the symbolic algebra (``cofinite.complement_problems`` gives the
-completion verdict).
+completion verdict).  Nor does it do bit arithmetic: the membership
+pattern ``spectrum report`` prints is ``spectrum.membership``'s row, the
+one ``spectral-completeness`` measures.
 """
 
 import ast
@@ -34,6 +36,9 @@ SRC = Path(noise_lattice.__file__).parent
 
 # names whose use is a decision that belongs to a library module
 DECISIONS = {"tol", "n_blocks", "in_algebra"}
+
+# operators whose use in cli.py would compute a membership bit by hand
+BIT_OPERATORS = (ast.BitAnd, ast.BitOr, ast.LShift, ast.RShift)
 
 # perfbench/layers.py wraps these by name in the traced benchmark run, so
 # they stay until that list drops them, though only tests call them
@@ -128,4 +133,9 @@ def test_every_result_field_is_read():
 def test_cli_decides_nothing():
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     found = [f"cli.py:{line} {name}" for name, line in _references(tree) if name in DECISIONS]
+    found += [
+        f"cli.py:{node.lineno} {type(node.op).__name__}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, BIT_OPERATORS)
+    ]
     assert not found, f"cli decides what a library route should: {found}"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import cond_exp_oracle, is_basis, kernel_intersection_oracle, rebind_everywhere
 
-from noise_lattice import chaos
+from noise_lattice import chaos, checks, spectrum
 from noise_lattice.cli import main
 from noise_lattice.errors import ConsistencyError, PreconditionError
 from noise_lattice.finmeas import inner, mk_dyadic, mk_space, walsh_character
@@ -31,6 +31,7 @@ from noise_lattice.spectrum import (
     _pattern_of,
     certified_dims,
     k_restriction_additivity,
+    membership,
     sigma_tower_check,
     spectral_decompose,
     verify_spectral_identities,
@@ -187,7 +188,7 @@ def test_identities_report():
     (p,) = [q for q in D.points if q.generator == {0}]
     assert p.k == 1
     # the spectral set of the bottom element carries only the constants
-    bottom = [q for q in D.points if q.in_spectral_set(frozenset())]
+    bottom = [q for q in D.points if not q.generator]
     assert len(bottom) == 1 and bottom[0].k == 0
     s0 = bottom[0].eigenspace
     assert s0.dim == 1 and s0.equals(subspace_of(trivial(D.algebra.space)))
@@ -308,6 +309,27 @@ def test_point_order_is_canonical():
     # rebuilding gives the identical order
     D2 = spectral_decompose(mk_coordinate_ntba(mk_dyadic(7)))
     assert [p.generator for p in D.points] == [p.generator for p in D2.points]
+
+
+def test_membership_holds_the_generator_inside_the_element():
+    """Bit x of ``membership(G, n)`` is 1 exactly when G is inside element x's atoms."""
+    for n in range(9):
+        atomsets = [frozenset(k for k in range(n) if x >> k & 1) for x in range(1 << n)]
+        for G in atomsets:
+            assert membership(G, n) == [int(G <= atoms) for atoms in atomsets]
+
+
+def test_a_reversed_membership_fails_spectral_completeness(monkeypatch):
+    """``spectral-completeness`` measures the rule that ``spectrum report`` prints:
+    rows with their element bits in reverse order, that is with atom k read as
+    atom n-1-k, fail it."""
+
+    def reversed_bits(generator, n):
+        return membership({n - 1 - k for k in generator}, n)
+
+    assert not checks.suite_spectral_complete(random.Random(1), 20).failures
+    monkeypatch.setattr(spectrum, "membership", reversed_bits)
+    assert checks.suite_spectral_complete(random.Random(1), 20).failures
 
 
 def _shuffled_outcomes(B: NTBA, rng) -> NTBA:
