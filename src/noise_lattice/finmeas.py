@@ -27,6 +27,7 @@ from . import linalg
 from .errors import CapacityError, DomainMismatchError, Frozen, derived
 
 MAX_OUTCOMES = 1 << 20
+MAX_EXPONENT = 4300  # the digits Python allows an int string; Fraction's cost grows with it
 
 
 class ProbSpace(Frozen):
@@ -107,6 +108,15 @@ def _check_outcomes(outcomes, n_probs: int) -> None:
         raise ValueError("outcome identifiers must be unique")
 
 
+def _exact(p) -> Fraction:
+    """p as a Fraction; a decimal exponent past ``MAX_EXPONENT`` is refused unread."""
+    if isinstance(p, str) and ("e" in p or "E" in p):
+        exp = p.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
+            raise ValueError(f"probability {p!r} has an exponent beyond {MAX_EXPONENT}")
+    return Fraction(p)
+
+
 def mk_space(outcomes, probs) -> ProbSpace:
     """Build a space from raw lists: floats stay floats, anything else (an int, a
     Fraction, an "a/b" string) becomes a Fraction, and the probabilities are
@@ -122,7 +132,7 @@ def mk_space(outcomes, probs) -> ProbSpace:
     if any(isinstance(p, bool) for p in probs):
         raise ValueError("probabilities must be numbers, not booleans")
     _check_length(outcomes, len(probs))
-    probs = tuple(p if isinstance(p, float) else Fraction(p) for p in probs)
+    probs = tuple(p if isinstance(p, float) else _exact(p) for p in probs)
     _check_outcomes(outcomes, len(probs))
     return ProbSpace(outcomes, *linalg.scale(probs))
 
@@ -251,7 +261,6 @@ class Subspace:
         self.space = space
         self.basis = tuple(basis)
         self.norms2 = tuple(norms2)
-        self._rref = None
 
     @property
     def dim(self) -> int:
@@ -272,9 +281,7 @@ class Subspace:
 
         Only the rational backend has one.
         """
-        if self._rref is None:
-            self._rref = self.space.backend.rref([b.vec for b in self.basis])
-        return self._rref
+        return self.space.backend.rref([b.vec for b in self.basis])
 
     def equals(self, other: "Subspace") -> bool:
         if self.space != other.space:

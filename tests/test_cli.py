@@ -771,6 +771,16 @@ def test_a_probability_file_with_two_faults_names_the_first(tmp_path, capsys, ca
     assert captured.err == f"usage error: {f}: {message}\n"
 
 
+def test_a_huge_probability_exponent_is_refused_before_it_is_read(tmp_path):
+    """``Fraction("1e30000000")`` alone takes close to a minute; the loader
+    refuses the exponent first, in one line that names the probability."""
+    f = tmp_path / "exponent.json"
+    f.write_text(json.dumps({"outcomes": ["a", "b"], "probs": ["1e30000000", "1/2"]}))
+    r = run_cli("space", "load", str(f), timeout=10)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == f"usage error: {f}: probability '1e30000000' has an exponent beyond 4300\n"
+
+
 def test_deeply_nested_file_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "deep.json"
     f.write_text("[" * 100_000)

@@ -45,7 +45,6 @@ BIT_OPERATORS = (ast.BitAnd, ast.BitOr, ast.LShift, ast.RShift)
 PINNED = {
     "float_nullspace": "perfbench FLOAT_LINALG span linalg.float_nullspace",
     "canonical_key": "perfbench EXTRA span Subspace.canonical_key",
-    "equals": "perfbench EXTRA span Subspace.equals",
 }
 
 

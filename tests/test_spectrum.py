@@ -13,7 +13,7 @@ from conftest import cond_exp_oracle, is_basis, kernel_intersection_oracle, rebi
 from noise_lattice import chaos, checks, spectrum
 from noise_lattice.cli import main
 from noise_lattice.errors import ConsistencyError, PreconditionError
-from noise_lattice.finmeas import inner, mk_dyadic, mk_space, walsh_character
+from noise_lattice.finmeas import constant, inner, mk_dyadic, mk_space, walsh_character
 from noise_lattice.instances import rand_ntba
 from noise_lattice.ntba import (
     NTBA,
@@ -41,7 +41,7 @@ from noise_lattice.spectrum import (
 def test_coordinate_two_atoms():
     s2 = mk_dyadic(2)
     D = spectral_decompose(mk_coordinate_ntba(s2))
-    assert sorted(p.k for p in D.points) == [0, 1, 1, 2]
+    assert sorted(len(p.generator) for p in D.points) == [0, 1, 1, 2]
     assert len(D.points) == 4
     for p in D.points:
         chi = walsh_character(s2, [i + 1 for i in sorted(p.generator)])
@@ -127,7 +127,7 @@ def test_trivial_algebra_two_points():
     D = spectral_decompose(B)
     assert len(D.points) == 2
     assert D.level_dims() == {0: 1, 1: 3}
-    constants = next(p for p in D.points if p.k == 0)
+    constants = next(p for p in D.points if not p.generator)
     assert constants.eigenspace.dim == 1
 
 
@@ -186,10 +186,10 @@ def test_identities_report():
     assert verify_spectral_identities(D) == []
     # the pattern of the xi_1 point is generated by atom 0
     (p,) = [q for q in D.points if q.generator == {0}]
-    assert p.k == 1
+    assert len(p.generator) == 1
     # the spectral set of the bottom element carries only the constants
     bottom = [q for q in D.points if not q.generator]
-    assert len(bottom) == 1 and bottom[0].k == 0
+    assert len(bottom) == 1 and not bottom[0].generator
     s0 = bottom[0].eigenspace
     assert s0.dim == 1 and s0.equals(subspace_of(trivial(D.algebra.space)))
 
@@ -208,8 +208,8 @@ def test_spectral_sets_are_measured_not_read_off_the_generators():
     points = list(D.points)
     (i,) = [j for j, p in enumerate(points) if p.generator == {0}]
     (j,) = [j for j, p in enumerate(points) if p.generator == {1}]
-    points[i] = SpectralPoint(points[i].eigenspace, frozenset({1}), 1)
-    points[j] = SpectralPoint(points[j].eigenspace, frozenset({0}), 1)
+    points[i] = SpectralPoint(points[i].eigenspace, frozenset({1}))
+    points[j] = SpectralPoint(points[j].eigenspace, frozenset({0}))
     failures = verify_spectral_identities(SpectralDecomp(D.algebra, points, D.levels))
     assert len(failures) == 2
     assert set(failures) == {
@@ -286,7 +286,7 @@ def test_k_monotone_under_coarsening():
         v = p.eigenspace.basis[0]
         hits = [q for q in D1.points if q.eigenspace.contains(v)]
         assert len(hits) == 1
-        assert hits[0].k <= p.k
+        assert len(hits[0].generator) <= len(p.generator)
 
 
 def test_sigma_tower():
@@ -309,6 +309,24 @@ def test_point_order_is_canonical():
     # rebuilding gives the identical order
     D2 = spectral_decompose(mk_coordinate_ntba(mk_dyadic(7)))
     assert [p.generator for p in D.points] == [p.generator for p in D2.points]
+
+
+def test_each_eigenspace_holds_the_atom_basis_products_in_order():
+    """Point {k_1 < ... < k_m} holds exactly the products of one
+    ``chaos.atom_bases`` vector per k_i, k_1 varying slowest, with the
+    products of their squared norms: the suites read ``basis[0]``."""
+    rng = random.Random(43)
+    algebras = [mk_coordinate_ntba(mk_dyadic(n)) for n in range(1, 6)]
+    algebras += [rand_ntba(rng, 64) for _ in range(20)]
+    for B in algebras:
+        bases = chaos.atom_bases(B)
+        for p in spectral_decompose(B).points:
+            vecs, norms = [constant(B.space, 1)], [B.space.backend.one]
+            for k in sorted(p.generator):
+                vecs = [u * v for u in vecs for v in bases[k].basis]
+                norms = [a * b for a in norms for b in bases[k].norms2]
+            assert [b.values for b in p.eigenspace.basis] == [v.values for v in vecs]
+            assert list(p.eigenspace.norms2) == norms
 
 
 def test_membership_holds_the_generator_inside_the_element():

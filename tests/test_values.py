@@ -74,7 +74,7 @@ DECLARED = {
     FamilyVerdict: (RECORD, ["valid", ("reason", object, field(default=None)),
                              ("witness", object, field(default=None))]),
     Restriction: (RECORD, ["algebra", "quotient", "atom_indices"]),
-    SpectralPoint: (RECORD, ["eigenspace", "generator", "k"]),
+    SpectralPoint: (RECORD, ["eigenspace", "generator"]),
     SpectralDecomp: (RECORD, ["algebra", "points", "levels"]),
     ChaosResult: (RECORD, ["h1", "algebra"]),
     SuiteResult: (RECORD, ["name", "cases", ("failures", list, field(default_factory=list))]),
@@ -126,7 +126,7 @@ def _samples() -> list:
         FamilyVerdict(True), FamilyVerdict(True), FamilyVerdict(False, "no", (1,)),
         validate_family(dyadic, [trivial(dyadic), discrete(dyadic)]),
         restrict(coords.element({0})), restrict(coords.element({0})),
-        point, decomp.points[1], SpectralPoint(point.eigenspace, point.generator, point.k),
+        point, decomp.points[1], SpectralPoint(point.eigenspace, point.generator),
         decomp, SpectralDecomp(decomp.algebra, list(decomp.points), decomp.levels),
         first_chaos(coords), ChaosResult(first_chaos(coords).h1, coords),
         SuiteResult("s", 2), SuiteResult("s", 2, []), SuiteResult("s", 2, [{"case": 0}]),
