@@ -20,6 +20,7 @@ factor, of a random variable or of a partition, reads that map.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import prod
 
@@ -27,7 +28,9 @@ from . import linalg
 from .errors import CapacityError, DomainMismatchError, Frozen, derived
 
 MAX_OUTCOMES = 1 << 20
-MAX_EXPONENT = 4300  # the digits Python allows an int string; Fraction's cost grows with it
+MAX_DIGITS = 4300  # the digits Python allows an int string; Fraction's cost grows with them
+_PAST_DIGITS = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 class ProbSpace(Frozen):
@@ -58,7 +61,10 @@ class ProbSpace(Frozen):
             raise ValueError("probabilities must be strictly positive")
         weights, total = backend.canonical(weights, total)
         if not backend.sums_to_one(weights, total):
-            raise ValueError(f"probabilities sum to {backend.ratio(sum(weights), total)}, not 1")
+            got = backend.ratio(sum(weights), total)
+            if _past_digits(got):
+                got = f"a fraction of more than {MAX_DIGITS} digits"
+            raise ValueError(f"probabilities sum to {got}, not 1")
         self.__dict__.update(
             outcomes=outcomes, weights=weights, total=total, backend=backend, size=len(outcomes)
         )
@@ -108,13 +114,33 @@ def _check_outcomes(outcomes, n_probs: int) -> None:
         raise ValueError("outcome identifiers must be unique")
 
 
+def _past_digits(q) -> bool:
+    """Whether q is a Fraction whose numerator or denominator has more than
+    ``MAX_DIGITS`` digits, past what Python prints of an int."""
+    return isinstance(q, Fraction) and max(abs(q.numerator), q.denominator) >= _PAST_DIGITS
+
+
 def _exact(p) -> Fraction:
-    """p as a Fraction; a decimal exponent past ``MAX_EXPONENT`` is refused unread."""
-    if isinstance(p, str) and ("e" in p or "E" in p):
-        exp = p.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-        if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
-            raise ValueError(f"probability {p!r} has an exponent beyond {MAX_EXPONENT}")
-    return Fraction(p)
+    """p as a Fraction, refused in one line naming it when its numerator or
+    denominator would need more than ``MAX_DIGITS`` digits.
+
+    Only a string longer than that or holding an exponent can: an exponent
+    past ``MAX_DIGITS`` or a longer run of digits is refused before
+    ``Fraction`` reads it, and the number it reads is measured.
+    """
+    if not isinstance(p, str) or (len(p) <= MAX_DIGITS and "e" not in p and "E" not in p):
+        return Fraction(p)
+    name = repr(p) if len(p) <= 40 else f"{p[:20]!r}... of {len(p)} characters"
+    low = p.lower()
+    if "e" in low:
+        exp = low.rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_DIGITS):
+            raise ValueError(f"probability {name} has an exponent beyond {MAX_DIGITS}")
+    too_long = any(len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(p))
+    q = None if too_long else Fraction(p)
+    if q is None or _past_digits(q):
+        raise ValueError(f"probability {name} needs more than {MAX_DIGITS} digits")
+    return q
 
 
 def mk_space(outcomes, probs) -> ProbSpace:

@@ -13,8 +13,13 @@ lattice-law suite reads its laws from one meet table and one join table,
 so a result outside its element set is a reported failure and a one-sided
 meet is seen.  The monotone-limit suite holds each fixed descriptor's
 limit to a written-out element, so a wrong limit is a reported failure.
+Each suite that no other test drives to a failure runs under one fault
+in a library function it calls (``FAULTS``): it must report a failure,
+and its failure records must pickle and print as JSON.
 """
 
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,7 +27,8 @@ import pytest
 from conftest import exact_rank, projection_matrix, projections_commute
 
 from noise_lattice import checks
-from noise_lattice.finmeas import RV, Subspace, indicator, mk_space, norm2
+from noise_lattice.chaos import ChaosResult
+from noise_lattice.finmeas import RV, Subspace, indicator, mk_space, norm2, span_on
 from noise_lattice.instances import (
     rand_independent_pair,
     rand_ntba,
@@ -30,8 +36,8 @@ from noise_lattice.instances import (
     rand_space,
 )
 from noise_lattice.kernels import row_echelon_int
-from noise_lattice.ntba import mk_parity_ntba
-from noise_lattice.sigma import partition
+from noise_lattice.ntba import mk_coordinate_ntba, mk_parity_ntba
+from noise_lattice.sigma import partition, trivial
 
 
 def _three_point_witness():
@@ -365,3 +371,80 @@ def test_monotone_limit_suite_checks_each_fixed_limit(monkeypatch):
     )
     failures = _run_suite(checks.suite_cofinite_limits, 60).failures
     assert failures == [{"descriptor": repr(cf.EventuallyConstant((cf.y(1), cf.y(1)))), "limit": "0"}]
+
+
+def _negated(f):
+    return lambda *args: not f(*args)
+
+
+def _first_character(f):
+    return lambda space, ks: f(space, ks[:1])
+
+
+def _trivial_meet(f):
+    return lambda x, y: trivial(x.space)
+
+
+def _identity_projection(f):
+    return lambda x, g: g
+
+
+def _short_chaos(f):
+    """A first chaos short of its first basis vector."""
+    return lambda B: ChaosResult(span_on(B.space, f(B).h1.basis[1:]), B)
+
+
+def _halved_p(f):
+    return lambda n, p, rng: f(n, p / 2, rng)
+
+
+# One row per suite that no other test drives to a failure: the suite, the
+# module or class holding a library function it calls, that function's
+# name, and the fault put in its place, built from the original.
+FAULTS = [
+    (checks.suite_span_rank, checks, "span", lambda f: lambda vs, space: f(vs[1:], space=space)),
+    (checks.suite_product_inner, checks, "inner", lambda f: lambda a, b: 2 * f(a, b)),
+    (checks.suite_walsh_orthonormal, checks, "walsh_character", _first_character),
+    (checks.suite_independence_criterion, checks, "commutes", _negated),
+    (checks.suite_indep_lattice_identities, checks, "meet", _trivial_meet),
+    (checks.suite_projection_laws, checks, "cond_exp", _identity_projection),
+    (checks.suite_product_membership, checks, "meet", _trivial_meet),
+    (checks.suite_ntba_constructions, checks, "presentation_problem",
+     lambda f: lambda space, atoms: "dependent atoms"),
+    (checks.suite_generated_atoms, checks, "coarsen",
+     lambda f: lambda B, groups: f(B, [range(B.n_atoms)])),
+    (checks.suite_parity_recoding, checks, "mk_parity_ntba",
+     lambda f: lambda n, space: mk_coordinate_ntba(space)),
+    (checks.suite_superadditivity, checks, "norm2", lambda f: lambda g: -f(g)),
+    (checks.suite_membership_triequivalence, checks, "chaos_membership", _negated),
+    (checks.suite_chaos_additivity, checks, "cond_exp", _identity_projection),
+    (checks.suite_classicality, checks, "sigma_of_rvs", lambda f: lambda space, rvs: trivial(space)),
+    (checks.suite_up_down, checks, "first_chaos", _short_chaos),
+    (checks.suite_presentation_invariance, checks, "first_chaos", _short_chaos),
+    (checks.suite_walsh_oracle, checks, "walsh_character", _first_character),
+    (checks.suite_spectral_invariance, checks, "certified_levels",
+     lambda f: lambda B: {k: d + 1 for k, d in f(B).items()}),
+    (checks.suite_k_monotone, Subspace, "contains", _negated),
+    (checks.suite_k_additivity, checks, "k_restriction_additivity", _negated),
+    (checks.suite_sigma_tower, checks, "sigma_tower_check", _negated),
+    (checks.suite_cofinite_truncation, checks.cf, "cof_meet", lambda f: checks.cf.cof_join),
+    (checks.suite_randsup_distribution, checks.rs, "sample_element", _halved_p),
+    (checks.suite_randsup_union_bound, checks.rs, "sample_element", _halved_p),
+    (checks.suite_randsup_reproducible, checks.rs, "run_join_process",
+     lambda f: lambda cfg: [t[::-1] for t in f(cfg)]),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, owner, name, fault", FAULTS, ids=[row[0].__name__ for row in FAULTS]
+)
+def test_every_suite_reports_a_fault(monkeypatch, suite, owner, name, fault):
+    """Each suite fails under one fault in a function it calls, and its
+    failure records survive the pickle of a forked worker and the JSON of
+    ``check all --format json``."""
+    assert not _run_suite(suite, 5).failures
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    failures = _run_suite(suite, 5).failures
+    assert failures
+    pickle.dumps(failures)
+    json.dumps(failures, sort_keys=True, default=str)

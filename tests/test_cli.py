@@ -781,6 +781,27 @@ def test_a_huge_probability_exponent_is_refused_before_it_is_read(tmp_path):
     assert r.stderr == f"usage error: {f}: probability '1e30000000' has an exponent beyond 4300\n"
 
 
+def test_no_probability_file_ends_in_the_int_string_limit(tmp_path, capsys):
+    """A numerator or denominator past 4,300 digits, read or summed, is one
+    usage line of the library's own, never Python's integer-string limit."""
+    files = {
+        "exponent": ["1e4300", "1/2"],
+        "negative-exponent": ["1e-4300", "1/2"],
+        "mantissa": ["0." + "1" * 4400, "1/2"],
+        "denominator": ["1/" + "7" * 4301, "1/2"],
+        "sum": [f"1/{10**2200 + 1}", f"1/{10**2200 + 3}"],
+        "valid": ["1e-4300", "0." + "9" * 4300],
+    }
+    for name, probs in files.items():
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps({"outcomes": ["a", "b"], "probs": probs}))
+        assert main(["space", "load", str(f)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: {f}: ") and captured.err.count("\n") == 1
+        assert "set_int_max_str_digits" not in captured.err, name
+
+
 def test_deeply_nested_file_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "deep.json"
     f.write_text("[" * 100_000)

@@ -436,6 +436,21 @@ def test_complement_chain_terms_decrease_to_limit():
         assert cf.cof_leq(lim, t)
 
 
+@pytest.mark.parametrize("start", [1, 2, 3])
+def test_tail_chain_limit_is_the_one_probe_below_every_term(start):
+    """Kolmogorov's zero-one law in the symbolic model: the tails t(start),
+    ..., t(8) decrease, and no probe element but 0 lies below all of them."""
+    seq = cf.TailChain(start)
+    terms = [seq.term(n) for n in range(1, 9 - start + 1)]
+    assert terms[0] == cf.x(start) and terms[-1] == cf.x(8)
+    for a, b in zip(terms, terms[1:]):
+        assert cf.cof_leq(b, a) and a != b
+    probes = cf.bounded_elements(6, 7)
+    assert len(probes) == 128
+    below = [e for e in probes if all(cf.cof_leq(e, t) for t in terms)]
+    assert below == [cf.ZERO] == [cf.monotone_limit(seq)]
+
+
 def test_limits_stay_in_closure():
     for d in (
         cf.PrefixJoins(cf.progression(2)),

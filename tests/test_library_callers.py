@@ -4,10 +4,12 @@ field is read.
 The library keeps one route per computation; alternative routes and
 helpers only tests use live in ``tests/``.  So every top-level function
 and every method (dunders aside) under ``src/noise_lattice`` must be named
-somewhere in ``src/`` outside its own body; exporting a name from
-``__init__.py`` is not a call, nor is assigning a variable or attribute
-of the same name.  Names are matched as written (``f(...)``, ``obj.f``),
-not resolved, which is enough to catch a function nothing calls.
+somewhere in ``src/`` outside its own body; assigning a variable or
+attribute of the same name is not a call.  Names are matched as written
+(``f(...)``, ``obj.f``), not resolved, which is enough to catch a function
+nothing calls.  ``__init__.py`` holds only its docstring and
+``__version__``, so it re-exports nothing and each name has one import
+path, its module's.
 
 A result states each verdict once, so every annotated field of a class
 under ``src/noise_lattice`` (an ``errors.Record`` or ``NamedTuple``
@@ -96,6 +98,15 @@ def test_every_library_function_has_a_library_caller():
             if all(m == module and line in own_body for m, line in refs[name]):
                 uncalled.append(f"{module}:{node.lineno} {name}")
     assert not uncalled, f"nothing in the library calls: {uncalled}"
+
+
+def test_the_package_namespace_holds_only_its_version():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    docstring, *rest = tree.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert [ast.dump(node) for node in rest] == [
+        ast.dump(ast.parse(f"__version__ = {noise_lattice.__version__!r}").body[0])
+    ], "__init__.py holds more than its docstring and __version__"
 
 
 def _fields(tree: ast.Module):

@@ -228,7 +228,7 @@ def test_a_realize_that_drops_an_atom_breaks_the_meets_and_filters(monkeypatch):
 
     monkeypatch.setattr(NTBAElement, "realize", dropped)
     kinds = {f[0] for f in verify_spectral_identities(D)}
-    assert {"meet-of-spectral-sets", "filter-upward", "spectral-set-rule"} <= kinds
+    assert {"meet-of-spectral-sets", "spectral-set-rule"} <= kinds
     assert "spectral-set-subspace" not in kinds
 
 
