@@ -129,6 +129,8 @@ def _load(path: str, parse):
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}") from None
     except (ValueError, TypeError, ArithmeticError) as exc:  # JSONDecodeError is a ValueError
+        if str(exc).startswith("Exceeds the limit"):  # a JSON int past Python's int-string limit
+            exc = f"an integer of more than {sys.get_int_max_str_digits()} digits"
         raise UsageError(f"{path}: {exc}") from None
     except RecursionError:
         raise UsageError(f"{path}: the input is nested too deeply") from None

@@ -27,6 +27,7 @@ from .errors import CapacityError, Frozen, PreconditionError, Record
 
 BLOCK = 4096  # trials per Philox stream
 MAX_LEVEL_ATOMS = 1024  # one level's (BLOCK, n_k) float draw stays within 32 MiB
+MAX_CELLS = 1 << 31  # uniforms drawn by one run, about 20 s at 10^8 a second
 
 
 class SampleConfig(Frozen):
@@ -52,6 +53,12 @@ class SampleConfig(Frozen):
             raise CapacityError(
                 f"{atom_counts[-1]} atoms at one level exceed the guard of "
                 f"{MAX_LEVEL_ATOMS} per level"
+            )
+        cells = -(-trials // BLOCK) * BLOCK * sum(atom_counts)
+        if cells > MAX_CELLS:
+            raise CapacityError(
+                f"{trials} trials over {sum(atom_counts)} atoms draw {cells} uniforms, past "
+                f"the guard of {MAX_CELLS}"
             )
         self.__dict__.update(atom_counts=atom_counts, ps=ps, seed=seed, trials=trials)
 

@@ -9,10 +9,14 @@ A ``SigmaField`` is its label vector: ``labels[i]`` numbers the block of
 outcome i, blocks numbered 0, 1, ... in the order of their least outcome.
 That numbering is canonical, so the labels alone give equality and
 hashing; the blocks and the block weights and masses are derived from
-them on first read.  One first-seen numbering builds every field:
+them on first read.  The constructor is the one numbering: given one
+hashable key per outcome, it numbers the keys first-seen, so any keys
+give the partition into their level sets.  Every field is built by it:
 ``partition`` (the one check of blocks from outside), ``trivial``,
 ``discrete``, every join (one grouping of the outcomes by their tuple of
-labels) and the meet (one union-find over the blocks of both fields).
+labels), the meet (one union-find over the blocks of both fields) and
+``lift_partition``.
+
 Independence, commuting and an atom presentation's mutual independence
 are one walk (``_product_problem``): fields are independent given a c
 below all of them iff, within every c-block, each tuple of their blocks
@@ -32,29 +36,29 @@ import itertools
 from .errors import DomainMismatchError, Frozen, PreconditionError, derived
 from .finmeas import RV, ProbSpace, Subspace, indicator, vecs_on
 
-_NOT_CANONICAL = "labels must number the blocks 0, 1, ... in the order of their least outcome"
-
 
 class SigmaField(Frozen):
     """A partition as its canonical label vector.
 
-    ``labels[i]`` is the index of the block holding outcome i, the blocks
-    numbered in the order of their least outcome.  Only the labels are
-    hashed; ``n_blocks``, ``blocks``, ``weights`` (block sums of the
-    space's weights: ints in rational mode) and ``masses`` (block
-    probabilities, each weight over the space's total) are derived from
-    them on first read.
+    Built from one hashable key per outcome: outcomes sharing a key form a
+    block, and the keys are numbered in the order they are first seen,
+    each hashed once.  So ``labels[i]`` is the index of the block holding
+    outcome i, the blocks numbered in the order of their least outcome,
+    and ``n_blocks`` is the number of distinct keys.  Only the labels are
+    hashed; ``blocks``, ``weights`` (block sums of the space's weights:
+    ints in rational mode) and ``masses`` (block probabilities, each
+    weight over the space's total) are derived from them on first read.
     """
 
     space: ProbSpace
     labels: tuple
 
-    def __init__(self, space: ProbSpace, labels):
-        labels = tuple(labels)
-        first_seen = tuple(dict.fromkeys(labels))
-        if len(labels) != space.size or first_seen != tuple(range(len(first_seen))):
-            raise ValueError(_NOT_CANONICAL)
-        self.__dict__.update(space=space, labels=labels)
+    def __init__(self, space: ProbSpace, keys):
+        index: dict = {}
+        labels = tuple([index.setdefault(k, len(index)) for k in keys])
+        if len(labels) != space.size:
+            raise ValueError(f"{len(labels)} keys for {space.size} outcomes: one key per outcome")
+        self.__dict__.update(space=space, labels=labels, n_blocks=len(index))
 
     def __eq__(self, other):
         # the fields spelled out, not ``Frozen._key``: the lattice scans compare fields often
@@ -64,10 +68,6 @@ class SigmaField(Frozen):
 
     def __hash__(self):
         return hash((self.labels,))
-
-    @derived
-    def n_blocks(self) -> int:
-        return max(self.labels) + 1
 
     @derived
     def blocks(self) -> tuple:
@@ -100,23 +100,6 @@ def _chk(x, y):
         raise DomainMismatchError("sigma-fields live on different spaces")
 
 
-def _number(space: ProbSpace, keys) -> SigmaField:
-    """The field whose blocks are the outcomes sharing a key (one per outcome).
-
-    Keys are numbered in the order they are first seen, so the labels come
-    out canonical; each key is hashed once.  Canonical by construction, the
-    field is built past ``__init__``'s check of its labels, with its block
-    count, the number of keys, already known.
-    """
-    index: dict = {}
-    labels = tuple([index.setdefault(k, len(index)) for k in keys])
-    if len(labels) != space.size:
-        raise ValueError(_NOT_CANONICAL)
-    field = object.__new__(SigmaField)
-    field.__dict__.update(space=space, labels=labels, n_blocks=len(index))
-    return field
-
-
 def partition(space: ProbSpace, blocks) -> SigmaField:
     """The field with the given blocks, listed in any order.
 
@@ -133,15 +116,15 @@ def partition(space: ProbSpace, blocks) -> SigmaField:
             labels[i] = k
     if None in labels:
         raise ValueError("blocks must partition the outcome indices")
-    return _number(space, labels)
+    return SigmaField(space, labels)
 
 
 def trivial(space: ProbSpace) -> SigmaField:
-    return _number(space, itertools.repeat(0, space.size))
+    return SigmaField(space, itertools.repeat(0, space.size))
 
 
 def discrete(space: ProbSpace) -> SigmaField:
-    return _number(space, range(space.size))
+    return SigmaField(space, range(space.size))
 
 
 def _group(space: ProbSpace, labelings) -> SigmaField:
@@ -149,7 +132,7 @@ def _group(space: ProbSpace, labelings) -> SigmaField:
 
     No labeling at all gives the trivial field.
     """
-    return _number(space, zip(*labelings) if labelings else itertools.repeat((), space.size))
+    return SigmaField(space, zip(*labelings) if labelings else itertools.repeat((), space.size))
 
 
 def sigma_of_rvs(space: ProbSpace, rvs) -> SigmaField:
@@ -186,7 +169,7 @@ def meet(x: SigmaField, y: SigmaField) -> SigmaField:
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         root.append(a)
-    return _number(x.space, map(root.__getitem__, x.labels))
+    return SigmaField(x.space, map(root.__getitem__, x.labels))
 
 
 def join(x: SigmaField, y: SigmaField) -> SigmaField:
@@ -293,7 +276,7 @@ def lift_partition(prod, part: SigmaField, k: int) -> SigmaField:
     """A field on factor k of ``finmeas.product``, pulled back through coordinate k."""
     if part.space != prod.factor(k):
         raise DomainMismatchError(f"partition is not on factor {k}")
-    return _number(prod.space, map(part.labels.__getitem__, prod.coords[k]))
+    return SigmaField(prod.space, map(part.labels.__getitem__, prod.coords[k]))
 
 
 def partition_to_json(x: SigmaField) -> dict:

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -406,6 +407,32 @@ def test_float_image_of_a_dyadic_file_keeps_verdicts_and_dims(tmp_path, capsys):
             assert run(image) == run(obj)
 
 
+LIGHT_CELL = {
+    "space": {"outcomes": ["a", "b", "c", "d"], "probs": [0.5, 1e-12, 0.499999999996, 3e-12]},
+    "atoms": [{"blocks": [[0, 1], [2, 3]]}, {"blocks": [[0, 2], [1, 3]]}],
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: float is_product tests each cell within an absolute 1e-9",
+)
+def test_float_validate_refuses_the_light_cell_file_as_its_exact_twin(tmp_path, capsys):
+    """Outcome b has mass 1e-12 against a product of 2e-12, so the atoms are
+    dependent; the exact twin is refused at block tuple (0, 0)."""
+    probs = ["1/2", "1/1000000000000", "499999999996/1000000000000", "3/1000000000000"]
+    exact = {**LIGHT_CELL, "space": {**LIGHT_CELL["space"], "probs": probs}}
+    codes = []
+    for name, obj in (("exact", exact), ("float", LIGHT_CELL)):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(obj))
+        codes.append(main(["ntba", "validate", str(f)]))
+    capsys.readouterr()
+    assert codes[0] == 1
+    assert codes[1] == 1
+
+
 def test_reports_accept_a_float_file_that_validate_rejects(capsys):
     """The reports need the atoms certified; only validate adds the complement pass."""
     path = str(Path(__file__).parent / "golden" / "float-perturbed.json")
@@ -802,6 +829,17 @@ def test_no_probability_file_ends_in_the_int_string_limit(tmp_path, capsys):
         assert "set_int_max_str_digits" not in captured.err, name
 
 
+def test_a_json_integer_past_the_int_string_limit_is_one_usage_line(tmp_path, capsys):
+    """``json.load`` converts the literal before the library reads it; the
+    error names the limit, not Python's remedy."""
+    f = tmp_path / "big.json"
+    f.write_text('{"outcomes": ["a", "b"], "probs": [' + "1" * 4400 + ', "1/2"]}')
+    assert main(["space", "load", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {f}: an integer of more than 4300 digits\n"
+
+
 def test_deeply_nested_file_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "deep.json"
     f.write_text("[" * 100_000)
@@ -848,6 +886,23 @@ def test_randsup_atoms_past_the_level_guard_exit_3(monkeypatch, capsys):
     with pytest.raises(AssertionError):
         main(argv + ["--atoms", str(rs.MAX_LEVEL_ATOMS)])
     assert drawn == [rs.MAX_LEVEL_ATOMS]
+
+
+def test_randsup_trials_past_the_cell_guard_exit_3(monkeypatch, capsys):
+    """The uniforms a run draws, whole blocks of trials times the atoms of
+    every level, are guarded before any is drawn."""
+    monkeypatch.setattr(rs, "sample_element", lambda *a: pytest.fail("a block was drawn"))
+    start = time.perf_counter()
+    argv = ["randsup", "run", "--ps", "0.1", "--atoms", "1024", "--trials", "1000000000"]
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1, err
+    assert str(rs.MAX_CELLS) in err
+    at_limit = rs.MAX_CELLS // (rs.BLOCK * 1024) * rs.BLOCK
+    assert rs.SampleConfig((512, 512), (0.1, 0.1), seed=1, trials=at_limit).trials == at_limit
+    with pytest.raises(rs.CapacityError, match=str(rs.MAX_CELLS)):
+        rs.SampleConfig((512, 512), (0.1, 0.1), seed=1, trials=at_limit + 1)
 
 
 def test_bad_command_line_values_are_usage_errors(tmp_path, capsys):

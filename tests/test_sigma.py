@@ -337,27 +337,43 @@ def test_blocks_must_cover_each_outcome_once(uniform3):
 
 
 def test_labels_must_be_canonical(uniform3):
-    for labels in ((1, 0, 0), (0, 2, 1), (0, 0, 2), (-1, 0, 0), (0, 1), (0, 1, 1, 0), ()):
-        with pytest.raises(ValueError, match="labels must number the blocks"):
-            SigmaField(uniform3, labels)
+    """Any keys, one per outcome, give their level sets, labelled first-seen."""
+    for keys, labels in (
+        ((1, 0, 0), (0, 1, 1)),
+        ((0, 2, 1), (0, 1, 2)),
+        ((0, 0, 2), (0, 0, 1)),
+        ((-1, 0, -1), (0, 1, 0)),
+        (("b", "a", "b"), (0, 1, 0)),
+        (((1, 2), (), (1, 2)), (0, 1, 0)),
+        (("x", "x", "x"), (0, 0, 0)),
+    ):
+        field = SigmaField(uniform3, keys)
+        assert field.labels == labels and field.n_blocks == max(labels) + 1
+        level_sets = [[i for i in range(3) if keys[i] == k] for k in set(keys)]
+        assert field == partition(uniform3, level_sets)
     assert SigmaField(uniform3, (0, 1, 0)) == partition(uniform3, [[1], [2, 0]])
+    for keys in ((0, 1), (0, 1, 1, 0), (), iter("abcd")):
+        with pytest.raises(ValueError, match="one key per outcome"):
+            SigmaField(uniform3, keys)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_numbering_builds_the_field_the_checked_constructor_builds(mode):
+    """``SigmaField(space, keys)`` holds the keys' level sets, as ``partition`` does."""
     rng = random.Random(23)
     for _ in range(200):
         space = rand_space(rng, 6, mode)
         keys = [rng.choice("abcd") for _ in range(space.size)]
-        got = sigma._number(space, keys)
-        checked = SigmaField(space, got.labels)
-        assert type(got) is SigmaField
-        assert got == checked and hash(got) == hash(checked)
-        assert got.labels == checked.labels and got.blocks == checked.blocks
-        # the labels are the keys' first-seen numbering
-        assert got.blocks == tuple(
+        got = SigmaField(space, keys)
+        # the blocks of the keys' first-seen numbering, found without the constructor
+        blocks = tuple(
             tuple(i for i in range(space.size) if keys[i] == k) for k in dict.fromkeys(keys)
         )
+        checked = partition(space, [list(b) for b in reversed(blocks)])
+        assert type(got) is SigmaField
+        assert got == checked and hash(got) == hash(checked)
+        assert got.labels == checked.labels and got.blocks == checked.blocks == blocks
+        assert got.n_blocks == checked.n_blocks == len(blocks)
 
 
 @st.composite

@@ -1,62 +1,60 @@
-"""Every sigma-field is built by ``sigma``'s one first-seen numbering.
+"""Every sigma-field is built by ``SigmaField(space, keys)``, the one numbering.
 
-``sigma._number`` is the only place that builds a ``SigmaField`` (it
-numbers the labels first-seen, so it skips the constructor's check of
-them), and no other module builds one or calls ``_number``: outside
-``sigma`` a field comes from ``partition``, ``trivial``, ``discrete``, a
-join or a meet, so its labels are canonical by construction.
+The constructor numbers one key per outcome first-seen, so any keys give
+a canonical label vector and no field needs a second route.  Only
+``sigma`` calls it: outside that module a field comes from
+``partition``, ``trivial``, ``discrete``, a join or a meet.  And nothing
+in the package builds a field past ``__init__`` (``object.__new__`` or
+``SigmaField.__new__``), which would skip the numbering.
 """
 
 import ast
 from pathlib import Path
 
 import noise_lattice
+from noise_lattice import sigma
 
 SRC = Path(noise_lattice.__file__).parent
-ROUTE = ("SigmaField", "_number")
 
 
-def _called(node) -> str:
-    """The name called; ``object.__new__(C)`` and ``C.__new__(C)`` count as building C."""
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr == "__new__" and node.args:
-        built = node.args[0]
-        return built.id if isinstance(built, ast.Name) else ""
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
+def _calls(path: Path) -> list:
+    """(line, name called, class built past ``__init__`` or None) for each call in the file.
 
-
-def _route_calls(tree) -> list:
-    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _called(n) in ROUTE]
-
-
-def _tree(path: Path) -> ast.AST:
-    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    ``object.__new__(C)``, ``tuple.__new__(C, ...)`` and ``C.__new__(C)``
+    build C past its ``__init__``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        built = None
+        if name == "__new__" and node.args and isinstance(node.args[0], ast.Name):
+            built = node.args[0].id
+        out.append((node.lineno, name, built))
+    return out
 
 
 def test_only_sigma_builds_sigma_fields():
     found = [
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "sigma.py"
-        for node in _route_calls(_tree(path))
+        for line, name, _ in _calls(path)
+        if name == "SigmaField"
     ]
     assert not found, f"sigma-field built outside sigma: {found}"
+    assert any(name == "SigmaField" for _, name, _ in _calls(SRC / "sigma.py"))
 
 
 def test_the_numbering_is_the_only_constructor_call():
-    tree = _tree(SRC / "sigma.py")
-    number = next(
-        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_number"
-    )
-    inside = {id(n) for n in _route_calls(number)}
-    stray = [
-        n.lineno
-        for n in _route_calls(tree)
-        if _called(n) == "SigmaField" and id(n) not in inside
+    past_init = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, _, built in _calls(path)
+        if built == "SigmaField"
     ]
-    assert not stray, f"SigmaField built outside _number at sigma.py lines {stray}"
-    assert inside, "_number no longer builds the SigmaField"
+    assert not past_init, f"sigma-field built past __init__ at {past_init}"
+    assert not hasattr(sigma, "_number")
